@@ -18,7 +18,6 @@ fp32; in-memory math stays fp64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,65 +192,3 @@ def encoded_size(params: ParameterSet, fmt: str) -> int:
         total += 4 + 4 * e.bias.size
     return total
 
-
-# ---------------------------------------------------------------------------
-# Communication volume accounting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RoundVolume:
-    round_index: int
-    phase: str                 # warmup | admm_prune | masked_finetune | dense
-    upload_bytes: int          # actual bytes sent up, all clients summed
-    download_bytes: int        # actual bytes broadcast down, all clients summed
-    dense_upload_bytes: int    # what the same uploads would cost dense
-    dense_download_bytes: int
-
-    @property
-    def total_bytes(self) -> int:
-        return self.upload_bytes + self.download_bytes
-
-
-class VolumeLedger:
-    """Single-writer per-experiment byte ledger.
-
-    Savings are computed over the pruning phase only (warmup rounds excluded),
-    against the dense-equivalent cost of the same traffic.
-    """
-
-    def __init__(self):
-        self.rounds: list[RoundVolume] = []
-
-    def account_round(self, uploads: list[int], download_size: int, num_clients: int,
-                      round_index: int, phase: str,
-                      dense_uploads: list[int] | None = None,
-                      dense_download_size: int | None = None) -> RoundVolume:
-        dense_uploads = dense_uploads if dense_uploads is not None else uploads
-        dense_down = dense_download_size if dense_download_size is not None else download_size
-        rv = RoundVolume(
-            round_index=round_index,
-            phase=phase,
-            upload_bytes=sum(uploads),
-            download_bytes=num_clients * download_size,
-            dense_upload_bytes=sum(dense_uploads),
-            dense_download_bytes=num_clients * dense_down,
-        )
-        self.rounds.append(rv)
-        return rv
-
-    def total_bytes(self, phases: tuple[str, ...] | None = None) -> int:
-        return sum(r.total_bytes for r in self.rounds
-                   if phases is None or r.phase in phases)
-
-    def dense_total_bytes(self, phases: tuple[str, ...] | None = None) -> int:
-        return sum(r.dense_upload_bytes + r.dense_download_bytes for r in self.rounds
-                   if phases is None or r.phase in phases)
-
-    PRUNING_PHASES = ("admm_prune", "masked_finetune", "masked_prune")
-
-    def saving_percent(self) -> float:
-        """100 * (1 - actual/dense-equivalent) over pruning-phase rounds."""
-        dense = self.dense_total_bytes(self.PRUNING_PHASES)
-        if dense == 0:
-            return 0.0
-        return 100.0 * (1.0 - self.total_bytes(self.PRUNING_PHASES) / dense)

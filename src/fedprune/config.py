@@ -1,5 +1,5 @@
 """Experiment config files: INI-style key=value text with sections
-[model], [data], [federation], [pruning], [crypto].  Every key has a
+[model], [data], [federation], [pruning].  Every key has a
 default; [pruning] holds ``rho`` plus ``layer_id = keep_fraction`` entries.
 """
 
@@ -52,7 +52,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    known = {"model", "data", "federation", "pruning", "crypto"}
+    known = {"model", "data", "federation", "pruning"}
     stray = set(cp.sections()) - known
     if stray:
         raise ConfigError(f"unknown config sections: {sorted(stray)}")
@@ -95,22 +95,12 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
                     raise ConfigError(f"bad keep fraction for {key}: {raw!r}") from exc
     if keep:
         kwargs["sparsity"] = SparsityConfig(keep=keep, rho=rho)
-    if cp.has_section("crypto"):
-        for key, raw in cp.items("crypto"):
-            if key != "scratch_limit_mb":
-                raise ConfigError(f"unknown [crypto] key: {key}")
-            # consumed by the CLI when building the enclave context
-            kwargs["_scratch_limit_mb"] = float(raw)
-    scratch = kwargs.pop("_scratch_limit_mb", None)
 
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        cfg = ExperimentConfig(**kwargs)
+        return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if scratch is not None:
-        object.__setattr__(cfg, "scratch_limit_mb", scratch)
-    return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:

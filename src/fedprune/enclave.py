@@ -1,16 +1,15 @@
 """Emulated trusted enclave on the aggregation server.
 
-Boundary crossings are instrumented: every encrypted update loaded counts as
-one ecall and every model publication as one ocall, each charged with
-measured wall time and copied through a bounded trusted scratch buffer.
+Boundary crossings are counted: every encrypted update loaded is one ecall
+and every model publication one ocall, each copied through a bounded trusted
+scratch buffer.  The orchestrator times the crossings from outside.
 Decrypted update tensors only ever exist wrapped in PlaintextUpdate, which
 cannot be constructed outside this module's trusted section.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +46,7 @@ class EnclaveContext:
     key_manager: KeyManager
     scratch_limit: int = 256 * 1024 * 1024   # trusted buffer budget, bytes
     ecall_count: int = 0
-    ecall_time: float = 0.0
     ocall_count: int = 0
-    ocall_time: float = 0.0
-
-    def reset_timers(self):
-        self.ecall_time = 0.0
-        self.ocall_time = 0.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,6 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
     records = []
     rejections = []
     for enc in encs:
-        t0 = time.perf_counter()
         ctx.ecall_count += 1
         try:
             wire = enc.to_bytes()
@@ -105,8 +97,6 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
                 enc.client_id, PlaintextUpdate(_TRUSTED_TOKEN, enc.client_id, params), n))
         except (SecureChannelError, codec.CodecError, EnclaveMemoryError) as exc:
             rejections.append(Rejection(enc.client_id, str(exc)))
-        finally:
-            ctx.ecall_time += time.perf_counter() - t0
     return AggregationInput(tuple(records)), rejections
 
 
@@ -138,12 +128,8 @@ def fedavg(agg: AggregationInput) -> ParameterSet:
 def publish_model(params: ParameterSet, ctx: EnclaveContext) -> bytes:
     """Serialize the global model dense and export it across the boundary;
     one ocall."""
-    t0 = time.perf_counter()
     ctx.ocall_count += 1
     blob = codec.dense_encode(params)
     if len(blob) > ctx.scratch_limit:
-        ctx.ocall_time += time.perf_counter() - t0
         raise EnclaveMemoryError("published model exceeds trusted buffer")
-    out = bytes(blob)                          # copy out of the enclave
-    ctx.ocall_time += time.perf_counter() - t0
-    return out
+    return bytes(blob)                         # copy out of the enclave

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +21,8 @@ PHASE_ADMM = "admm_prune"
 PHASE_MASKED_PRUNE = "masked_prune"
 PHASE_FINETUNE = "masked_finetune"
 PHASE_DENSE = "dense"
+# rounds whose uploads go CSR and count toward the communication saving
+PRUNING_PHASES = (PHASE_ADMM, PHASE_MASKED_PRUNE, PHASE_FINETUNE)
 
 N_PRUNE_STAGES = 4
 
@@ -143,12 +146,17 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RoundMetrics:
+    """One round's record.  Byte counts are summed over the sampled clients;
+    the broadcast is always dense, so bytes_down is also its own dense
+    equivalent."""
+
     round_index: int
     phase: str
     accuracy: float
     keep_fraction: float
     bytes_up: int
     bytes_down: int
+    dense_bytes_up: int        # what the same uploads would cost dense
     attestation_s: float
     provisioning_s: float
     transmission_s: float
@@ -156,13 +164,28 @@ class RoundMetrics:
     ocall_s: float
     local_training_s: float
     aggregation_s: float
+    eval_s: float
     total_s: float
 
     TIME_FIELDS = ("attestation_s", "provisioning_s", "transmission_s",
-                   "ecall_s", "ocall_s", "local_training_s", "aggregation_s")
+                   "ecall_s", "ocall_s", "local_training_s", "aggregation_s",
+                   "eval_s")
 
     def component_sum(self) -> float:
         return sum(getattr(self, f) for f in self.TIME_FIELDS)
+
+
+def pruning_phase_bytes(metrics: list[RoundMetrics]) -> tuple[int, int]:
+    """(actual, dense-equivalent) bytes up and down over pruning-phase rounds."""
+    rounds = [m for m in metrics if m.phase in PRUNING_PHASES]
+    return (sum(m.bytes_up + m.bytes_down for m in rounds),
+            sum(m.dense_bytes_up + m.bytes_down for m in rounds))
+
+
+def saving_percent(metrics: list[RoundMetrics]) -> float:
+    """100 * (1 - actual/dense-equivalent) over pruning-phase rounds."""
+    actual, dense = pruning_phase_bytes(metrics)
+    return 100.0 * (1.0 - actual / dense) if dense else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +259,15 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
                 if plan.phase == PHASE_ADMM:
                     grad = _add(grad, pruning.admm_reg_gradient(params, admm_state))
                 elif plan.phase == PHASE_FINETUNE and mask is not None:
-                    grad = pruning.mask_gradient(grad, mask)
+                    grad = pruning.apply_mask(grad, mask)
                 velocity = grad if velocity is None else _axpy(cfg.momentum, velocity, grad)
                 params = nn.sgd_step(params, velocity, cfg.lr)
 
     if plan.phase == PHASE_ADMM:
         admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
         admm_state = pruning.admm_u_step(params, admm_state)
+    if plan.phase in (PHASE_ADMM, PHASE_MASKED_PRUNE):
         update = pruning.final_hard_prune(params, plan.stage_cfg)[0]
-    elif plan.phase == PHASE_MASKED_PRUNE:
-        update = pruning.magnitude_mask_update(params, plan.stage_cfg)
     elif plan.phase == PHASE_FINETUNE and mask is not None:
         update = pruning.apply_mask(params, mask)   # no-op safety net
     else:
@@ -273,7 +295,7 @@ class NetworkSimulator:
     def __init__(self, bandwidth_mbps: float | None):
         self.bytes_per_second = bandwidth_mbps * 1e6 if bandwidth_mbps else None
 
-    def transmit(self, payload: bytes) -> tuple[bytes, float]:
+    def transmit(self, payload: bytes) -> bytes:
         t0 = time.perf_counter()
         out = bytes(payload)
         if self.bytes_per_second:
@@ -281,7 +303,7 @@ class NetworkSimulator:
             remaining = delay - (time.perf_counter() - t0)
             if remaining > 0:
                 time.sleep(remaining)
-        return out, time.perf_counter() - t0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +323,6 @@ class ExperimentAborted(RuntimeError):
 class ExperimentResult:
     config: ExperimentConfig
     metrics: list[RoundMetrics]
-    ledger: codec.VolumeLedger
     global_params: nn.ParameterSet
     mask: pruning.PruneMask | None
     final_accuracy: float
@@ -320,25 +341,34 @@ def run_experiment(cfg: ExperimentConfig,
 
     Every round: publish the global model (ocall, dense broadcast), sampled
     clients train locally, encrypt their (possibly sparsified) updates, the
-    enclave decrypts and federated-averages them, and the ledger records the
-    byte traffic.  Fixed seeds give identical metrics apart from wall-clock
-    timing fields.  An unrecoverable error raises ExperimentAborted carrying
-    the rounds completed so far.
+    enclave decrypts and federated-averages them, and the new model is
+    evaluated; the round's RoundMetrics records its byte traffic and where
+    its wall time went.  Fixed seeds give identical metrics apart from
+    wall-clock timing fields.  An unrecoverable error raises
+    ExperimentAborted carrying the rounds completed so far.
     """
     metrics: list[RoundMetrics] = []
-    ledger = codec.VolumeLedger()
     snapshot: dict = {"params": None, "mask": None}
     try:
-        return _run_rounds(cfg, dataset, progress, metrics, ledger, snapshot)
+        return _run_rounds(cfg, dataset, progress, metrics, snapshot)
     except Exception as exc:
-        partial = ExperimentResult(cfg, metrics, ledger, snapshot["params"],
+        partial = ExperimentResult(cfg, metrics, snapshot["params"],
                                    snapshot["mask"], float("nan"), float("nan"))
         raise ExperimentAborted(exc, partial) from exc
 
 
+@contextmanager
+def _span(times: dict[str, float], time_field: str):
+    """Add the wall time spent in the block to times[time_field]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[time_field] += time.perf_counter() - t0
+
+
 def _run_rounds(cfg: ExperimentConfig, dataset, progress,
-                metrics: list[RoundMetrics], ledger: codec.VolumeLedger,
-                snapshot: dict) -> ExperimentResult:
+                metrics: list[RoundMetrics], snapshot: dict) -> ExperimentResult:
     dataset = dataset if dataset is not None else cfg.load_dataset()
     arch = cfg.build_arch()
     ss = np.random.SeedSequence(cfg.seed)
@@ -361,12 +391,12 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         eval_x, eval_y = eval_x[:cfg.eval_examples], eval_y[:cfg.eval_examples]
 
     # attestation for all clients up front; charged to round 0
-    t0 = time.perf_counter()
-    crypto_rng = np.random.default_rng(s_crypto)
-    manager = secure.KeyManager(seed=s_crypto)
-    channels = {cid: secure.attest_and_exchange(cid, manager, crypto_rng)
-                for cid in range(cfg.num_clients)}
-    attestation_s = time.perf_counter() - t0
+    times = dict.fromkeys(RoundMetrics.TIME_FIELDS, 0.0)
+    with _span(times, "attestation_s"):
+        crypto_rng = np.random.default_rng(s_crypto)
+        manager = secure.KeyManager(seed=s_crypto)
+        channels = {cid: secure.attest_and_exchange(cid, manager, crypto_rng)
+                    for cid in range(cfg.num_clients)}
 
     ctx = enclave.EnclaveContext(key_manager=manager)
     net = NetworkSimulator(cfg.bandwidth_mbps)
@@ -380,82 +410,63 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
     for rnd in range(cfg.total_rounds()):
         plan = plan_round(cfg, rnd)
         round_t0 = time.perf_counter()
-        ctx.reset_timers()
+        if rnd:
+            times = dict.fromkeys(RoundMetrics.TIME_FIELDS, 0.0)
 
         # broadcast: publish dense global model out of the enclave
-        blob_down = enclave.publish_model(global_params, ctx)
+        with _span(times, "ocall_s"):
+            blob_down = enclave.publish_model(global_params, ctx)
         selected = np.sort(sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
                                              replace=False))
 
-        provisioning_s = transmission_s = training_s = 0.0
+        fmt = "csr" if plan.phase in PRUNING_PHASES else "dense"
         encs: list[secure.EncryptedUpdate] = []
-        uploads: list[int] = []
-        dense_uploads: list[int] = []
-        down_time_total = 0.0
+        bytes_up = dense_bytes_up = 0
         for cid in selected:
-            wire_down, dt = net.transmit(blob_down)
-            down_time_total += dt
+            cid = int(cid)
+            with _span(times, "transmission_s"):
+                wire_down = net.transmit(blob_down)
+            with _span(times, "local_training_s"):
+                ix = part.assignments[cid]
+                update, state = client_round(
+                    arch, codec.dense_decode(wire_down), dataset.train_x[ix],
+                    dataset.train_y[ix], cfg, plan, admm_states.get(cid), mask,
+                    _client_seed(cfg.seed, rnd, cid))
+                if state is not None:
+                    admm_states[cid] = state
+            with _span(times, "provisioning_s"):
+                sealed = channels[cid].encrypt_update(
+                    codec.encode_params(update, fmt), rnd,
+                    codec.FORMAT_CSR if fmt == "csr" else codec.FORMAT_DENSE).to_bytes()
+            with _span(times, "transmission_s"):
+                wire_up = net.transmit(sealed)
+            with _span(times, "provisioning_s"):
+                encs.append(secure.EncryptedUpdate.from_bytes(wire_up))
+                bytes_up += len(wire_up)
+                dense_bytes_up += (codec.encoded_size(update, "dense") +
+                                   secure.HEADER.size + secure.TAG_SIZE)
 
-            t1 = time.perf_counter()
-            local_model = codec.dense_decode(wire_down)
-            ix = part.assignments[int(cid)]
-            update, state = client_round(
-                arch, local_model, dataset.train_x[ix], dataset.train_y[ix],
-                cfg, plan, admm_states.get(int(cid)), mask,
-                _client_seed(cfg.seed, rnd, int(cid)))
-            if state is not None:
-                admm_states[int(cid)] = state
-            training_s += time.perf_counter() - t1
-
-            t2 = time.perf_counter()
-            sparse_upload = plan.phase in (PHASE_ADMM, PHASE_MASKED_PRUNE,
-                                           PHASE_FINETUNE)
-            fmt = "csr" if sparse_upload else "dense"
-            payload = codec.encode_params(update, fmt)
-            enc = channels[int(cid)].encrypt_update(
-                payload, rnd, codec.FORMAT_CSR if fmt == "csr" else codec.FORMAT_DENSE)
-            provisioning_s += time.perf_counter() - t2
-
-            wire_up, dt = net.transmit(enc.to_bytes())
-            transmission_s += dt
-            t4 = time.perf_counter()
-            encs.append(secure.EncryptedUpdate.from_bytes(wire_up))
-            uploads.append(len(wire_up))
-            dense_uploads.append(codec.encoded_size(update, "dense") +
-                                 secure.HEADER.size + secure.TAG_SIZE)
-            provisioning_s += time.perf_counter() - t4
-        transmission_s += down_time_total
-
-        agg_input, rejections = enclave.enclave_load(encs, ctx, counts)
+        with _span(times, "ecall_s"):
+            agg_input, rejections = enclave.enclave_load(encs, ctx, counts)
         for rej in rejections:
             log.warning("round %d: client %d rejected: %s", rnd, rej.client_id, rej.reason)
         if not agg_input.records:
             raise RuntimeError(f"round {rnd}: all client updates rejected")
-        t3 = time.perf_counter()
-        global_params = enclave.fedavg(agg_input)
-        if plan.finalize_after:
-            global_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
-        snapshot["params"], snapshot["mask"] = global_params, mask
-        aggregation_s = time.perf_counter() - t3
+        with _span(times, "aggregation_s"):
+            global_params = enclave.fedavg(agg_input)
+            if plan.finalize_after:
+                global_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
+            snapshot["params"], snapshot["mask"] = global_params, mask
 
-        total_s = time.perf_counter() - round_t0
-        if rnd == 0:
-            total_s += attestation_s
-
-        ledger.account_round(
-            uploads, len(blob_down), cfg.clients_per_round, rnd, plan.phase,
-            dense_uploads=dense_uploads)
         keep = (pruning.overall_keep_fraction(global_params, plan.stage_cfg)
                 if plan.stage_cfg else 1.0)
-        acc = nn.evaluate(arch, global_params, eval_x, eval_y, cfg.eval_batch_size)
+        with _span(times, "eval_s"):
+            acc = nn.evaluate(arch, global_params, eval_x, eval_y, cfg.eval_batch_size)
         rm = RoundMetrics(
             round_index=rnd, phase=plan.phase, accuracy=acc, keep_fraction=keep,
-            bytes_up=sum(uploads), bytes_down=cfg.clients_per_round * len(blob_down),
-            attestation_s=attestation_s if rnd == 0 else 0.0,
-            provisioning_s=provisioning_s, transmission_s=transmission_s,
-            ecall_s=ctx.ecall_time, ocall_s=ctx.ocall_time,
-            local_training_s=training_s, aggregation_s=aggregation_s,
-            total_s=total_s)
+            bytes_up=bytes_up, bytes_down=cfg.clients_per_round * len(blob_down),
+            dense_bytes_up=dense_bytes_up,
+            total_s=time.perf_counter() - round_t0 + times["attestation_s"], **times)
         metrics.append(rm)
         if progress:
             progress(rm)
@@ -469,4 +480,4 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         cr = pruning.compression_rate(final_params)
     except ValueError:
         cr = 1.0
-    return ExperimentResult(cfg, metrics, ledger, final_params, mask, final_acc, cr)
+    return ExperimentResult(cfg, metrics, final_params, mask, final_acc, cr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import Gradient, LayerParams, ParameterSet, check_congruent
+from .nn import Gradient, ParameterSet
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,6 @@ class SparsityConfig:
         for lid, f in self.keep.items():
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"keep fraction for {lid} out of (0,1]: {f}")
-
-    def scaled(self, factor: float) -> "SparsityConfig":
-        """Config with every keep fraction scaled by ``factor`` (capped at 1)."""
-        return replace(self, keep={lid: min(1.0, f * factor) for lid, f in self.keep.items()})
 
     def budgets(self, params: ParameterSet) -> dict[str, int]:
         """n_i per constrained layer; at least 1 weight kept per layer."""
@@ -138,26 +134,19 @@ def final_hard_prune(params: ParameterSet,
 
 
 def apply_mask(params: ParameterSet, mask: PruneMask) -> ParameterSet:
+    """Zero the weights (or gradient entries) at masked-out positions.
+
+    Pruned positions are set by selection, not multiplied by zero, so a
+    non-finite value there cannot survive (NaN * 0 is NaN).
+    """
     def f(lid, w, b):
         if lid in mask.layers:
-            return w * mask.layers[lid], b.copy()
+            return np.where(mask.layers[lid], w, 0.0), b.copy()
         return w.copy(), b.copy()
     return params.map(f)
 
 
-def mask_gradient(grad: Gradient, mask: PruneMask) -> Gradient:
-    """Zero gradient entries at masked-out weight positions."""
-    return apply_mask(grad, mask)
-
-
-def magnitude_mask_update(update: ParameterSet, cfg: SparsityConfig) -> ParameterSet:
-    """Masked-pruning baseline: top-n_i magnitude projection of an outgoing
-    local update, recomputed independently per client per round."""
-    return _project_params(update, cfg.budgets(update))
-
-
-def compression_rate(obj: ParameterSet | PruneMask,
-                     cfg: SparsityConfig | None = None) -> float:
+def compression_rate(obj: ParameterSet | PruneMask) -> float:
     """Total weights / non-zero weights, over prunable weight tensors.
 
     Biases are exempt from pruning and excluded from both counts.  For a

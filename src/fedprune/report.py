@@ -6,61 +6,36 @@ import csv
 import dataclasses
 from pathlib import Path
 
-from .codec import VolumeLedger
-from .federation import ExperimentConfig, ExperimentResult, RoundMetrics
+from .federation import (ExperimentConfig, ExperimentResult, RoundMetrics,
+                         pruning_phase_bytes, saving_percent)
 
+_TIMING_COLUMNS = (*RoundMetrics.TIME_FIELDS, "total_s")
 CSV_COLUMNS = (
     "round", "phase", "accuracy", "keep_fraction",
     "bytes_up", "bytes_down", "dense_bytes_up", "dense_bytes_down",
-    "attestation_s", "provisioning_s", "transmission_s",
-    "ecall_s", "ocall_s", "local_training_s", "aggregation_s", "total_s",
+    *_TIMING_COLUMNS,
 )
 
-PRUNING_PHASES = VolumeLedger.PRUNING_PHASES
 
-
-def rows_from_result(metrics: list[RoundMetrics], ledger: VolumeLedger) -> list[dict]:
-    dense_by_round = {rv.round_index: rv for rv in ledger.rounds}
-    rows = []
-    for m in metrics:
-        rv = dense_by_round.get(m.round_index)
-        rows.append({
-            "round": m.round_index, "phase": m.phase,
-            "accuracy": f"{m.accuracy:.6f}",
-            "keep_fraction": f"{m.keep_fraction:.6f}",
-            "bytes_up": m.bytes_up, "bytes_down": m.bytes_down,
-            "dense_bytes_up": rv.dense_upload_bytes if rv else m.bytes_up,
-            "dense_bytes_down": rv.dense_download_bytes if rv else m.bytes_down,
-            "attestation_s": f"{m.attestation_s:.6f}",
-            "provisioning_s": f"{m.provisioning_s:.6f}",
-            "transmission_s": f"{m.transmission_s:.6f}",
-            "ecall_s": f"{m.ecall_s:.6f}", "ocall_s": f"{m.ocall_s:.6f}",
-            "local_training_s": f"{m.local_training_s:.6f}",
-            "aggregation_s": f"{m.aggregation_s:.6f}",
-            "total_s": f"{m.total_s:.6f}",
-        })
-    return rows
-
-
-def saving_percent_from_rows(rows: list[dict]) -> float:
-    """Re-aggregate the ledger saving from CSV rows (pruning phase only)."""
-    actual = dense = 0
-    for r in rows:
-        if r["phase"] in PRUNING_PHASES:
-            actual += int(r["bytes_up"]) + int(r["bytes_down"])
-            dense += int(r["dense_bytes_up"]) + int(r["dense_bytes_down"])
-    return 100.0 * (1.0 - actual / dense) if dense else 0.0
+def rows_from_result(metrics: list[RoundMetrics]) -> list[dict]:
+    return [{
+        "round": m.round_index, "phase": m.phase,
+        "accuracy": f"{m.accuracy:.6f}",
+        "keep_fraction": f"{m.keep_fraction:.6f}",
+        "bytes_up": m.bytes_up, "bytes_down": m.bytes_down,
+        "dense_bytes_up": m.dense_bytes_up, "dense_bytes_down": m.bytes_down,
+        **{c: f"{getattr(m, c):.6f}" for c in _TIMING_COLUMNS},
+    } for m in metrics]
 
 
 def write_report(result: ExperimentResult, out_dir: str | Path,
                  partial: bool = False) -> dict[str, Path]:
-    """Write rounds.csv and summary.txt; the summary saving%% is recomputed
-    from the CSV rows rather than copied from the ledger."""
+    """Write rounds.csv and summary.txt."""
     if not result.metrics:
         raise ValueError("no metrics to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = rows_from_result(result.metrics, result.ledger)
+    rows = rows_from_result(result.metrics)
 
     csv_path = out / "rounds.csv"
     with open(csv_path, "w", newline="") as f:
@@ -70,11 +45,8 @@ def write_report(result: ExperimentResult, out_dir: str | Path,
 
     cfg = result.config
     total_elapsed = sum(m.total_s for m in result.metrics)
-    actual = sum(int(r["bytes_up"]) + int(r["bytes_down"]) for r in rows
-                 if r["phase"] in PRUNING_PHASES)
-    dense = sum(int(r["dense_bytes_up"]) + int(r["dense_bytes_down"]) for r in rows
-                if r["phase"] in PRUNING_PHASES)
-    saving = saving_percent_from_rows(rows)
+    actual, dense = pruning_phase_bytes(result.metrics)
+    saving = saving_percent(result.metrics)
     if cfg.bandwidth_mbps and total_elapsed > 0:
         extra = (dense - actual) / (cfg.bandwidth_mbps * 1e6)
         speedup = f"{(total_elapsed + extra) / total_elapsed:.2f}x"

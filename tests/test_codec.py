@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedprune import codec, nn
-from fedprune.codec import (CodecError, VolumeLedger, csr_decode, csr_encode,
-                            decode_params, dense_decode, dense_encode,
-                            encoded_size)
+from fedprune.codec import (CodecError, csr_decode, csr_encode, decode_params,
+                            dense_decode, dense_encode, encoded_size)
 
 
 def params_of(*arrays, ids=None):
@@ -164,28 +163,3 @@ class TestSizes:
         p = params_of(m)
         assert_equal_params(csr_decode(csr_encode(p)), dense_decode(dense_encode(p)))
 
-
-class TestLedger:
-    def test_simple_round(self):
-        led = VolumeLedger()
-        rv = led.account_round([10 ** 6] * 10, 10 ** 6, 10, round_index=0, phase="dense")
-        assert rv.total_bytes == 20 * 10 ** 6
-
-    def test_all_dense_saving_zero(self):
-        led = VolumeLedger()
-        for r in range(3):
-            led.account_round([500] * 4, 500, 4, round_index=r, phase="admm_prune")
-        assert led.saving_percent() == 0.0
-
-    def test_three_round_hand_summed_trace(self):
-        # hand ledger: round 0 warmup (dense), rounds 1-2 pruning (sparse)
-        led = VolumeLedger()
-        led.account_round([100, 100], 100, 2, 0, "warmup")
-        led.account_round([30, 50], 100, 2, 1, "admm_prune", dense_uploads=[100, 100])
-        led.account_round([20, 20], 100, 2, 2, "masked_finetune", dense_uploads=[100, 100])
-        # totals: warmup 400; pruning actual (80+200)+(40+200)=520,
-        # dense-equivalent (200+200)*2=800
-        assert led.total_bytes() == 400 + 520
-        assert led.total_bytes(("warmup",)) == 400
-        assert led.dense_total_bytes(VolumeLedger.PRUNING_PHASES) == 800
-        assert led.saving_percent() == pytest.approx(100 * (1 - 520 / 800))

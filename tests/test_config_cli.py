@@ -5,7 +5,7 @@ import pytest
 from fedprune import report
 from fedprune.cli import main
 from fedprune.config import ConfigError, load_config, validate_config
-from fedprune.federation import run_experiment
+from fedprune.federation import PRUNING_PHASES, run_experiment, saving_percent
 
 CFG_TEXT = """\
 [model]
@@ -72,6 +72,14 @@ class TestLoadConfig:
     def test_unknown_section(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("[secrets]\nx = 1\n")
+        with pytest.raises(ConfigError, match="unknown config sections"):
+            load_config(p)
+
+    def test_crypto_section_rejected(self, tmp_path):
+        # the enclave's scratch limit is not configurable; a key that would
+        # be parsed and then ignored is refused instead
+        p = tmp_path / "bad.cfg"
+        p.write_text("[crypto]\nscratch_limit_mb = 0.0001\n")
         with pytest.raises(ConfigError, match="unknown config sections"):
             load_config(p)
 
@@ -155,25 +163,27 @@ class TestReport:
     def test_summary_totals_match_csv(self, cfg_file, tmp_path):
         res, rows, paths = _run_and_rows(cfg_file, tmp_path)
         text = paths["summary"].read_text()
-        actual = sum(int(r["bytes_up"]) + int(r["bytes_down"]) for r in rows
-                     if r["phase"] in report.PRUNING_PHASES)
+        prune = [r for r in rows if r["phase"] in PRUNING_PHASES]
+        actual = sum(int(r["bytes_up"]) + int(r["bytes_down"]) for r in prune)
+        dense = sum(int(r["dense_bytes_up"]) + int(r["dense_bytes_down"]) for r in prune)
         assert f"pruning_phase_volume_bytes = {actual}" in text
-        saving = report.saving_percent_from_rows(rows)
+        assert f"pruning_phase_volume_dense_equivalent_bytes = {dense}" in text
+        saving = saving_percent(res.metrics)
         assert f"communication_saving_percent = {saving:.2f}" in text
-        assert saving == pytest.approx(res.ledger.saving_percent(), abs=1e-6)
+        assert saving == pytest.approx(100 * (1 - actual / dense), abs=1e-6)
 
     def test_dense_run_saves_nothing(self, cfg_file, tmp_path):
-        _, rows, _ = _run_and_rows(cfg_file, tmp_path, mode="dense",
-                                   pruning_rounds=0)
-        assert report.saving_percent_from_rows(rows) == 0.0
+        res, rows, _ = _run_and_rows(cfg_file, tmp_path, mode="dense",
+                                     pruning_rounds=0)
+        assert saving_percent(res.metrics) == 0.0
         assert all(r["phase"] in ("warmup", "dense") for r in rows)
 
     def test_masked_run_reports_pruning_phase(self, cfg_file, tmp_path):
-        _, rows, _ = _run_and_rows(cfg_file, tmp_path, mode="masked")
+        res, rows, _ = _run_and_rows(cfg_file, tmp_path, mode="masked")
         assert any(r["phase"] == "masked_prune" for r in rows)
         # CSR index overhead beats the savings on toy-sized layers, so the
         # saving can be negative here; it just has to be accounted at all
-        assert report.saving_percent_from_rows(rows) != 0.0
+        assert saving_percent(res.metrics) != 0.0
         prune = [r for r in rows if r["phase"] == "masked_prune"]
         assert all(int(r["bytes_up"]) != int(r["dense_bytes_up"]) for r in prune)
 

@@ -43,7 +43,6 @@ class TestEnclaveLoad:
                 for cid in range(5)]
         agg, rej = enclave_load(encs, ctx, {cid: 10 for cid in range(5)})
         assert ctx.ecall_count == 5
-        assert ctx.ecall_time > 0
         assert len(agg.records) == 5 and not rej
 
     def test_one_tampered_among_ten(self, setup):
@@ -130,7 +129,6 @@ class TestPublish:
         params = make_params([np.arange(6.0).reshape(2, 3)])
         blob = publish_model(params, ctx)
         assert ctx.ocall_count == 1
-        assert ctx.ocall_time > 0
         decoded = codec.dense_decode(blob)
         assert np.array_equal(decoded["a"].weight, params["a"].weight)
 

@@ -1,12 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
 from fedprune import nn, pruning
 from fedprune.datasets import synthetic_blobs
 from fedprune.federation import (ExperimentAborted, ExperimentConfig,
-                                 Partition, RoundPlan, client_round,
-                                 partition_iid, partition_noniid, plan_round,
-                                 run_experiment, stage_keep_config)
+                                 Partition, RoundMetrics, RoundPlan,
+                                 client_round, partition_iid, partition_noniid,
+                                 plan_round, pruning_phase_bytes,
+                                 run_experiment, saving_percent,
+                                 stage_keep_config)
 from fedprune.pruning import SparsityConfig
 
 
@@ -237,6 +241,20 @@ class TestRunExperiment:
         assert res.metrics[0].attestation_s > 0.0
         assert all(m.attestation_s == 0.0 for m in res.metrics[1:])
 
+    def test_evaluation_counted_in_round_time(self, monkeypatch):
+        import fedprune.federation as fed
+        real = fed.nn.evaluate
+
+        def slow_evaluate(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fed.nn, "evaluate", slow_evaluate)
+        res = run_experiment(tiny_cfg(warmup_rounds=1, pruning_rounds=2))
+        for m in res.metrics:
+            assert m.eval_s >= 0.05
+            assert m.total_s >= m.component_sum() >= m.eval_s
+
     def test_abort_carries_partial_metrics(self, monkeypatch):
         import fedprune.federation as fed
         calls = {"n": 0}
@@ -252,7 +270,7 @@ class TestRunExperiment:
         with pytest.raises(ExperimentAborted) as ei:
             run_experiment(tiny_cfg())
         assert len(ei.value.partial.metrics) == 2
-        assert ei.value.partial.ledger.rounds  # bytes recorded so far
+        assert all(m.bytes_up > 0 for m in ei.value.partial.metrics)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -261,3 +279,28 @@ class TestRunExperiment:
             tiny_cfg(mode="bogus")
         with pytest.raises(ValueError):
             tiny_cfg(mode="admm", sparsity=None)
+
+
+def metrics_of(phase, uploads, dense_uploads, download, rnd=0):
+    """RoundMetrics of one round with the given per-client byte counts."""
+    return RoundMetrics(
+        rnd, phase, 1.0, 1.0, sum(uploads), len(uploads) * download,
+        sum(dense_uploads), total_s=0.0,
+        **dict.fromkeys(RoundMetrics.TIME_FIELDS, 0.0))
+
+
+class TestSavingPercent:
+    def test_all_dense_saving_zero(self):
+        metrics = [metrics_of("admm_prune", [500] * 4, [500] * 4, 500, rnd=r)
+                   for r in range(3)]
+        assert saving_percent(metrics) == 0.0
+
+    def test_three_round_hand_summed_trace(self):
+        # round 0 warmup (dense), rounds 1-2 pruning (sparse)
+        metrics = [metrics_of("warmup", [100, 100], [100, 100], 100, 0),
+                   metrics_of("admm_prune", [30, 50], [100, 100], 100, 1),
+                   metrics_of("masked_finetune", [20, 20], [100, 100], 100, 2)]
+        # pruning actual (80+200)+(40+200)=520, dense-equivalent (200+200)*2=800
+        assert pruning_phase_bytes(metrics) == (520, 800)
+        assert pruning_phase_bytes(metrics[:1]) == (0, 0)
+        assert saving_percent(metrics) == pytest.approx(100 * (1 - 520 / 800))

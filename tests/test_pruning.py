@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedprune import nn, pruning
+from fedprune import codec, nn, pruning
 from fedprune.pruning import (ADMMState, SparsityConfig, admm_init,
                               admm_reg_gradient, admm_u_step, admm_z_step,
-                              compression_rate, euclidean_project,
-                              final_hard_prune, magnitude_mask_update)
+                              apply_mask, compression_rate, euclidean_project,
+                              final_hard_prune)
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
 LENET_KEEP_CR10 = {"conv1": 0.8, "conv2": 0.4, "fc1": 30193 / 400000, "fc2": 0.5}
@@ -186,16 +186,28 @@ class TestHardPruneAndMask:
         rng = np.random.default_rng(0)
         for _ in range(15):
             batch = nn.Batch(rng.normal(size=(8, 6)), rng.integers(0, 3, 8))
-            g = pruning.mask_gradient(nn.backward(arch, params, batch), mask)
+            g = apply_mask(nn.backward(arch, params, batch), mask)
             params = nn.sgd_step(params, g, 0.1)
         for lid, m in mask.layers.items():
             assert np.all(params[lid].weight[~m] == 0.0)
+
+    def test_masked_nan_update_stays_budget_sized(self):
+        # NaN * 0 is NaN: masking by multiplication would leave every pruned
+        # position non-zero, and the CSR upload would carry all of them
+        params = nn.init_model(nn.lenet5(), 0)
+        budget_sized, mask = final_hard_prune(params, SparsityConfig(keep=LENET_KEEP_CR87))
+        nan_update = params.map(lambda lid, w, b: (np.full_like(w, np.nan), b.copy()))
+        masked = apply_mask(nan_update, mask)
+        assert codec.encoded_size(masked, "csr") == \
+            codec.encoded_size(budget_sized, "csr")
+        for lid, m in mask.layers.items():
+            assert np.all(masked[lid].weight[~m] == 0.0)
 
     def test_magnitude_mask_equals_projection(self):
         rng = np.random.default_rng(2)
         params = two_layer_params(rng.normal(size=(4, 5)))
         cfg = SparsityConfig(keep={"a": 0.3})
-        masked = magnitude_mask_update(params, cfg)
+        masked, _ = final_hard_prune(params, cfg)
         assert np.array_equal(masked["a"].weight,
                               euclidean_project(params["a"].weight, 6))
 
@@ -203,13 +215,13 @@ class TestHardPruneAndMask:
         rng = np.random.default_rng(2)
         params = two_layer_params(rng.normal(size=9))
         cfg = SparsityConfig(keep={"a": 1.0})
-        out = magnitude_mask_update(params, cfg)
+        out, _ = final_hard_prune(params, cfg)
         assert np.array_equal(out["a"].weight, params["a"].weight)
 
     def test_different_weights_different_masks(self):
         cfg = SparsityConfig(keep={"a": 0.5})
-        m1 = magnitude_mask_update(two_layer_params([5.0, 1.0]), cfg)
-        m2 = magnitude_mask_update(two_layer_params([1.0, 5.0]), cfg)
+        m1, _ = final_hard_prune(two_layer_params([5.0, 1.0]), cfg)
+        m2, _ = final_hard_prune(two_layer_params([1.0, 5.0]), cfg)
         assert not np.array_equal(m1["a"].weight != 0, m2["a"].weight != 0)
 
 
