@@ -1,10 +1,10 @@
 """Emulated trusted enclave on the aggregation server.
 
 Boundary crossings are counted: every encrypted update loaded is one ecall
-and every model publication one ocall, each copied through a bounded trusted
-scratch buffer.  The orchestrator times the crossings from outside.
-Decrypted update tensors only ever exist wrapped in PlaintextUpdate, which
-cannot be constructed outside this module's trusted section.
+and every model publication one ocall, each bounded by a trusted scratch
+buffer.  The orchestrator times the crossings from outside.  Decrypted update
+tensors only ever exist wrapped in PlaintextUpdate, which cannot be
+constructed outside this module's trusted section.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import codec
 from .nn import LayerParams, ParameterSet, check_congruent
-from .secure import EncryptedUpdate, KeyManager, SecureChannelError
+from .secure import HEADER, EncryptedUpdate, KeyManager, SecureChannelError
 
 _TRUSTED_TOKEN = object()
 
@@ -26,6 +26,10 @@ class TrustBoundaryError(RuntimeError):
 
 class EnclaveMemoryError(RuntimeError):
     pass
+
+
+class InvalidUpdateError(ValueError):
+    """A decoded update that does not fit the published model or is not finite."""
 
 
 class PlaintextUpdate:
@@ -47,6 +51,8 @@ class EnclaveContext:
     scratch_limit: int = 256 * 1024 * 1024   # trusted buffer budget, bytes
     ecall_count: int = 0
     ocall_count: int = 0
+    # (layer id, weight shape, bias shape) per layer of the last published model
+    schema: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -73,31 +79,45 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
     """Decrypt and decode updates inside the trusted section.
 
     Each record is one ecall.  A failed decryption (bad tag, replay, unknown
-    client, malformed payload) drops that client's contribution for the round
-    and is reported; the rest proceed.
+    client, malformed payload), or a decoded update whose layers differ from
+    the last published model's or that holds a non-finite value, drops that
+    client's contribution for the round and is reported; the rest proceed.
     """
     records = []
     rejections = []
     for enc in encs:
         ctx.ecall_count += 1
         try:
-            wire = enc.to_bytes()
-            if len(wire) > ctx.scratch_limit:
+            size = HEADER.size + len(enc.ciphertext)
+            if size > ctx.scratch_limit:
                 raise EnclaveMemoryError(
-                    f"update of {len(wire)} bytes exceeds trusted buffer "
+                    f"update of {size} bytes exceeds trusted buffer "
                     f"({ctx.scratch_limit} bytes)")
-            scratch = bytes(wire)              # copy across the boundary
-            plaintext = ctx.key_manager.decrypt_update(
-                EncryptedUpdate.from_bytes(scratch))
-            params, _fmt = codec.decode_params(plaintext)
+            params, _fmt = codec.decode_params(ctx.key_manager.decrypt_update(enc))
+            _check_update(params, ctx.schema)
             n = example_counts.get(enc.client_id)
             if n is None or n <= 0:
                 raise SecureChannelError(f"no example count for client {enc.client_id}")
             records.append(AggregationRecord(
                 enc.client_id, PlaintextUpdate(_TRUSTED_TOKEN, enc.client_id, params), n))
-        except (SecureChannelError, codec.CodecError, EnclaveMemoryError) as exc:
+        except (SecureChannelError, codec.CodecError, EnclaveMemoryError,
+                InvalidUpdateError) as exc:
             rejections.append(Rejection(enc.client_id, str(exc)))
     return AggregationInput(tuple(records)), rejections
+
+
+def _schema(params: ParameterSet) -> tuple:
+    return tuple((e.layer_id, e.weight.shape, e.bias.shape) for e in params.entries)
+
+
+def _check_update(params: ParameterSet, schema: tuple | None) -> None:
+    """Same layers and shapes as the published model (once one is), all finite."""
+    have = _schema(params)
+    if schema is not None and have != schema:
+        raise InvalidUpdateError(f"layers {have} differ from the published {schema}")
+    for e in params.entries:
+        if not (np.isfinite(e.weight).all() and np.isfinite(e.bias).all()):
+            raise InvalidUpdateError(f"layer {e.layer_id!r} holds non-finite values")
 
 
 def fedavg(agg: AggregationInput) -> ParameterSet:
@@ -127,9 +147,10 @@ def fedavg(agg: AggregationInput) -> ParameterSet:
 
 def publish_model(params: ParameterSet, ctx: EnclaveContext) -> bytes:
     """Serialize the global model dense and export it across the boundary;
-    one ocall."""
+    one ocall.  Its layers and shapes become the schema uploads must match."""
     ctx.ocall_count += 1
     blob = codec.dense_encode(params)
     if len(blob) > ctx.scratch_limit:
         raise EnclaveMemoryError("published model exceeds trusted buffer")
-    return bytes(blob)                         # copy out of the enclave
+    ctx.schema = _schema(params)
+    return blob

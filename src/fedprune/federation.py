@@ -34,7 +34,6 @@ N_PRUNE_STAGES = 4
 @dataclass(frozen=True)
 class Partition:
     assignments: dict[int, np.ndarray]   # client_id -> example indices
-    scheme: str
 
     def example_counts(self) -> dict[int, int]:
         return {cid: len(ix) for cid, ix in self.assignments.items()}
@@ -51,7 +50,7 @@ def partition_iid(dataset_size: int, num_clients: int, seed: int) -> Partition:
     perm = np.random.default_rng(seed).permutation(dataset_size)
     assignments = {cid: np.sort(perm[cid * per:(cid + 1) * per])
                    for cid in range(num_clients)}
-    return Partition(assignments, "iid")
+    return Partition(assignments)
 
 
 def partition_noniid(labels: np.ndarray, num_clients: int, num_shards: int,
@@ -71,7 +70,7 @@ def partition_noniid(labels: np.ndarray, num_clients: int, num_shards: int,
     for cid in range(num_clients):
         own = shard_perm[cid * shards_per_client:(cid + 1) * shards_per_client]
         assignments[cid] = np.sort(np.concatenate([shards[s] for s in own]))
-    return Partition(assignments, f"noniid{{{shards_per_client}x{shard_size}}}")
+    return Partition(assignments)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +289,15 @@ def _axpy(factor: float, v: nn.Gradient, g: nn.Gradient) -> nn.Gradient:
 
 class NetworkSimulator:
     """Transfers cost wall-clock time at the configured bandwidth; with no
-    bandwidth set a transfer is a plain in-process copy."""
+    bandwidth set a transfer hands the payload over at once."""
 
     def __init__(self, bandwidth_mbps: float | None):
         self.bytes_per_second = bandwidth_mbps * 1e6 if bandwidth_mbps else None
 
     def transmit(self, payload: bytes) -> bytes:
-        t0 = time.perf_counter()
-        out = bytes(payload)
         if self.bytes_per_second:
-            delay = len(payload) / self.bytes_per_second
-            remaining = delay - (time.perf_counter() - t0)
-            if remaining > 0:
-                time.sleep(remaining)
-        return out
+            time.sleep(len(payload) / self.bytes_per_second)
+        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +415,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
 
         fmt = "csr" if plan.phase in PRUNING_PHASES else "dense"
         encs: list[secure.EncryptedUpdate] = []
-        bytes_up = dense_bytes_up = 0
+        bytes_up = 0
         for cid in selected:
             cid = int(cid)
             with _span(times, "transmission_s"):
@@ -443,8 +437,6 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             with _span(times, "provisioning_s"):
                 encs.append(secure.EncryptedUpdate.from_bytes(wire_up))
                 bytes_up += len(wire_up)
-                dense_bytes_up += (codec.encoded_size(update, "dense") +
-                                   secure.HEADER.size + secure.TAG_SIZE)
 
         with _span(times, "ecall_s"):
             agg_input, rejections = enclave.enclave_load(encs, ctx, counts)
@@ -465,7 +457,8 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         rm = RoundMetrics(
             round_index=rnd, phase=plan.phase, accuracy=acc, keep_fraction=keep,
             bytes_up=bytes_up, bytes_down=cfg.clients_per_round * len(blob_down),
-            dense_bytes_up=dense_bytes_up,
+            dense_bytes_up=cfg.clients_per_round * (
+                len(blob_down) + secure.HEADER.size + secure.TAG_SIZE),
             total_s=time.perf_counter() - round_t0 + times["attestation_s"], **times)
         metrics.append(rm)
         if progress:

@@ -388,23 +388,15 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> Gradient:
     return ParameterSet(entries)
 
 
-def sgd_step(params: ParameterSet, grad: Gradient, lr: float,
-             extra: Gradient | None = None) -> ParameterSet:
-    """params - lr * (grad + extra); pure, no state."""
+def sgd_step(params: ParameterSet, grad: Gradient, lr: float) -> ParameterSet:
+    """params - lr * grad; pure, no state."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     check_congruent(params, grad)
-    if extra is not None:
-        check_congruent(params, extra)
 
     def step(lid, w, b):
         g = grad[lid]
-        gw, gb = g.weight, g.bias
-        if extra is not None:
-            x = extra[lid]
-            gw = gw + x.weight
-            gb = gb + x.bias
-        return w - lr * gw, b - lr * gb
+        return w - lr * g.weight, b - lr * g.bias
 
     return params.map(step)
 

@@ -89,13 +89,12 @@ def _project_params(params: ParameterSet, budgets: dict[str, int]) -> ParameterS
     return params.map(prj)
 
 
-def admm_init(params: ParameterSet, cfg: SparsityConfig,
-              rho: float | None = None) -> ADMMState:
+def admm_init(params: ParameterSet, cfg: SparsityConfig) -> ADMMState:
     """Z = project(W), U = 0 for every constrained layer."""
     budgets = cfg.budgets(params)
     z = {lid: euclidean_project(params[lid].weight, n) for lid, n in budgets.items()}
     u = {lid: np.zeros_like(params[lid].weight) for lid in budgets}
-    return ADMMState(z=z, u=u, rho=cfg.rho if rho is None else rho)
+    return ADMMState(z=z, u=u, rho=cfg.rho)
 
 
 def admm_reg_gradient(params: ParameterSet, state: ADMMState) -> Gradient:

@@ -13,19 +13,16 @@ Update framing (little-endian):
     | nonce 12B | ciphertext_len u64 | ciphertext||tag
 
 The whole header is authenticated as associated data, nonces are
-counter-derived (client_id, round, sub-counter), and the receiver rejects
-replays of any previously accepted (client_id, round, nonce) triple.
+counter-derived (client_id, round, sub-counter), and the receiver rejects as
+a replay any record not past the client's last accepted (round, sub-counter).
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 import struct
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -38,8 +35,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 MAGIC = b"ESMF"
 VERSION = 1
 TAG_SIZE = 16
-NONCE_SIZE = 12
 HEADER = struct.Struct("<4sBIIB12sQ")  # magic, ver, client, round, fmt, nonce, ct_len
+NONCE = struct.Struct("<III")           # client, round, sub-counter
 
 # Stand-in for an SGX MRENCLAVE value; constant for the whole emulation.
 ENCLAVE_MEASUREMENT = hashlib.sha256(b"fedprune-enclave-v1").digest()
@@ -69,7 +66,6 @@ class NonceExhaustionError(SecureChannelError):
 class ClientKey:
     client_id: int
     sk: bytes                # 256-bit symmetric key
-    established_at: int      # round index of the handshake
 
     def __post_init__(self):
         if len(self.sk) != 32:
@@ -87,15 +83,33 @@ class AttestationTranscript:
     key_confirm: bytes       # HMAC-SHA256 of all fields under the derived key
 
     def signed_payload(self) -> bytes:
-        return struct.pack("<I", self.client_id) + self.challenge + \
-            self.measurement + self.enclave_pub
+        return _quote_payload(self.client_id, self.challenge, self.measurement,
+                              self.enclave_pub)
 
-    def confirm_payload(self) -> bytes:
-        return self.signed_payload() + self.client_pub
+    def check_key_confirmation(self, sk: bytes) -> None:
+        expect = _key_confirmation(sk, self.signed_payload(), self.client_pub)
+        if not hmac.compare_digest(expect, self.key_confirm):
+            raise AttestationError("key confirmation failed")
 
 
-def _derive_sk(shared: bytes, transcript_payload: bytes) -> bytes:
-    return hashlib.sha256(b"fedprune-sk-v1" + shared + transcript_payload).digest()
+def _quote_payload(client_id: int, challenge: bytes, measurement: bytes,
+                   enclave_pub: bytes) -> bytes:
+    """The bytes the enclave signs; also the context the session key binds."""
+    return struct.pack("<I", client_id) + challenge + measurement + enclave_pub
+
+
+def _session_key(eph: X25519PrivateKey, peer_pub: bytes, payload: bytes) -> bytes:
+    shared = eph.exchange(X25519PublicKey.from_public_bytes(peer_pub))
+    return hashlib.sha256(b"fedprune-sk-v1" + shared + payload).digest()
+
+
+def _key_confirmation(sk: bytes, payload: bytes, client_pub: bytes) -> bytes:
+    return hmac.new(sk, payload + client_pub, hashlib.sha256).digest()
+
+
+def _record_header(client_id: int, round_index: int, payload_format: int,
+                   nonce: bytes, ct_len: int) -> bytes:
+    return HEADER.pack(MAGIC, VERSION, client_id, round_index, payload_format, nonce, ct_len)
 
 
 @dataclass(frozen=True)
@@ -107,8 +121,8 @@ class EncryptedUpdate:
     ciphertext: bytes        # includes the 16-byte GCM tag
 
     def header(self) -> bytes:
-        return HEADER.pack(MAGIC, VERSION, self.client_id, self.round,
-                           self.payload_format, self.nonce, len(self.ciphertext))
+        return _record_header(self.client_id, self.round, self.payload_format,
+                              self.nonce, len(self.ciphertext))
 
     def to_bytes(self) -> bytes:
         return self.header() + self.ciphertext
@@ -128,32 +142,16 @@ class EncryptedUpdate:
         return cls(cid, rnd, fmt, nonce, ct)
 
 
-class TranscriptLog:
-    """Append-only line-delimited JSON audit log."""
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path else None
-        self.records: list[dict] = []
-
-    def append(self, kind: str, **fields):
-        rec = {"kind": kind, "ts": time.time(), **fields}
-        self.records.append(rec)
-        if self.path:
-            with open(self.path, "a") as f:
-                f.write(json.dumps(rec) + "\n")
-
-
 class KeyManager:
     """Enclave-side key registry: one symmetric key per client per experiment,
-    with replay tracking for accepted updates."""
+    and per client the (round, sub-counter) of its last accepted update."""
 
-    def __init__(self, seed: int = 0, log: TranscriptLog | None = None):
+    def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
         self.signing_key = Ed25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         self.verify_key_bytes = self.signing_key.public_key().public_bytes_raw()
         self.keys: dict[int, ClientKey] = {}
-        self._seen: set[tuple[int, int, bytes]] = set()
-        self.log = log or TranscriptLog()
+        self._accepted: dict[int, tuple[int, int]] = {}
 
     # -- attestation / key agreement ------------------------------------
 
@@ -164,42 +162,35 @@ class KeyManager:
             raise DuplicateClientError(f"client {client_id} already registered")
         eph = X25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         pub = eph.public_key().public_bytes_raw()
-        payload = struct.pack("<I", client_id) + challenge + ENCLAVE_MEASUREMENT + pub
-        sig = self.signing_key.sign(payload)
+        sig = self.signing_key.sign(
+            _quote_payload(client_id, challenge, ENCLAVE_MEASUREMENT, pub))
         return ENCLAVE_MEASUREMENT, pub, sig, eph
 
     def finish_attestation(self, transcript: AttestationTranscript,
-                           eph: X25519PrivateKey, round_index: int) -> ClientKey:
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(transcript.client_pub))
-        sk = _derive_sk(shared, transcript.signed_payload())
-        expect = hmac.new(sk, transcript.confirm_payload(), hashlib.sha256).digest()
-        if not hmac.compare_digest(expect, transcript.key_confirm):
-            raise AttestationError("key confirmation failed")
-        key = ClientKey(transcript.client_id, sk, round_index)
-        self.keys[transcript.client_id] = key
-        self.log.append("attestation", client_id=transcript.client_id,
-                        measurement=transcript.measurement.hex(),
-                        round=round_index)
-        return key
+                           eph: X25519PrivateKey) -> None:
+        sk = _session_key(eph, transcript.client_pub, transcript.signed_payload())
+        transcript.check_key_confirmation(sk)
+        self.keys[transcript.client_id] = ClientKey(transcript.client_id, sk)
 
     # -- decryption ------------------------------------------------------
 
     def decrypt_update(self, enc: EncryptedUpdate) -> bytes:
         """Plaintext iff the tag verifies with the header as associated data;
-        rejects unknown clients and replays."""
+        rejects unknown clients and records not past the last accepted one."""
         key = self.keys.get(enc.client_id)
         if key is None:
             raise SecureChannelError(f"unknown client {enc.client_id}")
-        triple = (enc.client_id, enc.round, enc.nonce)
-        if triple in self._seen:
-            self.log.append("replay_rejected", client_id=enc.client_id, round=enc.round)
+        if len(enc.nonce) != NONCE.size:
+            raise SecureChannelError(f"nonce of {len(enc.nonce)} bytes")
+        _, rnd, sub = NONCE.unpack(enc.nonce)
+        if (rnd, sub) <= self._accepted.get(enc.client_id, (-1, -1)):
             raise ReplayError(f"replayed record from client {enc.client_id}")
         try:
             plaintext = AESGCM(key.sk).decrypt(enc.nonce, enc.ciphertext, enc.header())
         except InvalidTag as exc:
-            self.log.append("tag_rejected", client_id=enc.client_id, round=enc.round)
             raise SecureChannelError("authentication tag mismatch") from exc
-        self._seen.add(triple)
+        # the nonce is the GCM IV, so a verified tag authenticates the counter
+        self._accepted[enc.client_id] = (rnd, sub)
         return plaintext
 
 
@@ -211,53 +202,44 @@ class ClientChannel:
         self.client_id = client_id
         self.key = key
         self.transcript = transcript
-        self._subcounter: dict[int, int] = {}
+        self._last_sealed = (0, -1)     # (round, sub-counter); next is (0, 0)
 
     def encrypt_update(self, update_bytes: bytes, round_index: int,
                        payload_format: int) -> EncryptedUpdate:
-        if round_index < 0:
-            raise ValueError("round must be non-negative")
-        sub = self._subcounter.get(round_index, 0)
+        last_round, last_sub = self._last_sealed
+        if round_index < last_round:     # its sub-counter would restart: nonce reuse
+            raise ValueError(f"cannot seal for round {round_index} after round {last_round}")
+        sub = last_sub + 1 if round_index == last_round else 0
         if sub > 0xFFFFFFFF:
             raise NonceExhaustionError("nonce sub-counter exhausted")
-        self._subcounter[round_index] = sub + 1
-        nonce = struct.pack("<III", self.client_id, round_index, sub)
-        enc = EncryptedUpdate(self.client_id, round_index, payload_format, nonce, b"")
-        ct = AESGCM(self.key.sk).encrypt(
-            nonce, update_bytes,
-            HEADER.pack(MAGIC, VERSION, self.client_id, round_index,
-                        payload_format, nonce, len(update_bytes) + TAG_SIZE))
+        nonce = NONCE.pack(self.client_id, round_index, sub)
+        self._last_sealed = (round_index, sub)
+        ct = AESGCM(self.key.sk).encrypt(nonce, update_bytes, _record_header(
+            self.client_id, round_index, payload_format, nonce,
+            len(update_bytes) + TAG_SIZE))
         return EncryptedUpdate(self.client_id, round_index, payload_format, nonce, ct)
 
 
 def attest_and_exchange(client_id: int, manager: KeyManager,
-                        rng: np.random.Generator,
-                        round_index: int = 0) -> ClientChannel:
+                        rng: np.random.Generator) -> ClientChannel:
     """Full handshake; returns the client's channel.  The manager ends up
     holding an identical sk_i.  Raises AttestationError on any mismatch."""
     challenge = rng.bytes(32)
     measurement, enclave_pub, sig, eph = manager.begin_attestation(client_id, challenge)
 
-    # client side: verify the quote before agreeing on a key
-    payload = struct.pack("<I", client_id) + challenge + measurement + enclave_pub
-    try:
-        Ed25519PublicKey.from_public_bytes(manager.verify_key_bytes).verify(sig, payload)
-    except InvalidSignature as exc:
-        raise AttestationError("quote signature invalid") from exc
-    if measurement != ENCLAVE_MEASUREMENT:
-        raise AttestationError("unexpected enclave measurement")
-
     client_eph = X25519PrivateKey.from_private_bytes(rng.bytes(32))
     client_pub = client_eph.public_key().public_bytes_raw()
-    shared = client_eph.exchange(X25519PublicKey.from_public_bytes(enclave_pub))
-    sk = _derive_sk(shared, payload)
+    payload = _quote_payload(client_id, challenge, measurement, enclave_pub)
+    sk = _session_key(client_eph, enclave_pub, payload)
     transcript = AttestationTranscript(
         client_id=client_id, challenge=challenge, measurement=measurement,
         enclave_pub=enclave_pub, signature=sig, client_pub=client_pub,
-        key_confirm=hmac.new(sk, payload + client_pub, hashlib.sha256).digest())
+        key_confirm=_key_confirmation(sk, payload, client_pub))
 
-    manager.finish_attestation(transcript, eph, round_index)
-    return ClientChannel(client_id, ClientKey(client_id, sk, round_index), transcript)
+    # client side: check the quote before sending its half of the exchange
+    verify_transcript(transcript, manager.verify_key_bytes, sk)
+    manager.finish_attestation(transcript, eph)
+    return ClientChannel(client_id, ClientKey(client_id, sk), transcript)
 
 
 def verify_transcript(transcript: AttestationTranscript, verify_key_bytes: bytes,
@@ -271,6 +253,4 @@ def verify_transcript(transcript: AttestationTranscript, verify_key_bytes: bytes
         raise AttestationError("quote signature invalid") from exc
     if transcript.measurement != ENCLAVE_MEASUREMENT:
         raise AttestationError("unexpected enclave measurement")
-    expect = hmac.new(sk, transcript.confirm_payload(), hashlib.sha256).digest()
-    if not hmac.compare_digest(expect, transcript.key_confirm):
-        raise AttestationError("key confirmation failed")
+    transcript.check_key_confirmation(sk)

@@ -1,9 +1,11 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedprune import nn, pruning
+from fedprune import codec, enclave, nn, pruning, secure
+from fedprune.config import load_config
 from fedprune.datasets import synthetic_blobs
 from fedprune.federation import (ExperimentAborted, ExperimentConfig,
                                  Partition, RoundMetrics, RoundPlan,
@@ -279,6 +281,54 @@ class TestRunExperiment:
             tiny_cfg(mode="bogus")
         with pytest.raises(ValueError):
             tiny_cfg(mode="admm", sparsity=None)
+
+
+def run_with_one_bad_upload(monkeypatch, corrupt):
+    """Demo config, dense, 2 pruning rounds; the first client sealing in
+    round 1 uploads corrupt(its update).  Returns (result, victim, rejections)."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" /
+                      "demo_synthetic.cfg", mode="dense", pruning_rounds=2)
+    real_seal, real_load = secure.ClientChannel.encrypt_update, enclave.enclave_load
+    victim, rejections = [], []
+
+    def seal(channel, update_bytes, round_index, payload_format):
+        if round_index == 1 and not victim:
+            victim.append(channel.client_id)
+            params, fmt = codec.decode_params(update_bytes)
+            update_bytes = codec.encode_params(corrupt(params), fmt)
+        return real_seal(channel, update_bytes, round_index, payload_format)
+
+    def load(encs, ctx, example_counts):
+        agg, rej = real_load(encs, ctx, example_counts)
+        rejections.extend(rej)
+        return agg, rej
+
+    monkeypatch.setattr(secure.ClientChannel, "encrypt_update", seal)
+    monkeypatch.setattr(enclave, "enclave_load", load)
+    return run_experiment(cfg), victim[0], rejections
+
+
+class TestBadUploadCostsOnlyItself:
+    def _assert_only_victim_rejected(self, res, victim, rejections, reason):
+        assert len(res.metrics) == 5
+        assert [(r.client_id, reason in r.reason) for r in rejections] == [(victim, True)]
+        assert all(np.isfinite(e.weight).all() and np.isfinite(e.bias).all()
+                   for e in res.global_params.entries)
+
+    def test_wrong_shape_rejected(self, monkeypatch):
+        def one_row_short(params):
+            fc1 = params["fc1"]
+            short = nn.LayerParams("fc1", fc1.weight[:-1], fc1.bias)
+            return nn.ParameterSet(tuple(short if e.layer_id == "fc1" else e
+                                         for e in params.entries))
+
+        res, victim, rejections = run_with_one_bad_upload(monkeypatch, one_row_short)
+        self._assert_only_victim_rejected(res, victim, rejections, "published")
+
+    def test_nan_update_rejected(self, monkeypatch):
+        res, victim, rejections = run_with_one_bad_upload(
+            monkeypatch, lambda p: p.map(lambda lid, w, b: (w * np.nan, b * np.nan)))
+        self._assert_only_victim_rejected(res, victim, rejections, "non-finite")
 
 
 def metrics_of(phase, uploads, dense_uploads, download, rnd=0):

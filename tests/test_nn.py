@@ -174,15 +174,6 @@ class TestSgdStep:
         out = nn.sgd_step(p, g, lr=0.1)
         assert np.allclose(out.entries[0].weight, [0.9, 0.8])
 
-    def test_zero_extra_matches_plain(self):
-        arch = nn.mlp((3, 2))
-        params = nn.init_model(arch, 1)
-        g = params.map(lambda lid, w, b: (np.ones_like(w), np.ones_like(b)))
-        plain = nn.sgd_step(params, g, 0.05)
-        with_extra = nn.sgd_step(params, g, 0.05, extra=nn.zeros_like(params))
-        for a, b in zip(plain.entries, with_extra.entries):
-            assert np.array_equal(a.weight, b.weight)
-
     def test_nonpositive_lr_rejected(self):
         arch = nn.mlp((3, 2))
         params = nn.init_model(arch, 1)
