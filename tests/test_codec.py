@@ -30,6 +30,19 @@ def assert_equal_params(a, b):
         assert np.array_equal(ea.bias, eb.bias)
 
 
+def csr_blob(rows, cols, row_ptr, col_idx):
+    """Hand-made one-layer CSR blob: layer "w" of shape (rows, cols), every
+    stored value 1.0, one zero bias."""
+    return b"".join([
+        codec.MAGIC, struct.pack("<BBH", codec.VERSION, codec.FORMAT_CSR, 1),
+        struct.pack("<B1sB2I", 1, b"w", 2, rows, cols),
+        struct.pack("<III", rows, cols, len(col_idx)),
+        np.asarray(row_ptr, dtype="<u4").tobytes(),
+        np.asarray(col_idx, dtype="<u4").tobytes(),
+        np.ones(len(col_idx), dtype="<f4").tobytes(),
+        struct.pack("<I", 1), np.zeros(1, dtype="<f4").tobytes()])
+
+
 class TestCsr:
     def test_definition_example(self):
         blob = csr_encode(params_of([[0.0, 5.0], [7.0, 0.0]]))
@@ -77,6 +90,26 @@ class TestCsr:
         struct.pack_into("<I", blob, 20 + 12 + 12, 5)   # first col_idx -> 5 >= cols
         with pytest.raises(CodecError):
             csr_decode(bytes(blob))
+
+    @pytest.mark.parametrize("row_ptr, col_idx", [
+        ([1, 1, 2], [0, 1]),        # row_ptr[0] != 0
+        ([0, 1, 3], [0, 1]),        # row_ptr[-1] != nnz
+        ([0, 3, 2], [0, 1]),        # row_ptr decreasing
+        ([0, 1, 2], [3, 8]),        # col_idx >= cols
+        ([0, 2, 2], [3, 3]),        # repeated column in a row
+        ([0, 2, 2], [4, 3]),        # descending columns in a row
+    ], ids=["row_ptr_start", "row_ptr_end", "row_ptr_decreasing",
+            "col_out_of_range", "col_repeated", "col_descending"])
+    def test_malformed_csr_rejected(self, row_ptr, col_idx):
+        with pytest.raises(CodecError):
+            csr_decode(csr_blob(2, 8, row_ptr, col_idx))
+
+    def test_column_resets_at_row_boundary(self):
+        # row 0 ends at column 5, row 1 starts again at column 0
+        w = csr_decode(csr_blob(2, 8, [0, 2, 3], [2, 5, 0]))["w"].weight
+        expect = np.zeros((2, 8))
+        expect[0, 2] = expect[0, 5] = expect[1, 0] = 1.0
+        assert np.array_equal(w, expect)
 
     def test_bad_magic_and_truncation(self):
         blob = csr_encode(params_of([[1.0]]))
