@@ -13,10 +13,15 @@ Wire layout (all integers little-endian, floats IEEE-754 binary32):
 Weights of rank != 2 are viewed as (first-dim x rest) matrices for CSR.
 Biases and row pointers are always stored dense.  Values cross the wire in
 fp32; in-memory math stays fp64.
+
+Decoding checks the blob against the published layer table (``schema``):
+layer count, ids, dims, the CSR matrix view and bias lengths must match it
+before any array is read, so no allocation is ever sized from the wire.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -31,62 +36,57 @@ _FORMAT_NAMES = {FORMAT_DENSE: "dense", FORMAT_CSR: "csr"}
 
 
 class CodecError(ValueError):
-    """Malformed blob: bad magic/version or violated CSR invariants."""
+    """Malformed blob: bad magic/version, violated CSR invariants, or layers
+    that differ from the published model."""
 
 
-def _as_matrix(w: np.ndarray) -> np.ndarray:
-    if w.ndim == 0:
-        return w.reshape(1, 1)
-    if w.ndim == 1:
-        return w.reshape(w.shape[0], 1)
-    return w.reshape(w.shape[0], -1)
+def schema(params: ParameterSet) -> tuple:
+    """(layer id, weight shape, bias shape) per layer: the published-model
+    table that decode_params checks a blob against."""
+    return tuple((e.layer_id, e.weight.shape, e.bias.shape) for e in params.entries)
 
 
-def _f32(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype="<f4")
+def _layer_header(lid: str, shape: tuple) -> bytes:
+    lid_bytes = lid.encode()
+    dims = tuple(shape) or (1,)          # a scalar crosses the wire as shape (1,)
+    return struct.pack(f"<B{len(lid_bytes)}sB{len(dims)}I",
+                       len(lid_bytes), lid_bytes, len(dims), *dims)
 
 
-def encode_params(params: ParameterSet, fmt: str) -> bytes:
-    if fmt == "dense":
-        return dense_encode(params)
-    if fmt == "csr":
-        return csr_encode(params)
-    raise ValueError(f"unknown format {fmt!r}")
+def _matrix_view(shape: tuple) -> tuple[int, int]:
+    """(rows, cols) of the CSR matrix view of a weight of this shape."""
+    return (shape[0] if shape else 1), math.prod(shape[1:])
 
 
-def _layer_header(e: LayerParams) -> bytes:
-    lid = e.layer_id.encode()
-    dims = e.weight.shape if e.weight.ndim else (1,)
-    return struct.pack(f"<B{len(lid)}sB{len(dims)}I", len(lid), lid, len(dims), *dims)
+def _encode(params: ParameterSet, fmt: int, weight_body) -> bytes:
+    """The one frame writer: preamble, then per layer its id/dims header,
+    weight_body(weight) and the bias trailer."""
+    parts = [MAGIC, struct.pack("<BBH", VERSION, fmt, len(params.entries))]
+    for e in params.entries:
+        parts.append(_layer_header(e.layer_id, e.weight.shape))
+        parts += weight_body(e.weight)
+        parts.append(struct.pack("<I", e.bias.size))
+        parts.append(e.bias.astype("<f4").tobytes())
+    return b"".join(parts)
+
+
+def _csr_body(w: np.ndarray) -> list[bytes]:
+    m = w.astype("<f4").reshape(_matrix_view(w.shape))  # nnz decided at fp32 precision
+    rows, cols = m.shape
+    mask = m != 0
+    row_ptr = np.zeros(rows + 1, dtype="<u4")
+    np.cumsum(mask.sum(axis=1), out=row_ptr[1:])
+    r_idx, c_idx = np.nonzero(mask)             # row-major: cols ascend per row
+    return [struct.pack("<III", rows, cols, len(c_idx)), row_ptr.tobytes(),
+            c_idx.astype("<u4").tobytes(), m[r_idx, c_idx].astype("<f4").tobytes()]
 
 
 def dense_encode(params: ParameterSet) -> bytes:
-    parts = [MAGIC, struct.pack("<BBH", VERSION, FORMAT_DENSE, len(params.entries))]
-    for e in params.entries:
-        parts.append(_layer_header(e))
-        parts.append(_f32(e.weight).tobytes())
-        parts.append(struct.pack("<I", e.bias.size))
-        parts.append(_f32(e.bias).tobytes())
-    return b"".join(parts)
+    return _encode(params, FORMAT_DENSE, lambda w: [w.astype("<f4").tobytes()])
 
 
 def csr_encode(params: ParameterSet) -> bytes:
-    parts = [MAGIC, struct.pack("<BBH", VERSION, FORMAT_CSR, len(params.entries))]
-    for e in params.entries:
-        parts.append(_layer_header(e))
-        m = _as_matrix(_f32(e.weight))          # nnz decided at fp32 precision
-        rows, cols = m.shape
-        mask = m != 0
-        row_ptr = np.zeros(rows + 1, dtype="<u4")
-        np.cumsum(mask.sum(axis=1), out=row_ptr[1:])
-        r_idx, c_idx = np.nonzero(mask)         # row-major: cols ascend per row
-        parts.append(struct.pack("<III", rows, cols, len(c_idx)))
-        parts.append(row_ptr.tobytes())
-        parts.append(c_idx.astype("<u4").tobytes())
-        parts.append(m[r_idx, c_idx].astype("<f4").tobytes())
-        parts.append(struct.pack("<I", e.bias.size))
-        parts.append(_f32(e.bias).tobytes())
-    return b"".join(parts)
+    return _encode(params, FORMAT_CSR, _csr_body)
 
 
 class _Reader:
@@ -109,8 +109,9 @@ class _Reader:
         return np.frombuffer(self.take(itemsize * count), dtype=dtype)
 
 
-def decode_params(blob: bytes) -> tuple[ParameterSet, str]:
-    """Decode either format; returns (params, format_name), fp64 tensors."""
+def decode_params(blob: bytes, expect: tuple) -> tuple[ParameterSet, str]:
+    """Decode either format against the published layer table ``expect``
+    (see schema); returns (params, format_name), fp64 tensors."""
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise CodecError("bad magic")
@@ -119,26 +120,30 @@ def decode_params(blob: bytes) -> tuple[ParameterSet, str]:
         raise CodecError(f"unsupported version {version}")
     if fmt not in _FORMAT_NAMES:
         raise CodecError(f"unknown format byte {fmt}")
+    if n_layers != len(expect):
+        raise CodecError(f"{n_layers} layers, the published model has {len(expect)}")
     entries = []
-    for _ in range(n_layers):
-        (id_len,) = r.unpack("<B")
-        lid = r.take(id_len).decode()
-        (ndim,) = r.unpack("<B")
-        dims = r.unpack(f"<{ndim}I")
-        size = int(np.prod(dims))
+    for lid, shape, bias_shape in expect:
+        header = _layer_header(lid, shape)
+        if r.take(len(header)) != header:
+            raise CodecError(f"layer {lid}: id or dims differ from the published {shape}")
         if fmt == FORMAT_DENSE:
-            w = r.array("<f4", size).astype(np.float64).reshape(dims)
+            w = r.array("<f4", math.prod(shape)).astype(np.float64)
         else:
-            rows, cols, nnz = r.unpack("<III")
-            if rows * cols != size:
-                raise CodecError(f"layer {lid}: matrix view {rows}x{cols} != shape {dims}")
+            rows, cols = _matrix_view(shape)
+            if r.unpack("<II") != (rows, cols):
+                raise CodecError(f"layer {lid}: CSR matrix view differs from the "
+                                 f"published {rows}x{cols}")
+            (nnz,) = r.unpack("<I")
             row_ptr = r.array("<u4", rows + 1)
             col_idx = r.array("<u4", nnz)
             values = r.array("<f4", nnz)
-            w = _csr_to_dense(lid, rows, cols, row_ptr, col_idx, values).reshape(dims)
-        (bias_len,) = r.unpack("<I")
-        b = r.array("<f4", bias_len).astype(np.float64)
-        entries.append(LayerParams(lid, w, b))
+            w = _csr_to_dense(lid, rows, cols, row_ptr, col_idx, values)
+        if r.unpack("<I") != bias_shape:
+            raise CodecError(f"layer {lid}: bias length differs from the published "
+                             f"{bias_shape}")
+        b = r.array("<f4", bias_shape[0]).astype(np.float64)
+        entries.append(LayerParams(lid, w.reshape(shape), b))
     if r.off != len(blob):
         raise CodecError(f"{len(blob) - r.off} trailing bytes")
     return ParameterSet(tuple(entries)), _FORMAT_NAMES[fmt]
@@ -147,46 +152,32 @@ def decode_params(blob: bytes) -> tuple[ParameterSet, str]:
 def _csr_to_dense(lid, rows, cols, row_ptr, col_idx, values) -> np.ndarray:
     if row_ptr[0] != 0 or row_ptr[-1] != len(values):
         raise CodecError(f"layer {lid}: row_ptr endpoints invalid")
-    if np.any(np.diff(row_ptr.astype(np.int64)) < 0):
+    row_nnz = np.diff(row_ptr.astype(np.int64))
+    if np.any(row_nnz < 0):
         raise CodecError(f"layer {lid}: row_ptr not non-decreasing")
     if len(col_idx) and col_idx.max() >= cols:
         raise CodecError(f"layer {lid}: col_idx out of range")
-    m = np.zeros((rows, cols))
-    for i in range(rows):
-        lo, hi = int(row_ptr[i]), int(row_ptr[i + 1])
-        cs = col_idx[lo:hi].astype(np.int64)
-        if np.any(np.diff(cs) <= 0):
-            raise CodecError(f"layer {lid}: col_idx not strictly increasing in row {i}")
-        m[i, cs] = values[lo:hi].astype(np.float64)
+    # with every col_idx < cols, columns ascend strictly within each row
+    # exactly when the row-major flat indices ascend strictly overall
+    flat = np.repeat(np.arange(rows, dtype=np.int64) * cols, row_nnz) + col_idx
+    if np.any(np.diff(flat) <= 0):
+        raise CodecError(f"layer {lid}: col_idx not strictly increasing in a row")
+    m = np.zeros(rows * cols)
+    m[flat] = values
     return m
 
 
-def csr_decode(blob: bytes) -> ParameterSet:
-    params, fmt = decode_params(blob)
-    if fmt != "csr":
-        raise CodecError(f"expected csr blob, got {fmt}")
-    return params
-
-
-def dense_decode(blob: bytes) -> ParameterSet:
-    params, fmt = decode_params(blob)
-    if fmt != "dense":
-        raise CodecError(f"expected dense blob, got {fmt}")
-    return params
-
-
 def encoded_size(params: ParameterSet, fmt: str) -> int:
-    """Exact byte length encode_params would produce, computed analytically."""
+    """Exact byte length of the dense_encode or csr_encode blob ("dense" or
+    "csr"), computed analytically."""
     total = 4 + 4  # magic + (version, format, layer count)
     for e in params.entries:
-        ndim = e.weight.ndim if e.weight.ndim else 1
-        total += 1 + len(e.layer_id.encode()) + 1 + 4 * ndim
+        total += len(_layer_header(e.layer_id, e.weight.shape))
         if fmt == "dense":
             total += 4 * e.weight.size
         elif fmt == "csr":
-            m = _as_matrix(_f32(e.weight))
-            nnz = int(np.count_nonzero(m))
-            total += 12 + 4 * (m.shape[0] + 1) + 8 * nnz
+            nnz = int(np.count_nonzero(e.weight.astype("<f4")))
+            total += 12 + 4 * (_matrix_view(e.weight.shape)[0] + 1) + 8 * nnz
         else:
             raise ValueError(f"unknown format {fmt!r}")
         total += 4 + 4 * e.bias.size

@@ -29,7 +29,7 @@ class EnclaveMemoryError(RuntimeError):
 
 
 class InvalidUpdateError(ValueError):
-    """A decoded update that does not fit the published model or is not finite."""
+    """An update with no published model to check it against, or not finite."""
 
 
 class PlaintextUpdate:
@@ -51,8 +51,7 @@ class EnclaveContext:
     scratch_limit: int = 256 * 1024 * 1024   # trusted buffer budget, bytes
     ecall_count: int = 0
     ocall_count: int = 0
-    # (layer id, weight shape, bias shape) per layer of the last published model
-    schema: tuple | None = None
+    schema: tuple | None = None              # codec.schema of the last published model
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,10 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
     """Decrypt and decode updates inside the trusted section.
 
     Each record is one ecall.  A failed decryption (bad tag, replay, unknown
-    client, malformed payload), or a decoded update whose layers differ from
-    the last published model's or that holds a non-finite value, drops that
+    client), a payload that does not decode against the last published
+    model's layer table, or one that holds a non-finite value drops that
     client's contribution for the round and is reported; the rest proceed.
+    Before any model is published every update is rejected.
     """
     records = []
     rejections = []
@@ -93,8 +93,12 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
                 raise EnclaveMemoryError(
                     f"update of {size} bytes exceeds trusted buffer "
                     f"({ctx.scratch_limit} bytes)")
-            params, _fmt = codec.decode_params(ctx.key_manager.decrypt_update(enc))
-            _check_update(params, ctx.schema)
+            if ctx.schema is None:
+                raise InvalidUpdateError("no model published")
+            params, _fmt = codec.decode_params(ctx.key_manager.decrypt_update(enc),
+                                               ctx.schema)
+            if not params.allfinite():
+                raise InvalidUpdateError("update holds non-finite values")
             n = example_counts.get(enc.client_id)
             if n is None or n <= 0:
                 raise SecureChannelError(f"no example count for client {enc.client_id}")
@@ -104,20 +108,6 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
                 InvalidUpdateError) as exc:
             rejections.append(Rejection(enc.client_id, str(exc)))
     return AggregationInput(tuple(records)), rejections
-
-
-def _schema(params: ParameterSet) -> tuple:
-    return tuple((e.layer_id, e.weight.shape, e.bias.shape) for e in params.entries)
-
-
-def _check_update(params: ParameterSet, schema: tuple | None) -> None:
-    """Same layers and shapes as the published model (once one is), all finite."""
-    have = _schema(params)
-    if schema is not None and have != schema:
-        raise InvalidUpdateError(f"layers {have} differ from the published {schema}")
-    for e in params.entries:
-        if not (np.isfinite(e.weight).all() and np.isfinite(e.bias).all()):
-            raise InvalidUpdateError(f"layer {e.layer_id!r} holds non-finite values")
 
 
 def fedavg(agg: AggregationInput) -> ParameterSet:
@@ -147,10 +137,10 @@ def fedavg(agg: AggregationInput) -> ParameterSet:
 
 def publish_model(params: ParameterSet, ctx: EnclaveContext) -> bytes:
     """Serialize the global model dense and export it across the boundary;
-    one ocall.  Its layers and shapes become the schema uploads must match."""
+    one ocall.  Its layer table (codec.schema) is what uploads decode against."""
     ctx.ocall_count += 1
     blob = codec.dense_encode(params)
     if len(blob) > ctx.scratch_limit:
         raise EnclaveMemoryError("published model exceeds trusted buffer")
-    ctx.schema = _schema(params)
+    ctx.schema = codec.schema(params)
     return blob

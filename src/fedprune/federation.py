@@ -398,6 +398,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
 
     global_params = nn.init_model(arch, s_init)
     snapshot["params"] = global_params
+    schema = codec.schema(global_params)
     mask: pruning.PruneMask | None = None
     admm_states: dict[int, pruning.ADMMState] = {}
 
@@ -413,7 +414,10 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         selected = np.sort(sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
                                              replace=False))
 
-        fmt = "csr" if plan.phase in PRUNING_PHASES else "dense"
+        if plan.phase in PRUNING_PHASES:
+            encode, fmt = codec.csr_encode, codec.FORMAT_CSR
+        else:
+            encode, fmt = codec.dense_encode, codec.FORMAT_DENSE
         encs: list[secure.EncryptedUpdate] = []
         bytes_up = 0
         for cid in selected:
@@ -423,15 +427,13 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             with _span(times, "local_training_s"):
                 ix = part.assignments[cid]
                 update, state = client_round(
-                    arch, codec.dense_decode(wire_down), dataset.train_x[ix],
+                    arch, codec.decode_params(wire_down, schema)[0], dataset.train_x[ix],
                     dataset.train_y[ix], cfg, plan, admm_states.get(cid), mask,
                     _client_seed(cfg.seed, rnd, cid))
                 if state is not None:
                     admm_states[cid] = state
             with _span(times, "provisioning_s"):
-                sealed = channels[cid].encrypt_update(
-                    codec.encode_params(update, fmt), rnd,
-                    codec.FORMAT_CSR if fmt == "csr" else codec.FORMAT_DENSE).to_bytes()
+                sealed = channels[cid].encrypt_update(encode(update), rnd, fmt).to_bytes()
             with _span(times, "transmission_s"):
                 wire_up = net.transmit(sealed)
             with _span(times, "provisioning_s"):

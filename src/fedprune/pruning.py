@@ -35,11 +35,11 @@ class SparsityConfig:
                 raise ValueError(f"keep fraction for {lid} out of (0,1]: {f}")
 
     def budgets(self, params: ParameterSet) -> dict[str, int]:
-        """n_i per constrained layer; at least 1 weight kept per layer."""
+        """n_i per constrained layer: at least 1 and at most the layer size."""
         out = {}
         for lid, frac in self.keep.items():
             size = params[lid].weight.size   # KeyError if cfg names a missing layer
-            out[lid] = max(1, int(round(frac * size)))
+            out[lid] = min(size, max(1, int(round(frac * size))))
         return out
 
 
@@ -84,7 +84,7 @@ def euclidean_project(t: np.ndarray, n_keep: int) -> np.ndarray:
 def _project_params(params: ParameterSet, budgets: dict[str, int]) -> ParameterSet:
     def prj(lid, w, b):
         if lid in budgets:
-            return euclidean_project(w, min(budgets[lid], w.size)), b.copy()
+            return euclidean_project(w, budgets[lid]), b.copy()
         return w.copy(), b.copy()
     return params.map(prj)
 
@@ -111,8 +111,7 @@ def admm_z_step(params: ParameterSet, state: ADMMState,
                 cfg: SparsityConfig) -> ADMMState:
     """Z <- project(W + U) onto each layer's cardinality set."""
     budgets = cfg.budgets(params)
-    z = {lid: euclidean_project(params[lid].weight + state.u[lid],
-                                min(budgets[lid], params[lid].weight.size))
+    z = {lid: euclidean_project(params[lid].weight + state.u[lid], budgets[lid])
          for lid in state.z}
     return replace(state, z=z)
 
@@ -166,6 +165,6 @@ def overall_keep_fraction(params: ParameterSet, cfg: SparsityConfig) -> float:
     """Non-zero fraction implied by cfg's per-layer budgets on this model."""
     budgets = cfg.budgets(params)
     total = params.weight_count()
-    kept = sum(min(n, params[lid].weight.size) for lid, n in budgets.items())
+    kept = sum(budgets.values())
     kept += sum(e.weight.size for e in params.entries if e.layer_id not in budgets)
     return kept / total

@@ -97,6 +97,7 @@ def test_criterion_03_encrypted_path_equivalence():
                 for cid in range(8)}
     ctx = enclave.EnclaveContext(key_manager=manager)
     arch = nn.mlp((5, 4, 2))
+    enclave.publish_model(nn.init_model(arch, 0), ctx)
 
     for trial in range(50):
         cids = sorted(rng.choice(8, size=int(rng.integers(1, 6)),
@@ -114,7 +115,7 @@ def test_criterion_03_encrypted_path_equivalence():
         got = enclave.fedavg(agg)
 
         # plaintext reference at the fp32 wire precision, same client order
-        quant = {cid: codec.decode_params(codec.dense_encode(p))[0]
+        quant = {cid: codec.decode_params(codec.dense_encode(p), codec.schema(p))[0]
                  for cid, p in updates.items()}
         total = float(sum(counts.values()))
         for i, entry in enumerate(got.entries):
@@ -157,7 +158,7 @@ def test_criterion_04_csr_roundtrip_and_size():
         p = nn.ParameterSet((nn.LayerParams(
             "layer", w, rng.normal(size=shape[0]).astype(np.float32).astype(float)),))
         blob = codec.csr_encode(p)
-        back, fmt = codec.decode_params(blob)
+        back, fmt = codec.decode_params(blob, codec.schema(p))
         assert fmt == "csr"
         assert np.array_equal(back["layer"].weight, p["layer"].weight)
         assert np.array_equal(back["layer"].bias, p["layer"].bias)

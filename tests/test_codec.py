@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedprune import codec, nn
-from fedprune.codec import (CodecError, csr_decode, csr_encode, decode_params,
-                            dense_decode, dense_encode, encoded_size)
+from fedprune.codec import (CodecError, csr_encode, decode_params, dense_encode,
+                            encoded_size)
 
 
 def params_of(*arrays, ids=None):
@@ -22,6 +22,11 @@ def f32(params):
                                          b.astype(np.float32).astype(np.float64)))
 
 
+def roundtrip(encode, p):
+    """Decode encode(p) against p's own layer table; returns (params, format)."""
+    return decode_params(encode(p), codec.schema(p))
+
+
 def assert_equal_params(a, b):
     assert a.layer_ids() == b.layer_ids()
     for ea, eb in zip(a.entries, b.entries):
@@ -30,12 +35,16 @@ def assert_equal_params(a, b):
         assert np.array_equal(ea.bias, eb.bias)
 
 
-def csr_blob(rows, cols, row_ptr, col_idx):
-    """Hand-made one-layer CSR blob: layer "w" of shape (rows, cols), every
-    stored value 1.0, one zero bias."""
+# layer table of the hand-made blobs below
+W_2X8 = (("w", (2, 8), (1,)),)
+
+
+def csr_blob(rows, cols, row_ptr, col_idx, dims=None):
+    """Hand-made one-layer CSR blob: layer "w" of shape dims (default
+    (rows, cols)) viewed as rows x cols, every stored value 1.0, one zero bias."""
     return b"".join([
         codec.MAGIC, struct.pack("<BBH", codec.VERSION, codec.FORMAT_CSR, 1),
-        struct.pack("<B1sB2I", 1, b"w", 2, rows, cols),
+        struct.pack("<B1sB2I", 1, b"w", 2, *(dims or (rows, cols))),
         struct.pack("<III", rows, cols, len(col_idx)),
         np.asarray(row_ptr, dtype="<u4").tobytes(),
         np.asarray(col_idx, dtype="<u4").tobytes(),
@@ -59,7 +68,8 @@ class TestCsr:
 
     def test_all_zero_layer(self):
         p = params_of(np.zeros((3, 4)))
-        decoded = csr_decode(csr_encode(p))
+        decoded, fmt = roundtrip(csr_encode, p)
+        assert fmt == "csr"
         assert np.array_equal(decoded.entries[0].weight, np.zeros((3, 4)))
         assert encoded_size(p, "csr") == len(csr_encode(p))
 
@@ -67,29 +77,31 @@ class TestCsr:
         rng = np.random.default_rng(0)
         m = rng.normal(size=(100, 100)) * (rng.random((100, 100)) < 0.1)
         p = params_of(m)
-        assert_equal_params(csr_decode(csr_encode(p)), f32(p))
+        assert_equal_params(roundtrip(csr_encode, p)[0], f32(p))
 
     def test_rank4_and_rank1_tensors(self):
         rng = np.random.default_rng(1)
         w4 = rng.normal(size=(6, 2, 3, 3)) * (rng.random((6, 2, 3, 3)) < 0.3)
         w1 = rng.normal(size=7)
         p = params_of(w4, w1)
-        assert_equal_params(csr_decode(csr_encode(p)), f32(p))
+        assert_equal_params(roundtrip(csr_encode, p)[0], f32(p))
         assert len(csr_encode(p)) == encoded_size(p, "csr")
 
     def test_malformed_row_ptr_rejected(self):
-        blob = bytearray(csr_encode(params_of([[0.0, 5.0], [7.0, 0.0]])))
+        p = params_of([[0.0, 5.0], [7.0, 0.0]])
+        blob = bytearray(csr_encode(p))
         # make row_ptr decreasing: [0,1,2] -> [0,2,1] would move nnz; instead
         # bump row_ptr[1] above row_ptr[2]
         struct.pack_into("<I", blob, 20 + 12 + 4, 9)
         with pytest.raises(CodecError):
-            csr_decode(bytes(blob))
+            decode_params(bytes(blob), codec.schema(p))
 
     def test_col_idx_out_of_range_rejected(self):
-        blob = bytearray(csr_encode(params_of([[0.0, 5.0], [7.0, 0.0]])))
+        p = params_of([[0.0, 5.0], [7.0, 0.0]])
+        blob = bytearray(csr_encode(p))
         struct.pack_into("<I", blob, 20 + 12 + 12, 5)   # first col_idx -> 5 >= cols
         with pytest.raises(CodecError):
-            csr_decode(bytes(blob))
+            decode_params(bytes(blob), codec.schema(p))
 
     @pytest.mark.parametrize("row_ptr, col_idx", [
         ([1, 1, 2], [0, 1]),        # row_ptr[0] != 0
@@ -102,30 +114,60 @@ class TestCsr:
             "col_out_of_range", "col_repeated", "col_descending"])
     def test_malformed_csr_rejected(self, row_ptr, col_idx):
         with pytest.raises(CodecError):
-            csr_decode(csr_blob(2, 8, row_ptr, col_idx))
+            decode_params(csr_blob(2, 8, row_ptr, col_idx), W_2X8)
 
     def test_column_resets_at_row_boundary(self):
         # row 0 ends at column 5, row 1 starts again at column 0
-        w = csr_decode(csr_blob(2, 8, [0, 2, 3], [2, 5, 0]))["w"].weight
+        w = decode_params(csr_blob(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)[0]["w"].weight
         expect = np.zeros((2, 8))
         expect[0, 2] = expect[0, 5] = expect[1, 0] = 1.0
         assert np.array_equal(w, expect)
 
     def test_bad_magic_and_truncation(self):
-        blob = csr_encode(params_of([[1.0]]))
+        p = params_of([[1.0]])
+        blob, expect = csr_encode(p), codec.schema(p)
         with pytest.raises(CodecError):
-            decode_params(b"XXXX" + blob[4:])
+            decode_params(b"XXXX" + blob[4:], expect)
         with pytest.raises(CodecError):
-            decode_params(blob[:-2])
+            decode_params(blob[:-2], expect)
         with pytest.raises(CodecError):
-            decode_params(blob + b"\x00")
+            decode_params(blob + b"\x00", expect)
+
+
+class TestPublishedLayers:
+    @pytest.mark.parametrize("encode", [dense_encode, csr_encode])
+    @pytest.mark.parametrize("expect", [
+        (),                                                   # layer count
+        (("l0", (2, 3), (2,)), ("l1", (1,), (2,))),           # layer count
+        (("x0", (2, 3), (2,)),),                              # layer id
+        (("l0", (3, 2), (2,)),),                              # weight dims
+        (("l0", (2, 3, 1), (2,)),),                           # weight rank
+        (("l0", (2, 3), (3,)),),                              # bias length
+    ], ids=["no_layers", "extra_layer", "id", "dims", "rank", "bias"])
+    def test_layers_differing_from_published_rejected(self, encode, expect):
+        blob = encode(params_of(np.ones((2, 3))))
+        with pytest.raises(CodecError, match="published"):
+            decode_params(blob, expect)
+
+    def test_matrix_view_differing_from_dims_rejected(self):
+        # dims (2, 8) as published, but the CSR body claims a 4 x 4 matrix
+        blob = csr_blob(4, 4, [0, 1, 1, 1, 1], [0], dims=(2, 8))
+        with pytest.raises(CodecError, match="published"):
+            decode_params(blob, W_2X8)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 2**32 - 1), (2**32 - 1, 1)])
+    def test_oversized_header_rejected_before_allocating(self, rows, cols):
+        # a 2**32-1 element layer would be a 32 GiB float64 allocation
+        blob = csr_blob(rows, cols, [0, 0], [])
+        with pytest.raises(CodecError, match="published"):
+            decode_params(blob, W_2X8)
 
 
 class TestDense:
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(3)
         p = params_of(rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 3, 3)))
-        assert_equal_params(dense_decode(dense_encode(p)), f32(p))
+        assert_equal_params(roundtrip(dense_encode, p)[0], f32(p))
 
     def test_size_formula(self):
         p = params_of(np.ones((10, 20)))
@@ -141,12 +183,6 @@ class TestDense:
         assert 4 * 431080 <= size <= 4 * 431080 + 200   # payload + headers
         assert size == len(dense_encode(p))
 
-    def test_format_mismatch_rejected(self):
-        p = params_of(np.ones(3))
-        with pytest.raises(CodecError):
-            csr_decode(dense_encode(p))
-        with pytest.raises(CodecError):
-            dense_decode(csr_encode(p))
 
 
 class TestSizes:
@@ -185,14 +221,15 @@ class TestSizes:
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
         p = params_of(m)
-        for fmt, dec in (("csr", csr_decode), ("dense", dense_decode)):
-            blob = codec.encode_params(p, fmt)
-            assert len(blob) == encoded_size(p, fmt)
-            assert_equal_params(dec(blob), f32(p))
+        for fmt, encode in (("csr", csr_encode), ("dense", dense_encode)):
+            assert len(encode(p)) == encoded_size(p, fmt)
+            decoded, decoded_fmt = roundtrip(encode, p)
+            assert decoded_fmt == fmt
+            assert_equal_params(decoded, f32(p))
 
     def test_cross_format_agreement(self):
         rng = np.random.default_rng(9)
         m = rng.normal(size=(12, 9)) * (rng.random((12, 9)) < 0.4)
         p = params_of(m)
-        assert_equal_params(csr_decode(csr_encode(p)), dense_decode(dense_encode(p)))
+        assert_equal_params(roundtrip(csr_encode, p)[0], roundtrip(dense_encode, p)[0])
 

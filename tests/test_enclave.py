@@ -23,9 +23,9 @@ def setup():
 
 
 def encrypt(channels, cid, params, rnd=0, fmt="csr"):
-    payload = codec.encode_params(params, fmt)
-    return channels[cid].encrypt_update(
-        payload, rnd, codec.FORMAT_CSR if fmt == "csr" else codec.FORMAT_DENSE)
+    if fmt == "csr":
+        return channels[cid].encrypt_update(codec.csr_encode(params), rnd, codec.FORMAT_CSR)
+    return channels[cid].encrypt_update(codec.dense_encode(params), rnd, codec.FORMAT_DENSE)
 
 
 class TestContainment:
@@ -39,6 +39,7 @@ class TestContainment:
 class TestEnclaveLoad:
     def test_ecall_accounting(self, setup):
         manager, channels, ctx = setup
+        publish_model(make_params([[0.0]]), ctx)
         encs = [encrypt(channels, cid, make_params([[float(cid)]]), rnd=0)
                 for cid in range(5)]
         agg, rej = enclave_load(encs, ctx, {cid: 10 for cid in range(5)})
@@ -47,6 +48,7 @@ class TestEnclaveLoad:
 
     def test_one_tampered_among_ten(self, setup):
         manager, channels, ctx = setup
+        publish_model(make_params([[0.0, 0.0]]), ctx)
         encs = []
         for cid in range(10):
             enc = encrypt(channels, cid, make_params([[1.0, 2.0]]), rnd=1)
@@ -72,6 +74,14 @@ class TestEnclaveLoad:
         agg, rej = enclave_load([enc], ctx, {0: 1})
         assert not agg.records and "trusted buffer" in rej[0].reason
 
+    def test_nothing_loads_before_a_model_is_published(self, setup):
+        manager, channels, ctx = setup
+        encs = [encrypt(channels, cid, make_params([[1.0]])) for cid in range(3)]
+        agg, rej = enclave_load(encs, ctx, {cid: 10 for cid in range(3)})
+        assert not agg.records
+        assert [(r.client_id, r.reason) for r in rej] == \
+            [(cid, "no model published") for cid in range(3)]
+
 
 class TestFedavg:
     def _record(self, cid, params, n):
@@ -80,6 +90,7 @@ class TestFedavg:
         rng = np.random.default_rng(cid)
         ch = secure.attest_and_exchange(cid, manager, rng)
         ctx = EnclaveContext(key_manager=manager)
+        publish_model(params, ctx)
         enc = ch.encrypt_update(codec.dense_encode(params), 0, codec.FORMAT_DENSE)
         agg, rej = enclave_load([enc], ctx, {cid: n})
         assert not rej
@@ -129,7 +140,9 @@ class TestPublish:
         params = make_params([np.arange(6.0).reshape(2, 3)])
         blob = publish_model(params, ctx)
         assert ctx.ocall_count == 1
-        decoded = codec.dense_decode(blob)
+        assert ctx.schema == codec.schema(params)
+        decoded, fmt = codec.decode_params(blob, ctx.schema)
+        assert fmt == "dense"
         assert np.array_equal(decoded["a"].weight, params["a"].weight)
 
     def test_all_clients_identical_bytes(self, setup):
@@ -153,6 +166,7 @@ class TestEncryptedPathEquivalence:
                    for cid in range(8)}
         counts = {cid: int(rng.integers(1, 400)) for cid in range(8)}
 
+        publish_model(updates[0], ctx)
         encs = [encrypt(channels, cid, updates[cid], rnd=0, fmt="dense")
                 for cid in range(8)]
         agg, rej = enclave_load(encs, ctx, counts)
@@ -163,7 +177,8 @@ class TestEncryptedPathEquivalence:
         total = sum(counts.values())
         expect = None
         for cid in sorted(updates):
-            p, _ = codec.decode_params(codec.dense_encode(updates[cid]))
+            p, _ = codec.decode_params(codec.dense_encode(updates[cid]),
+                                       codec.schema(updates[cid]))
             scaled = p.map(lambda lid, w, b: (w * (counts[cid] / total),
                                               b * (counts[cid] / total)))
             expect = scaled if expect is None else nn.ParameterSet(tuple(

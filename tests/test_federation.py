@@ -1,3 +1,4 @@
+import struct
 import time
 from pathlib import Path
 
@@ -204,12 +205,12 @@ class TestRunExperiment:
         s_partition, s_init, _, _ = (int(s.generate_state(1)[0]) for s in ss.spawn(4))
         part = partition_iid(len(ds.train_y), 1, s_partition)
         g0 = nn.init_model(arch, s_init)
-        g0, _ = codec.decode_params(codec.dense_encode(g0))  # broadcast fp32
+        g0, _ = codec.decode_params(codec.dense_encode(g0), codec.schema(g0))  # fp32
         ix = part.assignments[0]
         upd, _ = client_round(arch, g0, ds.train_x[ix], ds.train_y[ix], cfg,
                               RoundPlan("warmup", None, False), None, None,
                               _client_seed(cfg.seed, 0, 0))
-        upd, _ = codec.decode_params(codec.dense_encode(upd))  # upload fp32
+        upd, _ = codec.decode_params(codec.dense_encode(upd), codec.schema(upd))  # fp32
         for a, b in zip(res.global_params.entries, upd.entries):
             assert np.array_equal(a.weight, b.weight)
 
@@ -283,19 +284,21 @@ class TestRunExperiment:
             tiny_cfg(mode="admm", sparsity=None)
 
 
-def run_with_one_bad_upload(monkeypatch, corrupt):
+DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo_synthetic.cfg"
+
+
+def run_with_one_bad_payload(monkeypatch, replace):
     """Demo config, dense, 2 pruning rounds; the first client sealing in
-    round 1 uploads corrupt(its update).  Returns (result, victim, rejections)."""
-    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" /
-                      "demo_synthetic.cfg", mode="dense", pruning_rounds=2)
+    round 1 uploads replace(its update bytes).  Returns (result, victim,
+    rejections)."""
+    cfg = load_config(DEMO_CFG, mode="dense", pruning_rounds=2)
     real_seal, real_load = secure.ClientChannel.encrypt_update, enclave.enclave_load
     victim, rejections = [], []
 
     def seal(channel, update_bytes, round_index, payload_format):
         if round_index == 1 and not victim:
             victim.append(channel.client_id)
-            params, fmt = codec.decode_params(update_bytes)
-            update_bytes = codec.encode_params(corrupt(params), fmt)
+            update_bytes = replace(update_bytes)
         return real_seal(channel, update_bytes, round_index, payload_format)
 
     def load(encs, ctx, example_counts):
@@ -306,6 +309,13 @@ def run_with_one_bad_upload(monkeypatch, corrupt):
     monkeypatch.setattr(secure.ClientChannel, "encrypt_update", seal)
     monkeypatch.setattr(enclave, "enclave_load", load)
     return run_experiment(cfg), victim[0], rejections
+
+
+def run_with_one_bad_upload(monkeypatch, corrupt):
+    """As run_with_one_bad_payload; the victim uploads corrupt(its update)."""
+    expect = codec.schema(nn.init_model(load_config(DEMO_CFG).build_arch(), 0))
+    return run_with_one_bad_payload(monkeypatch, lambda blob: codec.dense_encode(
+        corrupt(codec.decode_params(blob, expect)[0])))
 
 
 class TestBadUploadCostsOnlyItself:
@@ -329,6 +339,19 @@ class TestBadUploadCostsOnlyItself:
         res, victim, rejections = run_with_one_bad_upload(
             monkeypatch, lambda p: p.map(lambda lid, w, b: (w * np.nan, b * np.nan)))
         self._assert_only_victim_rejected(res, victim, rejections, "non-finite")
+
+    def test_oversized_header_rejected(self, monkeypatch):
+        # 45 bytes: the published layer count, then layer fc1 claiming dims
+        # (1, 2**32-1), a 32 GiB float64 array if sized from the header
+        oversized = b"".join([
+            codec.MAGIC, struct.pack("<BBH", codec.VERSION, codec.FORMAT_CSR, 2),
+            struct.pack("<B3sB2I", 3, b"fc1", 2, 1, 2**32 - 1),
+            struct.pack("<III", 1, 2**32 - 1, 0), struct.pack("<2I", 0, 0),
+            struct.pack("<I", 0)])
+        assert len(oversized) == 45
+        res, victim, rejections = run_with_one_bad_payload(
+            monkeypatch, lambda blob: oversized)
+        self._assert_only_victim_rejected(res, victim, rejections, "published")
 
 
 def metrics_of(phase, uploads, dense_uploads, download, rnd=0):
