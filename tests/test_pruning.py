@@ -72,6 +72,78 @@ class TestEuclideanProject:
         assert np.sum((got - t) ** 2) <= best + 1e-12
 
 
+def reference_project(t, n_keep):
+    """The original argsort projection, kept as the bit-exact oracle for
+    euclidean_project: a stable sort on -|t| ranks NaN below every magnitude
+    and breaks ties toward the lowest flat index."""
+    if n_keep == t.size:
+        return t.copy()
+    flat = t.reshape(-1)
+    order = np.argsort(-np.abs(flat), kind="stable")
+    out = np.zeros_like(flat)
+    keep = order[:n_keep]
+    out[keep] = flat[keep]
+    return out.reshape(t.shape)
+
+
+SPECIALS = (float("nan"), float("inf"), float("-inf"), -0.0)
+
+
+@st.composite
+def tied_tensors(draw):
+    """Small-integer tensors (heavy ties) with NaN, +-inf and -0.0 mixed in,
+    float32 or float64, 1-D or 4-D; paired with an n_keep in range."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 40)),
+        st.tuples(*[st.integers(1, 3)] * 4)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.sampled_from(SPECIALS)),
+        min_size=size, max_size=size))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    t = np.array(values, dtype=dtype).reshape(shape)
+    n_keep = draw(st.one_of(st.sampled_from([0, 1, size - 1, size]),
+                            st.integers(0, size)))
+    return t, max(0, n_keep)
+
+
+def assert_matches_reference(t, n_keep):
+    before = t.tobytes()
+    got = euclidean_project(t, n_keep)
+    want = reference_project(t, n_keep)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (t, n_keep)
+    assert t.tobytes() == before                 # input not mutated
+    assert not np.shares_memory(got, t)
+
+
+class TestProjectionOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(tied_tensors())
+    def test_bit_identical_to_argsort(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("shape", [(20, 1, 5, 5), (50, 20, 5, 5), (800, 500), (10, 500)])
+    def test_lenet_shapes_bit_identical(self, shape):
+        # rounded to 2 decimals so thousands of magnitudes tie; NaN, +-inf
+        # and -0.0 scattered in; every CR~87 and CR~10 budget of a LeNet layer
+        rng = np.random.default_rng(sum(shape))
+        for dtype in (np.float64, np.float32):
+            t = np.round(rng.normal(scale=0.1, size=shape), 2).astype(dtype)
+            flat = t.reshape(-1)
+            for value in SPECIALS:
+                flat[rng.integers(0, flat.size, 3)] = value
+            size = t.size
+            for n_keep in {1, size // 2, size - 1, max(1, round(0.0055025 * size)),
+                           max(1, round(0.06 * size)), round(0.8 * size)}:
+                assert_matches_reference(t, n_keep)
+
+    def test_all_nan_and_all_tied(self):
+        for t in (np.full(7, np.nan), np.full((2, 3), -2.0), np.zeros(5)):
+            for n_keep in range(t.size + 1):
+                assert_matches_reference(t, n_keep)
+
+
 def two_layer_params(w1, w2=None):
     entries = [nn.LayerParams("a", np.asarray(w1, dtype=float), np.zeros(1))]
     if w2 is not None:
