@@ -29,7 +29,8 @@ class EnclaveMemoryError(RuntimeError):
 
 
 class InvalidUpdateError(ValueError):
-    """An update with no published model to check it against, or not finite."""
+    """An update with no published model to check it against, not finite, or
+    with more non-zeros in a layer than the round's budget."""
 
 
 class PlaintextUpdate:
@@ -52,6 +53,7 @@ class EnclaveContext:
     ecall_count: int = 0
     ocall_count: int = 0
     schema: tuple | None = None              # codec.schema of the last published model
+    budgets: dict[str, int] | None = None    # per-layer non-zero caps of this round's uploads
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,10 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
 
     Each record is one ecall.  A failed decryption (bad tag, replay, unknown
     client), a payload that does not decode against the last published
-    model's layer table, or one that holds a non-finite value drops that
-    client's contribution for the round and is reported; the rest proceed.
-    Before any model is published every update is rejected.
+    model's layer table, that holds a non-finite value, or that has more
+    non-zeros in a layer than ctx.budgets allows drops that client's
+    contribution for the round and is reported; the rest proceed.  Before
+    any model is published every update is rejected.
     """
     records = []
     rejections = []
@@ -99,6 +102,11 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
                                                ctx.schema)
             if not params.allfinite():
                 raise InvalidUpdateError("update holds non-finite values")
+            for lid, budget in (ctx.budgets or {}).items():
+                nnz = np.count_nonzero(params[lid].weight)
+                if nnz > budget:
+                    raise InvalidUpdateError(
+                        f"layer {lid} has {nnz} non-zeros, above its budget of {budget}")
             n = example_counts.get(enc.client_id)
             if n is None or n <= 0:
                 raise SecureChannelError(f"no example count for client {enc.client_id}")

@@ -240,6 +240,10 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
                   projected to the stage budgets.
     masked_prune: plain SGD, outgoing update magnitude-masked per layer.
     masked_finetune: gradients zeroed on the shared mask, upload stays sparse.
+
+    ADMM state is the client's own and outlives the round: admm_init runs
+    only in the client's first ADMM round, and a client that sits out rounds
+    resumes from the Z, U and step of its last participation, however stale.
     """
     rng = np.random.default_rng(seed)
     params = global_params
@@ -440,6 +444,8 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
                 encs.append(secure.EncryptedUpdate.from_bytes(wire_up))
                 bytes_up += len(wire_up)
 
+        ctx.budgets = (plan.stage_cfg.budgets(global_params)
+                       if plan.phase in PRUNING_PHASES else None)
         with _span(times, "ecall_s"):
             agg_input, rejections = enclave.enclave_load(encs, ctx, counts)
         for rej in rejections:

@@ -64,21 +64,27 @@ class PruneMask:
 def euclidean_project(t: np.ndarray, n_keep: int) -> np.ndarray:
     """Keep the n_keep largest-magnitude entries in place, zero the rest.
 
-    Ties are broken toward the lowest flat index so results are
-    platform-independent.  This is the closest point of t in L2 among all
-    tensors with at most n_keep non-zeros.
+    Selection is by threshold, in linear time: the n_keep-th largest
+    magnitude is found by partition, every entry strictly above it is kept,
+    and the rest of the budget goes to the entries equal to it with the
+    lowest flat indices, so results are platform-independent.  NaN ranks
+    below every magnitude, zero included.  This is the closest point of t in
+    L2 among all tensors with at most n_keep non-zeros.
     """
     if not 0 <= n_keep <= t.size:
         raise ValueError(f"n_keep={n_keep} out of range for size {t.size}")
     if n_keep == t.size:
         return t.copy()
+    if n_keep == 0:
+        return np.zeros_like(t)
     flat = t.reshape(-1)
-    # stable sort on -|t|: equal magnitudes keep ascending index order
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    keep = order[:n_keep]
-    out[keep] = flat[keep]
-    return out.reshape(t.shape)
+    mag = np.abs(flat)
+    mag[np.isnan(mag)] = -1.0
+    threshold = np.partition(mag, t.size - n_keep)[t.size - n_keep]
+    keep = mag > threshold
+    ties = np.flatnonzero(mag == threshold)
+    keep[ties[:n_keep - np.count_nonzero(keep)]] = True
+    return np.where(keep, flat, 0).reshape(t.shape)
 
 
 def _project_params(params: ParameterSet, budgets: dict[str, int]) -> ParameterSet:

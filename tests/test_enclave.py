@@ -82,6 +82,27 @@ class TestEnclaveLoad:
         assert [(r.client_id, r.reason) for r in rej] == \
             [(cid, "no model published") for cid in range(3)]
 
+    def test_nonzeros_above_budget_rejected(self, setup):
+        # layer a capped at 2 non-zeros, layer b unconstrained; the cap holds
+        # whichever format carries the update
+        manager, channels, ctx = setup
+        publish_model(make_params([np.zeros(4), np.zeros(3)], ids=("a", "b")), ctx)
+        ctx.budgets = {"a": 2}
+        uploads = {0: ([1.0, 0.0, -2.0, 0.0], "csr"), 1: ([1.0, 3.0, -2.0, 0.0], "csr"),
+                   2: ([1.0, 3.0, -2.0, 4.0], "dense"), 3: ([0.0, 0.0, 0.0, 5.0], "dense")}
+        encs = [encrypt(channels, cid, make_params([a, [1.0, 2.0, 3.0]], ids=("a", "b")),
+                        fmt=fmt) for cid, (a, fmt) in uploads.items()]
+        agg, rej = enclave_load(encs, ctx, {cid: 10 for cid in uploads})
+        assert [r.client_id for r in agg.records] == [0, 3]
+        assert [(r.client_id, r.reason) for r in rej] == [
+            (1, "layer a has 3 non-zeros, above its budget of 2"),
+            (2, "layer a has 4 non-zeros, above its budget of 2")]
+        ctx.budgets = None
+        encs = [encrypt(channels, 1, make_params([[1.0] * 4, [1.0] * 3], ids=("a", "b")),
+                        rnd=1)]
+        agg, rej = enclave_load(encs, ctx, {1: 10})
+        assert len(agg.records) == 1 and not rej
+
 
 class TestFedavg:
     def _record(self, cid, params, n):

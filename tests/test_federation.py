@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedprune import codec, enclave, nn, pruning, secure
+from fedprune import codec, enclave, federation, nn, pruning, secure
 from fedprune.config import load_config
 from fedprune.datasets import synthetic_blobs
 from fedprune.federation import (ExperimentAborted, ExperimentConfig,
@@ -284,14 +284,56 @@ class TestRunExperiment:
             tiny_cfg(mode="admm", sparsity=None)
 
 
+class TestAdmmStateAcrossRounds:
+    def test_client_sitting_out_resumes_its_last_state(self, monkeypatch):
+        # 6 clients, 2 a round, 4 ADMM ramp rounds: clients sit out ADMM
+        # rounds between participations
+        cfg = tiny_cfg(clients_per_round=2, warmup_rounds=1, pruning_rounds=4)
+        who = {federation._client_seed(cfg.seed, rnd, cid): (rnd, cid)
+               for rnd in range(cfg.total_rounds()) for cid in range(cfg.num_clients)}
+        real_round, real_init = federation.client_round, pruning.admm_init
+        current, inits, joined = [], [], {}
+        last = {}   # client -> (state returned, copies of its z and u)
+
+        def init(params, stage_cfg):
+            inits.append(current[0])
+            return real_init(params, stage_cfg)
+
+        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed):
+            current[:] = [who[seed]]
+            rnd, cid = who[seed]
+            if plan.phase != "admm_prune":
+                return real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+            if cid in last:
+                returned, z, u = last[cid]
+                assert state is returned and state.step == len(joined[cid])
+                for lid in z:
+                    assert state.z[lid].tobytes() == z[lid]
+                    assert state.u[lid].tobytes() == u[lid]
+            else:
+                assert state is None
+            update, out = real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+            joined.setdefault(cid, []).append(rnd)
+            last[cid] = (out, {lid: a.tobytes() for lid, a in out.z.items()},
+                         {lid: a.tobytes() for lid, a in out.u.items()})
+            return update, out
+
+        monkeypatch.setattr(pruning, "admm_init", init)
+        monkeypatch.setattr(federation, "client_round", client_round)
+        run_experiment(cfg)
+        assert inits == sorted((rounds[0], cid) for cid, rounds in joined.items())
+        assert any(b - a > 1 for rounds in joined.values()
+                   for a, b in zip(rounds, rounds[1:]))
+
+
 DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo_synthetic.cfg"
 
 
-def run_with_one_bad_payload(monkeypatch, replace):
-    """Demo config, dense, 2 pruning rounds; the first client sealing in
-    round 1 uploads replace(its update bytes).  Returns (result, victim,
-    rejections)."""
-    cfg = load_config(DEMO_CFG, mode="dense", pruning_rounds=2)
+def run_with_one_bad_payload(monkeypatch, replace, **overrides):
+    """Demo config, dense, 2 pruning rounds unless overridden; the first
+    client sealing in round 1 uploads replace(its update bytes).  Returns
+    (result, victim, rejections)."""
+    cfg = load_config(DEMO_CFG, **{"mode": "dense", "pruning_rounds": 2, **overrides})
     real_seal, real_load = secure.ClientChannel.encrypt_update, enclave.enclave_load
     victim, rejections = [], []
 
@@ -352,6 +394,22 @@ class TestBadUploadCostsOnlyItself:
         res, victim, rejections = run_with_one_bad_payload(
             monkeypatch, lambda blob: oversized)
         self._assert_only_victim_rejected(res, victim, rejections, "published")
+
+    def test_nonzeros_above_budget_rejected(self, monkeypatch):
+        # ADMM, round 1 is ramp stage 0: the victim seals a finite CSR blob
+        # in which every weight is non-zero
+        expect = codec.schema(nn.init_model(load_config(DEMO_CFG).build_arch(), 0))
+
+        def densified(blob):
+            params, fmt = codec.decode_params(blob, expect)
+            assert fmt == "csr"
+            return codec.csr_encode(params.map(
+                lambda lid, w, b: (np.where(w == 0.0, 1e-3, w), b.copy())))
+
+        res, victim, rejections = run_with_one_bad_payload(
+            monkeypatch, densified, mode="admm", warmup_rounds=1, pruning_rounds=4)
+        assert res.metrics[1].phase == "admm_prune"
+        self._assert_only_victim_rejected(res, victim, rejections, "budget")
 
 
 def metrics_of(phase, uploads, dense_uploads, download, rnd=0):
