@@ -35,9 +35,6 @@ N_PRUNE_STAGES = 4
 class Partition:
     assignments: dict[int, np.ndarray]   # client_id -> example indices
 
-    def example_counts(self) -> dict[int, int]:
-        return {cid: len(ix) for cid, ix in self.assignments.items()}
-
 
 def partition_iid(dataset_size: int, num_clients: int, seed: int) -> Partition:
     """Shuffled, balanced, disjoint split; remainder examples are dropped."""
@@ -109,7 +106,7 @@ class ExperimentConfig:
     sparsity: pruning.SparsityConfig | None = None
 
     seed: int = 0
-    bandwidth_mbps: float | None = None    # None: no transfer throttling
+    bandwidth_mbps: float | None = None    # link in megabits/s; None: free transfers
     eval_examples: int | None = None       # None: full test set each round
     eval_batch_size: int = 512
 
@@ -126,6 +123,10 @@ class ExperimentConfig:
             raise ValueError(f"mode {self.mode!r} needs a sparsity config")
         if self.admm_stage_rounds < 1:
             raise ValueError("admm_stage_rounds must be at least 1")
+        if self.bandwidth_mbps is not None and not 0 < self.bandwidth_mbps < float("inf"):
+            raise ValueError(f"bandwidth_mbps must be finite and > 0, not {self.bandwidth_mbps}")
+        if not self.lr >= 0:
+            raise ValueError(f"lr must be >= 0, not {self.lr}")
 
     def total_rounds(self) -> int:
         return self.warmup_rounds + self.pruning_rounds
@@ -291,17 +292,15 @@ def _axpy(factor: float, v: nn.Gradient, g: nn.Gradient) -> nn.Gradient:
 # Network emulation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class NetworkSimulator:
-    """Transfers cost wall-clock time at the configured bandwidth; with no
-    bandwidth set a transfer hands the payload over at once."""
+    """A link of bandwidth_mbps megabits/s.  transmit models a transfer's seconds
+    from its byte count instead of sleeping them; 0.0 with no bandwidth set."""
 
-    def __init__(self, bandwidth_mbps: float | None):
-        self.bytes_per_second = bandwidth_mbps * 1e6 if bandwidth_mbps else None
+    bandwidth_mbps: float | None
 
-    def transmit(self, payload: bytes) -> bytes:
-        if self.bytes_per_second:
-            time.sleep(len(payload) / self.bytes_per_second)
-        return payload
+    def transmit(self, nbytes: int) -> float:
+        return nbytes * 8 / (self.bandwidth_mbps * 1e6) if self.bandwidth_mbps else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +324,7 @@ class ExperimentResult:
     mask: pruning.PruneMask | None
     final_accuracy: float
     compression_rate: float
+    finalize_s: float          # wall time of the final hard prune and evaluation
 
 
 def _client_seed(base: int, round_index: int, client_id: int) -> int:
@@ -351,7 +351,7 @@ def run_experiment(cfg: ExperimentConfig,
         return _run_rounds(cfg, dataset, progress, metrics, snapshot)
     except Exception as exc:
         partial = ExperimentResult(cfg, metrics, snapshot["params"],
-                                   snapshot["mask"], float("nan"), float("nan"))
+                                   snapshot["mask"], np.nan, np.nan, np.nan)
         raise ExperimentAborted(exc, partial) from exc
 
 
@@ -382,7 +382,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
                                 shard_size, cfg.shards_per_client, s_partition)
     else:
         raise ValueError(f"unknown partition {cfg.partition!r}")
-    counts = part.example_counts()
+    counts = {cid: len(ix) for cid, ix in part.assignments.items()}
 
     eval_x, eval_y = dataset.test_x, dataset.test_y
     if cfg.eval_examples is not None:
@@ -426,23 +426,20 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         bytes_up = 0
         for cid in selected:
             cid = int(cid)
-            with _span(times, "transmission_s"):
-                wire_down = net.transmit(blob_down)
+            times["transmission_s"] += net.transmit(len(blob_down))
             with _span(times, "local_training_s"):
                 ix = part.assignments[cid]
                 update, state = client_round(
-                    arch, codec.decode_params(wire_down, schema)[0], dataset.train_x[ix],
+                    arch, codec.decode_params(blob_down, schema)[0], dataset.train_x[ix],
                     dataset.train_y[ix], cfg, plan, admm_states.get(cid), mask,
                     _client_seed(cfg.seed, rnd, cid))
                 if state is not None:
                     admm_states[cid] = state
             with _span(times, "provisioning_s"):
                 sealed = channels[cid].encrypt_update(encode(update), rnd, fmt).to_bytes()
-            with _span(times, "transmission_s"):
-                wire_up = net.transmit(sealed)
-            with _span(times, "provisioning_s"):
-                encs.append(secure.EncryptedUpdate.from_bytes(wire_up))
-                bytes_up += len(wire_up)
+                encs.append(secure.EncryptedUpdate.from_bytes(sealed))
+            times["transmission_s"] += net.transmit(len(sealed))
+            bytes_up += len(sealed)
 
         ctx.budgets = (plan.stage_cfg.budgets(global_params)
                        if plan.phase in PRUNING_PHASES else None)
@@ -467,18 +464,22 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             bytes_up=bytes_up, bytes_down=cfg.clients_per_round * len(blob_down),
             dense_bytes_up=cfg.clients_per_round * (
                 len(blob_down) + secure.HEADER.size + secure.TAG_SIZE),
-            total_s=time.perf_counter() - round_t0 + times["attestation_s"], **times)
+            # wall time plus the two fields not measured inside the round
+            total_s=(time.perf_counter() - round_t0 + times["attestation_s"]
+                     + times["transmission_s"]), **times)
         metrics.append(rm)
         if progress:
             progress(rm)
 
     final_params = global_params
-    if cfg.mode == "masked" and cfg.sparsity is not None and cfg.pruning_rounds > 0:
-        # baseline updates are masked per client; report the hard-pruned model
-        final_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
-    final_acc = nn.evaluate(arch, final_params, eval_x, eval_y, cfg.eval_batch_size)
+    final = {"finalize_s": 0.0}
+    with _span(final, "finalize_s"):
+        if cfg.mode == "masked" and cfg.sparsity is not None and cfg.pruning_rounds > 0:
+            # baseline updates are masked per client; report the hard-pruned model
+            final_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
+        final_acc = nn.evaluate(arch, final_params, eval_x, eval_y, cfg.eval_batch_size)
     try:
         cr = pruning.compression_rate(final_params)
     except ValueError:
         cr = 1.0
-    return ExperimentResult(cfg, metrics, final_params, mask, final_acc, cr)
+    return ExperimentResult(cfg, metrics, final_params, mask, final_acc, cr, final["finalize_s"])

@@ -6,8 +6,8 @@ import csv
 import dataclasses
 from pathlib import Path
 
-from .federation import (ExperimentConfig, ExperimentResult, RoundMetrics,
-                         pruning_phase_bytes, saving_percent)
+from .federation import (ExperimentConfig, ExperimentResult, NetworkSimulator,
+                         RoundMetrics, pruning_phase_bytes, saving_percent)
 
 _TIMING_COLUMNS = (*RoundMetrics.TIME_FIELDS, "total_s")
 CSV_COLUMNS = (
@@ -47,11 +47,9 @@ def write_report(result: ExperimentResult, out_dir: str | Path,
     total_elapsed = sum(m.total_s for m in result.metrics)
     actual, dense = pruning_phase_bytes(result.metrics)
     saving = saving_percent(result.metrics)
-    if cfg.bandwidth_mbps and total_elapsed > 0:
-        extra = (dense - actual) / (cfg.bandwidth_mbps * 1e6)
-        speedup = f"{(total_elapsed + extra) / total_elapsed:.2f}x"
-    else:
-        speedup = "n/a (no bandwidth model)"
+    extra = NetworkSimulator(cfg.bandwidth_mbps).transmit(dense - actual)
+    speedup = (f"{(total_elapsed + extra) / total_elapsed:.2f}x" if cfg.bandwidth_mbps
+               else "n/a (no bandwidth model)")
 
     lines = [
         "fedprune experiment summary",
@@ -72,6 +70,7 @@ def write_report(result: ExperimentResult, out_dir: str | Path,
         f"pruning_phase_volume_dense_equivalent_bytes = {dense}",
         f"communication_saving_percent = {saving:.2f}",
         f"total_elapsed_s = {total_elapsed:.3f}",
+        f"finalize_s = {result.finalize_s:.3f}",
         f"speedup_vs_dense_baseline = {speedup}",
     ]
     summary_path = out / "summary.txt"

@@ -5,7 +5,8 @@ import pytest
 from fedprune import report
 from fedprune.cli import main
 from fedprune.config import ConfigError, load_config, validate_config
-from fedprune.federation import PRUNING_PHASES, run_experiment, saving_percent
+from fedprune.federation import (PRUNING_PHASES, pruning_phase_bytes, run_experiment,
+                                 saving_percent)
 
 CFG_TEXT = """\
 [model]
@@ -105,6 +106,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(cfg_file, clients_per_round=50)
 
+    @pytest.mark.parametrize("key, value", [
+        ("bandwidth_mbps", "-1"), ("bandwidth_mbps", "0"), ("bandwidth_mbps", "nan"),
+        ("bandwidth_mbps", "inf"), ("lr", "-0.01"), ("lr", "nan")])
+    def test_bad_bandwidth_or_lr_rejected(self, tmp_path, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG_TEXT.replace("seed = 3", f"seed = 3\n{key} = {value}"))
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
+    def test_zero_lr_and_link_bandwidth_accepted(self, tmp_path):
+        # lr = 0 means no local training; bandwidth is in megabits per second
+        p = tmp_path / "ok.cfg"
+        p.write_text(CFG_TEXT.replace("seed = 3", "seed = 3\nlr = 0\nbandwidth_mbps = 2.5"))
+        cfg = load_config(p)
+        assert (cfg.lr, cfg.bandwidth_mbps) == (0.0, 2.5)
+
     def test_validate_notes(self, cfg_file):
         notes = validate_config(load_config(cfg_file))
         assert any("parameters" in n for n in notes)
@@ -171,6 +188,16 @@ class TestReport:
         saving = saving_percent(res.metrics)
         assert f"communication_saving_percent = {saving:.2f}" in text
         assert saving == pytest.approx(100 * (1 - actual / dense), abs=1e-6)
+        assert f"finalize_s = {res.finalize_s:.3f}" in text
+        assert "speedup_vs_dense_baseline = n/a (no bandwidth model)" in text
+
+    def test_speedup_recomputed_from_metrics(self, cfg_file, tmp_path):
+        res, _, paths = _run_and_rows(cfg_file, tmp_path, bandwidth_mbps=0.5)
+        total = sum(m.total_s for m in res.metrics)
+        actual, dense = pruning_phase_bytes(res.metrics)
+        extra = (dense - actual) * 8 / (0.5 * 1e6)
+        assert (f"speedup_vs_dense_baseline = {(total + extra) / total:.2f}x"
+                in paths["summary"].read_text())
 
     def test_dense_run_saves_nothing(self, cfg_file, tmp_path):
         res, rows, _ = _run_and_rows(cfg_file, tmp_path, mode="dense",

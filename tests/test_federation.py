@@ -257,6 +257,27 @@ class TestRunExperiment:
         for m in res.metrics:
             assert m.eval_s >= 0.05
             assert m.total_s >= m.component_sum() >= m.eval_s
+        assert res.finalize_s >= 0.05   # the evaluation after the last round
+
+    def test_transmission_is_modeled_link_time(self, monkeypatch):
+        # bandwidth_mbps is megabits per second; the link charges each round
+        # its bytes at that rate without sleeping, so reruns agree exactly
+        def no_sleep(_seconds):
+            raise AssertionError("the modeled link must not sleep")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        cfg = tiny_cfg(warmup_rounds=1, pruning_rounds=2, bandwidth_mbps=0.5)
+        a, b = run_experiment(cfg), run_experiment(cfg)
+        for m in a.metrics:
+            expect = (m.bytes_up + m.bytes_down) * 8 / (0.5 * 1e6)
+            assert m.transmission_s == pytest.approx(expect, rel=1e-12, abs=0)
+            assert m.total_s >= m.component_sum() >= m.transmission_s
+        assert [m.transmission_s for m in a.metrics] == \
+            [m.transmission_s for m in b.metrics]
+
+    def test_no_bandwidth_no_transmission_time(self):
+        res = run_experiment(tiny_cfg(warmup_rounds=1, pruning_rounds=1))
+        assert all(m.transmission_s == 0.0 for m in res.metrics)
 
     def test_abort_carries_partial_metrics(self, monkeypatch):
         import fedprune.federation as fed
