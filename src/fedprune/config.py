@@ -9,6 +9,7 @@ import configparser
 from pathlib import Path
 
 from .federation import ExperimentConfig
+from .nn import init_model
 from .pruning import SparsityConfig
 
 
@@ -18,7 +19,7 @@ class ConfigError(ValueError):
 
 _INT_KEYS = {"num_clients", "clients_per_round", "local_epochs", "batch_size",
              "warmup_rounds", "pruning_rounds", "admm_stage_rounds", "seed",
-             "shards_per_client", "shard_size", "eval_examples"}
+             "eval_examples"}
 _FLOAT_KEYS = {"lr", "momentum", "bandwidth_mbps"}
 _STR_KEYS = {"mode", "partition"}
 
@@ -49,7 +50,10 @@ def _auto(raw: str):
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     """Parse a config file; keyword overrides (CLI flags) win over the file."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     known = {"model", "data", "federation", "pruning"}
@@ -71,8 +75,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         for key, raw in cp.items("data"):
             if key in ("dataset", "data_dir"):
                 kwargs[key] = raw.strip()
-            elif key in ("partition", "shards_per_client", "shard_size"):
-                kwargs[key] = _convert(key, raw)
             else:
                 kwargs.setdefault("dataset_params", {})[key] = _auto(raw)
     if cp.has_section("federation"):
@@ -108,7 +110,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     layers, budgets are feasible.  Returns human-readable notes."""
     notes = []
     arch = cfg.build_arch()
-    notes.append(f"arch {cfg.arch}: {arch.param_count()} parameters")
+    notes.append(f"arch {cfg.arch}: {init_model(arch, 0).param_count()} parameters")
     if cfg.sparsity is not None:
         layer_ids = [l.name for l in arch.param_layers()]
         missing = set(cfg.sparsity.keep) - set(layer_ids)

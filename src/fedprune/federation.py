@@ -5,6 +5,7 @@ and the end-to-end experiment loop over the encrypted channel.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import time
 from contextlib import contextmanager
@@ -21,22 +22,18 @@ PHASE_ADMM = "admm_prune"
 PHASE_MASKED_PRUNE = "masked_prune"
 PHASE_FINETUNE = "masked_finetune"
 PHASE_DENSE = "dense"
-# rounds whose uploads go CSR and count toward the communication saving
+# rounds counted in the communication saving: exactly those with a stage_cfg
 PRUNING_PHASES = (PHASE_ADMM, PHASE_MASKED_PRUNE, PHASE_FINETUNE)
 
 N_PRUNE_STAGES = 4
+SHARDS_PER_CLIENT = 2    # label shards per client under partition = noniid
 
 
 # ---------------------------------------------------------------------------
 # Partitioning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
-    assignments: dict[int, np.ndarray]   # client_id -> example indices
-
-
-def partition_iid(dataset_size: int, num_clients: int, seed: int) -> Partition:
+def partition_iid(dataset_size: int, num_clients: int, seed: int) -> dict[int, np.ndarray]:
     """Shuffled, balanced, disjoint split; remainder examples are dropped."""
     if num_clients > dataset_size:
         raise ValueError(f"{num_clients} clients exceed {dataset_size} examples")
@@ -45,29 +42,27 @@ def partition_iid(dataset_size: int, num_clients: int, seed: int) -> Partition:
     if dropped:
         log.warning("IID partition drops %d remainder examples", dropped)
     perm = np.random.default_rng(seed).permutation(dataset_size)
-    assignments = {cid: np.sort(perm[cid * per:(cid + 1) * per])
-                   for cid in range(num_clients)}
-    return Partition(assignments)
+    return {cid: np.sort(perm[cid * per:(cid + 1) * per])
+            for cid in range(num_clients)}
 
 
-def partition_noniid(labels: np.ndarray, num_clients: int, num_shards: int,
-                     shard_size: int, shards_per_client: int, seed: int) -> Partition:
-    """Label-sorted contiguous shards assigned randomly without replacement,
-    concentrating few distinct labels per client."""
-    if num_shards != num_clients * shards_per_client:
-        raise ValueError(f"num_shards={num_shards} != "
-                         f"{num_clients} clients x {shards_per_client} shards")
-    if num_shards * shard_size > len(labels):
-        raise ValueError(f"{num_shards} shards x {shard_size} exceed "
-                         f"{len(labels)} examples")
+def partition_noniid(labels: np.ndarray, num_clients: int, seed: int) -> dict[int, np.ndarray]:
+    """Label-sorted contiguous shards, SHARDS_PER_CLIENT per client, assigned
+    randomly without replacement so each client sees few labels (McMahan et
+    al. 2017); shards hold len(labels) // num_shards examples, the rest drop."""
+    num_shards = num_clients * SHARDS_PER_CLIENT
+    if num_shards > len(labels):
+        raise ValueError(f"{num_clients} clients x {SHARDS_PER_CLIENT} shards "
+                         f"exceed {len(labels)} examples")
+    shard_size = len(labels) // num_shards
     order = np.argsort(labels, kind="stable")
     shards = order[:num_shards * shard_size].reshape(num_shards, shard_size)
     shard_perm = np.random.default_rng(seed).permutation(num_shards)
     assignments = {}
     for cid in range(num_clients):
-        own = shard_perm[cid * shards_per_client:(cid + 1) * shards_per_client]
+        own = shard_perm[cid * SHARDS_PER_CLIENT:(cid + 1) * SHARDS_PER_CLIENT]
         assignments[cid] = np.sort(np.concatenate([shards[s] for s in own]))
-    return Partition(assignments)
+    return assignments
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +73,12 @@ _ARCHES = {
     "mlp": nn.mlp,
     "lenet5": nn.lenet5,
     "small_convnet": nn.small_convnet,
+}
+# generators whose keyword arguments dataset_params may set; mnist takes none
+_DATASETS = {
+    "synthetic": datasets.synthetic_blobs,
+    "synthetic-images": datasets.synthetic_images,
+    "mnist": None,
 }
 
 
@@ -95,9 +96,7 @@ class ExperimentConfig:
     batch_size: int = 10
     lr: float = 0.01
     momentum: float = 0.9
-    partition: str = "iid"                 # iid | noniid
-    shards_per_client: int = 2
-    shard_size: int | None = None          # default: train_size / num_shards
+    partition: str = "iid"                 # iid | noniid (SHARDS_PER_CLIENT label shards)
 
     mode: str = "admm"                     # admm | masked | dense
     warmup_rounds: int = 10
@@ -119,6 +118,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.arch not in _ARCHES:
             raise ValueError(f"unknown arch {self.arch!r}")
+        try:
+            self.build_arch()
+        except TypeError as exc:
+            raise ValueError(f"bad [model] parameters for {self.arch}: {exc}") from exc
+        if self.dataset not in _DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}")
+        gen = _DATASETS[self.dataset]
+        stray = set(self.dataset_params) - set(inspect.signature(gen).parameters if gen else ())
+        if stray:
+            raise ValueError(f"dataset {self.dataset!r} takes no parameters {sorted(stray)}")
+        if self.partition not in ("iid", "noniid"):
+            raise ValueError(f"unknown partition {self.partition!r}")
         if self.mode != "dense" and self.pruning_rounds > 0 and self.sparsity is None:
             raise ValueError(f"mode {self.mode!r} needs a sparsity config")
         if self.admm_stage_rounds < 1:
@@ -127,6 +138,12 @@ class ExperimentConfig:
             raise ValueError(f"bandwidth_mbps must be finite and > 0, not {self.bandwidth_mbps}")
         if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, not {self.lr}")
+        if self.local_epochs < 0:
+            raise ValueError(f"local_epochs must be >= 0, not {self.local_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, not {self.batch_size}")
+        if self.eval_examples is not None and self.eval_examples < 1:
+            raise ValueError(f"eval_examples must be >= 1, not {self.eval_examples}")
 
     def total_rounds(self) -> int:
         return self.warmup_rounds + self.pruning_rounds
@@ -137,11 +154,7 @@ class ExperimentConfig:
     def load_dataset(self) -> datasets.Dataset:
         if self.dataset == "mnist":
             return datasets.load_mnist(self.data_dir)
-        if self.dataset == "synthetic":
-            return datasets.synthetic_blobs(**{"seed": self.seed, **self.dataset_params})
-        if self.dataset == "synthetic-images":
-            return datasets.synthetic_images(**{"seed": self.seed, **self.dataset_params})
-        raise ValueError(f"unknown dataset {self.dataset!r}")
+        return _DATASETS[self.dataset](**{"seed": self.seed, **self.dataset_params})
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,7 @@ def saving_percent(metrics: list[RoundMetrics]) -> float:
 @dataclass(frozen=True)
 class RoundPlan:
     phase: str
-    stage_cfg: pruning.SparsityConfig | None   # budgets for this round's uploads
+    stage_cfg: pruning.SparsityConfig | None   # upload budgets; None: dense round
     finalize_after: bool                       # hard-prune the global model after
 
 
@@ -236,11 +249,11 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     """Local epochs of momentum SGD; returns the upload-ready update and the
     client's advanced ADMM state (when in the ADMM phase).
 
-    warmup/dense: plain SGD, dense upload.
-    admm_prune:   SGD + rho*(W - Z + U) term, then one Z/U update, upload
-                  projected to the stage budgets.
-    masked_prune: plain SGD, outgoing update magnitude-masked per layer.
-    masked_finetune: gradients zeroed on the shared mask, upload stays sparse.
+    admm_prune adds the rho*(W - Z + U) term to every gradient and ends with
+    one Z/U update.  A given mask (the shared mask of fine-tune rounds) zeroes
+    every gradient off it.  Every sparse upload, that is every round with a
+    plan.stage_cfg, is projected to that config's per-layer budgets; the rest
+    (warmup, dense) upload the trained model as it is.
 
     ADMM state is the client's own and outlives the round: admm_init runs
     only in the client's first ADMM round, and a client that sits out rounds
@@ -262,7 +275,7 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
                 grad = nn.backward(arch, params, batch)
                 if plan.phase == PHASE_ADMM:
                     grad = _add(grad, pruning.admm_reg_gradient(params, admm_state))
-                elif plan.phase == PHASE_FINETUNE and mask is not None:
+                if mask is not None:
                     grad = pruning.apply_mask(grad, mask)
                 velocity = grad if velocity is None else _axpy(cfg.momentum, velocity, grad)
                 params = nn.sgd_step(params, velocity, cfg.lr)
@@ -270,20 +283,16 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     if plan.phase == PHASE_ADMM:
         admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
         admm_state = pruning.admm_u_step(params, admm_state)
-    if plan.phase in (PHASE_ADMM, PHASE_MASKED_PRUNE):
-        update = pruning.final_hard_prune(params, plan.stage_cfg)[0]
-    elif plan.phase == PHASE_FINETUNE and mask is not None:
-        update = pruning.apply_mask(params, mask)   # no-op safety net
-    else:
-        update = params
-    return update, admm_state
+    if plan.stage_cfg is not None:
+        params = pruning.final_hard_prune(params, plan.stage_cfg)[0]
+    return params, admm_state
 
 
-def _add(a: nn.Gradient, b: nn.Gradient) -> nn.Gradient:
+def _add(a: nn.ParameterSet, b: nn.ParameterSet) -> nn.ParameterSet:
     return a.map(lambda lid, w, bias: (w + b[lid].weight, bias + b[lid].bias))
 
 
-def _axpy(factor: float, v: nn.Gradient, g: nn.Gradient) -> nn.Gradient:
+def _axpy(factor: float, v: nn.ParameterSet, g: nn.ParameterSet) -> nn.ParameterSet:
     return v.map(lambda lid, w, bias: (factor * w + g[lid].weight,
                                        factor * bias + g[lid].bias))
 
@@ -320,7 +329,7 @@ class ExperimentAborted(RuntimeError):
 class ExperimentResult:
     config: ExperimentConfig
     metrics: list[RoundMetrics]
-    global_params: nn.ParameterSet
+    global_params: nn.ParameterSet | None    # None in an aborted run's partial result
     mask: pruning.PruneMask | None
     final_accuracy: float
     compression_rate: float
@@ -346,12 +355,10 @@ def run_experiment(cfg: ExperimentConfig,
     ExperimentAborted carrying the rounds completed so far.
     """
     metrics: list[RoundMetrics] = []
-    snapshot: dict = {"params": None, "mask": None}
     try:
-        return _run_rounds(cfg, dataset, progress, metrics, snapshot)
+        return _run_rounds(cfg, dataset, progress, metrics)
     except Exception as exc:
-        partial = ExperimentResult(cfg, metrics, snapshot["params"],
-                                   snapshot["mask"], np.nan, np.nan, np.nan)
+        partial = ExperimentResult(cfg, metrics, None, None, np.nan, np.nan, np.nan)
         raise ExperimentAborted(exc, partial) from exc
 
 
@@ -366,7 +373,7 @@ def _span(times: dict[str, float], time_field: str):
 
 
 def _run_rounds(cfg: ExperimentConfig, dataset, progress,
-                metrics: list[RoundMetrics], snapshot: dict) -> ExperimentResult:
+                metrics: list[RoundMetrics]) -> ExperimentResult:
     dataset = dataset if dataset is not None else cfg.load_dataset()
     arch = cfg.build_arch()
     ss = np.random.SeedSequence(cfg.seed)
@@ -375,14 +382,9 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
 
     if cfg.partition == "iid":
         part = partition_iid(len(dataset.train_y), cfg.num_clients, s_partition)
-    elif cfg.partition == "noniid":
-        num_shards = cfg.num_clients * cfg.shards_per_client
-        shard_size = cfg.shard_size or len(dataset.train_y) // num_shards
-        part = partition_noniid(dataset.train_y, cfg.num_clients, num_shards,
-                                shard_size, cfg.shards_per_client, s_partition)
     else:
-        raise ValueError(f"unknown partition {cfg.partition!r}")
-    counts = {cid: len(ix) for cid, ix in part.assignments.items()}
+        part = partition_noniid(dataset.train_y, cfg.num_clients, s_partition)
+    counts = {cid: len(ix) for cid, ix in part.items()}
 
     eval_x, eval_y = dataset.test_x, dataset.test_y
     if cfg.eval_examples is not None:
@@ -401,9 +403,8 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
     sample_rng = np.random.default_rng(s_sample)
 
     global_params = nn.init_model(arch, s_init)
-    snapshot["params"] = global_params
     schema = codec.schema(global_params)
-    mask: pruning.PruneMask | None = None
+    mask: pruning.PruneMask | None = None   # set by the hard prune before fine-tune rounds
     admm_states: dict[int, pruning.ADMMState] = {}
 
     for rnd in range(cfg.total_rounds()):
@@ -418,7 +419,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         selected = np.sort(sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
                                              replace=False))
 
-        if plan.phase in PRUNING_PHASES:
+        if plan.stage_cfg is not None:
             encode, fmt = codec.csr_encode, codec.FORMAT_CSR
         else:
             encode, fmt = codec.dense_encode, codec.FORMAT_DENSE
@@ -428,7 +429,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             cid = int(cid)
             times["transmission_s"] += net.transmit(len(blob_down))
             with _span(times, "local_training_s"):
-                ix = part.assignments[cid]
+                ix = part[cid]
                 update, state = client_round(
                     arch, codec.decode_params(blob_down, schema)[0], dataset.train_x[ix],
                     dataset.train_y[ix], cfg, plan, admm_states.get(cid), mask,
@@ -442,7 +443,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             bytes_up += len(sealed)
 
         ctx.budgets = (plan.stage_cfg.budgets(global_params)
-                       if plan.phase in PRUNING_PHASES else None)
+                       if plan.stage_cfg is not None else None)
         with _span(times, "ecall_s"):
             agg_input, rejections = enclave.enclave_load(encs, ctx, counts)
         for rej in rejections:
@@ -453,10 +454,9 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             global_params = enclave.fedavg(agg_input)
             if plan.finalize_after:
                 global_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
-            snapshot["params"], snapshot["mask"] = global_params, mask
 
         keep = (pruning.overall_keep_fraction(global_params, plan.stage_cfg)
-                if plan.stage_cfg else 1.0)
+                if plan.stage_cfg is not None else 1.0)
         with _span(times, "eval_s"):
             acc = nn.evaluate(arch, global_params, eval_x, eval_y, cfg.eval_batch_size)
         rm = RoundMetrics(

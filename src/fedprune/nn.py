@@ -80,15 +80,6 @@ class ModelArch:
     def param_layers(self) -> list[Dense | Conv2d]:
         return [l for l in self.layers if isinstance(l, (Dense, Conv2d))]
 
-    def param_count(self) -> int:
-        total = 0
-        for l in self.param_layers():
-            if isinstance(l, Dense):
-                total += l.n_in * l.n_out + l.n_out
-            else:
-                total += l.out_ch * l.in_ch * l.kernel * l.kernel + l.out_ch
-        return total
-
 
 def _infer_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]:
     if isinstance(layer, Dense):
@@ -224,9 +215,6 @@ class ParameterSet:
                    for e in self.entries)
 
 
-Gradient = ParameterSet  # same structure, per-layer weight/bias tensors
-
-
 @dataclass(frozen=True)
 class Batch:
     inputs: np.ndarray   # (B, *input_shape)
@@ -348,7 +336,7 @@ def forward_loss(arch: ModelArch, params: ParameterSet, batch: Batch):
     return float(loss), logits
 
 
-def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> Gradient:
+def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> ParameterSet:
     """Analytic gradient of forward_loss w.r.t. every parameter."""
     x = np.asarray(batch.inputs, dtype=np.float64)
     logits, caches = _forward(arch, params, x)
@@ -388,7 +376,7 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> Gradient:
     return ParameterSet(entries)
 
 
-def sgd_step(params: ParameterSet, grad: Gradient, lr: float) -> ParameterSet:
+def sgd_step(params: ParameterSet, grad: ParameterSet, lr: float) -> ParameterSet:
     """params - lr * grad; pure, no state."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import Gradient, ParameterSet
+from .nn import ParameterSet
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,6 @@ class PruneMask:
     """Per-layer boolean tensors; True = weight retained."""
 
     layers: dict[str, np.ndarray]
-
-    def nonzero_count(self) -> int:
-        return sum(int(m.sum()) for m in self.layers.values())
 
 
 def euclidean_project(t: np.ndarray, n_keep: int) -> np.ndarray:
@@ -103,7 +100,7 @@ def admm_init(params: ParameterSet, cfg: SparsityConfig) -> ADMMState:
     return ADMMState(z=z, u=u, rho=cfg.rho)
 
 
-def admm_reg_gradient(params: ParameterSet, state: ADMMState) -> Gradient:
+def admm_reg_gradient(params: ParameterSet, state: ADMMState) -> ParameterSet:
     """Gradient of the augmented penalty: rho*(W - Z + U); zero for biases
     and for unconstrained layers."""
     def g(lid, w, b):
@@ -150,21 +147,15 @@ def apply_mask(params: ParameterSet, mask: PruneMask) -> ParameterSet:
     return params.map(f)
 
 
-def compression_rate(obj: ParameterSet | PruneMask) -> float:
+def compression_rate(params: ParameterSet) -> float:
     """Total weights / non-zero weights, over prunable weight tensors.
 
-    Biases are exempt from pruning and excluded from both counts.  For a
-    PruneMask the totals are taken over the masked layers only.
+    Biases are exempt from pruning and excluded from both counts.
     """
-    if isinstance(obj, PruneMask):
-        total = sum(m.size for m in obj.layers.values())
-        nnz = obj.nonzero_count()
-    else:
-        total = obj.weight_count()
-        nnz = obj.nonzero_weight_count()
+    nnz = params.nonzero_weight_count()
     if nnz == 0:
         raise ValueError("model has no non-zero weights")
-    return total / nnz
+    return params.weight_count() / nnz
 
 
 def overall_keep_fraction(params: ParameterSet, cfg: SparsityConfig) -> float:

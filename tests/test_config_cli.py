@@ -122,6 +122,25 @@ class TestLoadConfig:
         cfg = load_config(p)
         assert (cfg.lr, cfg.bandwidth_mbps) == (0.0, 2.5)
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("dataset = synthetic", "dataset = bogus", "unknown dataset"),
+        ("mode = admm", "mode = admm\npartition = bogus", "unknown partition"),
+        ("num_classes = 3", "num_classes = 3\npartition = noniid", "partition"),
+        ("num_classes = 3", "num_classes = 3\nnum_samples = 50", "num_samples"),
+        ("dataset = synthetic\nnum_train = 300\nnum_test = 90\nnum_features = 10\n"
+         "num_classes = 3", "dataset = mnist\nnum_train = 100", "num_train"),
+        ("batch_size = 10", "batch_size = 0", "batch_size"),
+        ("seed = 3", "seed = 3\neval_examples = 0", "eval_examples"),
+        ("local_epochs = 1", "local_epochs = -1", "local_epochs"),
+    ], ids=["dataset", "partition", "partition_in_data", "unknown_data_key",
+            "mnist_data_key", "batch_size", "eval_examples", "local_epochs"])
+    def test_rejected_at_load_not_mid_run(self, tmp_path, old, new, match):
+        # each of these used to load, then abort the run, or be ignored
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG_TEXT.replace(old, new))
+        with pytest.raises(ConfigError, match=match):
+            load_config(p)
+
     def test_validate_notes(self, cfg_file):
         notes = validate_config(load_config(cfg_file))
         assert any("parameters" in n for n in notes)
@@ -142,6 +161,16 @@ class TestCli:
     def test_validate_bad_config(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("[federation]\nmode = bogus\n")
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("dims = 10, 8, 3", "dims = 10, 8, 3\ndepth = 3"),
+        ("seed = 3", "seed = 3\nseed = 4"),
+    ], ids=["unknown_model_key", "repeated_key"])
+    def test_bad_file_is_an_error_not_a_traceback(self, tmp_path, capsys, old, new):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG_TEXT.replace(old, new))
         assert main(["validate", "--config", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 

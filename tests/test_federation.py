@@ -8,8 +8,8 @@ import pytest
 from fedprune import codec, enclave, federation, nn, pruning, secure
 from fedprune.config import load_config
 from fedprune.datasets import synthetic_blobs
-from fedprune.federation import (ExperimentAborted, ExperimentConfig,
-                                 Partition, RoundMetrics, RoundPlan,
+from fedprune.federation import (PRUNING_PHASES, ExperimentAborted, ExperimentConfig,
+                                 RoundMetrics, RoundPlan,
                                  client_round, partition_iid, partition_noniid,
                                  plan_round, pruning_phase_bytes,
                                  run_experiment, saving_percent,
@@ -33,21 +33,21 @@ def tiny_cfg(**kw):
 class TestPartitionIid:
     def test_mnist_scale(self):
         p = partition_iid(60000, 100, seed=0)
-        assert all(len(ix) == 600 for ix in p.assignments.values())
-        allix = np.concatenate(list(p.assignments.values()))
+        assert all(len(ix) == 600 for ix in p.values())
+        allix = np.concatenate(list(p.values()))
         assert len(np.unique(allix)) == 60000
 
     def test_cifar_scale(self):
         p = partition_iid(50000, 100, seed=0)
-        assert all(len(ix) == 500 for ix in p.assignments.values())
+        assert all(len(ix) == 500 for ix in p.values())
 
     def test_singletons(self):
         p = partition_iid(10, 10, seed=1)
-        assert sorted(int(ix[0]) for ix in p.assignments.values()) == list(range(10))
+        assert sorted(int(ix[0]) for ix in p.values()) == list(range(10))
 
     def test_remainder_dropped(self):
         p = partition_iid(103, 10, seed=1)
-        assert all(len(ix) == 10 for ix in p.assignments.values())
+        assert all(len(ix) == 10 for ix in p.values())
 
     def test_too_many_clients(self):
         with pytest.raises(ValueError):
@@ -60,36 +60,37 @@ class TestPartitionNoniid:
 
     def test_mnist_shape_label_concentration(self):
         labels = self._labels(60000)
-        p = partition_noniid(labels, 100, 200, 300, 2, seed=4)
-        distinct = [len(np.unique(labels[ix])) for ix in p.assignments.values()]
+        p = partition_noniid(labels, 100, seed=4)
+        distinct = [len(np.unique(labels[ix])) for ix in p.values()]
         assert max(distinct) <= 4         # 2 shards, each spans <= 2 labels
         frac_le3 = np.mean([d <= 3 for d in distinct])
         assert frac_le3 >= 0.95
 
     def test_cifar_shape(self):
         labels = self._labels(50000)
-        p = partition_noniid(labels, 100, 500, 100, 5, seed=4)
-        assert all(len(ix) == 500 for ix in p.assignments.values())
-        distinct = [len(np.unique(labels[ix])) for ix in p.assignments.values()]
-        assert max(distinct) <= 2 * 5
+        p = partition_noniid(labels, 100, seed=4)
+        assert all(len(ix) == 500 for ix in p.values())
+        distinct = [len(np.unique(labels[ix])) for ix in p.values()]
+        assert max(distinct) <= 2 * 2
 
     def test_disjoint_and_covering(self):
         labels = self._labels(1000)
-        p = partition_noniid(labels, 10, 20, 50, 2, seed=2)
-        allix = np.concatenate(list(p.assignments.values()))
+        p = partition_noniid(labels, 10, seed=2)
+        allix = np.concatenate(list(p.values()))
         assert len(allix) == len(np.unique(allix)) == 1000
 
     def test_degenerate_single_client(self):
         labels = self._labels(100)
-        p = partition_noniid(labels, 1, 4, 25, 4, seed=0)
-        assert len(p.assignments[0]) == 100
+        p = partition_noniid(labels, 1, seed=0)
+        assert len(p[0]) == 100
 
     def test_shard_arithmetic_checked(self):
-        labels = self._labels(100)
+        # shard size is derived from the labels: 60000 // (100 x 2) = 300,
+        # and more shards than examples is an error rather than empty shards
+        assert all(len(ix) == 600 for ix in
+                   partition_noniid(self._labels(60000), 100, seed=0).values())
         with pytest.raises(ValueError):
-            partition_noniid(labels, 10, 19, 5, 2, seed=0)
-        with pytest.raises(ValueError):
-            partition_noniid(labels, 10, 20, 50, 2, seed=0)
+            partition_noniid(self._labels(100), 51, seed=0)
 
 
 class TestSchedule:
@@ -118,6 +119,23 @@ class TestSchedule:
         assert all(plan_round(cfg, r).phase == "dense"
                    for r in range(cfg.total_rounds()))
 
+    @pytest.mark.parametrize("mode", ["admm", "masked", "dense"])
+    @pytest.mark.parametrize("stage_rounds, pruning_rounds", [(1, 2), (1, 9), (3, 7), (2, 8)])
+    def test_stage_cfg_none_exactly_outside_pruning_phases(self, mode, stage_rounds,
+                                                           pruning_rounds):
+        # _run_rounds picks the CSR encoder and the enclave's budgets by
+        # stage_cfg alone; the saving counts rounds by phase.  Ramps of
+        # 4 x stage_rounds rounds both longer and shorter than pruning_rounds.
+        cfg = tiny_cfg(mode=mode, warmup_rounds=2, pruning_rounds=pruning_rounds,
+                       admm_stage_rounds=stage_rounds,
+                       sparsity=None if mode == "dense" else SparsityConfig(keep={"fc1": 0.25}))
+        plans = [plan_round(cfg, r) for r in range(cfg.total_rounds())]
+        assert all((p.stage_cfg is None) == (p.phase not in PRUNING_PHASES)
+                   for p in plans)
+        assert any(p.stage_cfg is None for p in plans)
+        if mode != "dense":
+            assert sum(p.stage_cfg is not None for p in plans) == pruning_rounds
+
 
 class TestClientRound:
     def test_lr_zero_returns_global(self):
@@ -141,6 +159,10 @@ class TestClientRound:
         for lid, m in mask.layers.items():
             assert np.all(upd[lid].weight[~m] == 0.0)
             assert np.any(upd[lid].weight[m] != g[lid].weight[m])
+        # the upload's projection to the budget leaves the masked model as it is
+        for lid, n in cfg.sparsity.budgets(g).items():
+            assert np.count_nonzero(upd[lid].weight) <= n
+        assert codec.csr_encode(upd) == codec.csr_encode(pruning.apply_mask(upd, mask))
 
     def test_admm_round_projects_upload(self):
         ds = synthetic_blobs(80, 10, 10, 3, seed=1)
@@ -206,7 +228,7 @@ class TestRunExperiment:
         part = partition_iid(len(ds.train_y), 1, s_partition)
         g0 = nn.init_model(arch, s_init)
         g0, _ = codec.decode_params(codec.dense_encode(g0), codec.schema(g0))  # fp32
-        ix = part.assignments[0]
+        ix = part[0]
         upd, _ = client_round(arch, g0, ds.train_x[ix], ds.train_y[ix], cfg,
                               RoundPlan("warmup", None, False), None, None,
                               _client_seed(cfg.seed, 0, 0))
@@ -295,6 +317,7 @@ class TestRunExperiment:
             run_experiment(tiny_cfg())
         assert len(ei.value.partial.metrics) == 2
         assert all(m.bytes_up > 0 for m in ei.value.partial.metrics)
+        assert ei.value.partial.global_params is None and ei.value.partial.mask is None
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

@@ -52,14 +52,12 @@ class TestInit:
             assert np.array_equal(ea.bias, eb.bias)
 
     def test_lenet5_param_count(self):
-        arch = nn.lenet5()
-        assert arch.param_count() == 431080          # the "430K" model
-        params = nn.init_model(arch, seed=5)
-        assert params.param_count() == 431080
+        params = nn.init_model(nn.lenet5(), seed=5)
+        assert params.param_count() == 431080        # the "430K" model
         # layer-by-layer analytic sum
         expected = (20 * 1 * 25 + 20) + (50 * 20 * 25 + 50) + \
                    (800 * 500 + 500) + (500 * 10 + 10)
-        assert arch.param_count() == expected
+        assert params.param_count() == expected
 
     def test_biases_zero(self):
         arch = nn.mlp((2, 2))
