@@ -119,9 +119,13 @@ class ExperimentConfig:
         if self.arch not in _ARCHES:
             raise ValueError(f"unknown arch {self.arch!r}")
         try:
-            self.build_arch()
+            arch = self.build_arch()
         except TypeError as exc:
             raise ValueError(f"bad [model] parameters for {self.arch}: {exc}") from exc
+        if self.sparsity is not None:
+            missing = set(self.sparsity.keep) - {l.name for l in arch.param_layers()}
+            if missing:
+                raise ValueError(f"keep fractions name unknown layers: {sorted(missing)}")
         if self.dataset not in _DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}")
         gen = _DATASETS[self.dataset]
@@ -138,12 +142,16 @@ class ExperimentConfig:
             raise ValueError(f"bandwidth_mbps must be finite and > 0, not {self.bandwidth_mbps}")
         if not self.lr >= 0:
             raise ValueError(f"lr must be >= 0, not {self.lr}")
+        if not 0 <= self.momentum < float("inf"):
+            raise ValueError(f"momentum must be finite and >= 0, not {self.momentum}")
         if self.local_epochs < 0:
             raise ValueError(f"local_epochs must be >= 0, not {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, not {self.batch_size}")
         if self.eval_examples is not None and self.eval_examples < 1:
             raise ValueError(f"eval_examples must be >= 1, not {self.eval_examples}")
+        if self.eval_batch_size < 1:
+            raise ValueError(f"eval_batch_size must be >= 1, not {self.eval_batch_size}")
 
     def total_rounds(self) -> int:
         return self.warmup_rounds + self.pruning_rounds
@@ -249,11 +257,17 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     """Local epochs of momentum SGD; returns the upload-ready update and the
     client's advanced ADMM state (when in the ADMM phase).
 
-    admm_prune adds the rho*(W - Z + U) term to every gradient and ends with
-    one Z/U update.  A given mask (the shared mask of fine-tune rounds) zeroes
-    every gradient off it.  Every sparse upload, that is every round with a
-    plan.stage_cfg, is projected to that config's per-layer budgets; the rest
-    (warmup, dense) upload the trained model as it is.
+    Each minibatch is one pass over the layers.  In admm_prune rounds a
+    constrained layer's weight gradient g gains rho*(W - Z + U); a given mask
+    (the shared mask of fine-tune rounds) then zeroes g off it by selection,
+    so a non-finite value there cannot reach the weights.  The velocity is g
+    on the first step and momentum*v + g after; the step is W - lr*v.  Biases
+    get the momentum and the step only.  No array passed in is written to.
+
+    admm_prune rounds end with one Z/U update.  Every sparse upload, that is
+    every round with a plan.stage_cfg, is projected to that config's
+    per-layer budgets; the rest (warmup, dense) upload the trained model as
+    it is.
 
     ADMM state is the client's own and outlives the round: admm_init runs
     only in the client's first ADMM round, and a client that sits out rounds
@@ -261,24 +275,35 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     """
     rng = np.random.default_rng(seed)
     params = global_params
-    velocity = None
+    velocity: dict[str, tuple[np.ndarray, np.ndarray]] = {}   # layer -> (weight, bias)
     n = len(y)
-    if plan.phase == PHASE_ADMM and admm_state is None:
-        admm_state = pruning.admm_init(params, plan.stage_cfg)
+    penalized: dict[str, np.ndarray] = {}    # constrained layer -> Z
+    if plan.phase == PHASE_ADMM:
+        if admm_state is None:
+            admm_state = pruning.admm_init(params, plan.stage_cfg)
+        penalized, rho = admm_state.z, plan.stage_cfg.rho
+    masked = mask.layers if mask is not None else {}
 
     if cfg.lr > 0:
         for _ in range(cfg.local_epochs):
             perm = rng.permutation(n)
             for lo in range(0, n, cfg.batch_size):
                 ix = perm[lo:lo + cfg.batch_size]
-                batch = nn.Batch(x[ix], y[ix])
-                grad = nn.backward(arch, params, batch)
-                if plan.phase == PHASE_ADMM:
-                    grad = _add(grad, pruning.admm_reg_gradient(params, admm_state))
-                if mask is not None:
-                    grad = pruning.apply_mask(grad, mask)
-                velocity = grad if velocity is None else _axpy(cfg.momentum, velocity, grad)
-                params = nn.sgd_step(params, velocity, cfg.lr)
+                grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
+                stepped = []
+                for p, g in zip(params.entries, grad.entries):
+                    lid, gw, gb = p.layer_id, g.weight, g.bias
+                    if lid in penalized:
+                        gw = gw + rho * (p.weight - penalized[lid] + admm_state.u[lid])
+                    if lid in masked:
+                        gw = np.where(masked[lid], gw, 0.0)
+                    if lid in velocity:
+                        vw, vb = velocity[lid]
+                        gw, gb = cfg.momentum * vw + gw, cfg.momentum * vb + gb
+                    velocity[lid] = gw, gb
+                    stepped.append(nn.LayerParams(lid, p.weight - cfg.lr * gw,
+                                                  p.bias - cfg.lr * gb))
+                params = nn.ParameterSet(tuple(stepped))
 
     if plan.phase == PHASE_ADMM:
         admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
@@ -286,15 +311,6 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     if plan.stage_cfg is not None:
         params = pruning.final_hard_prune(params, plan.stage_cfg)[0]
     return params, admm_state
-
-
-def _add(a: nn.ParameterSet, b: nn.ParameterSet) -> nn.ParameterSet:
-    return a.map(lambda lid, w, bias: (w + b[lid].weight, bias + b[lid].bias))
-
-
-def _axpy(factor: float, v: nn.ParameterSet, g: nn.ParameterSet) -> nn.ParameterSet:
-    return v.map(lambda lid, w, bias: (factor * w + g[lid].weight,
-                                       factor * bias + g[lid].bias))
 
 
 # ---------------------------------------------------------------------------

@@ -225,10 +225,6 @@ class Batch:
             raise ShapeError("batch inputs/labels length mismatch or empty")
 
 
-def zeros_like(params: ParameterSet) -> ParameterSet:
-    return params.map(lambda _lid, w, b: (np.zeros_like(w), np.zeros_like(b)))
-
-
 def check_congruent(a: ParameterSet, b: ParameterSet) -> None:
     if a.layer_ids() != b.layer_ids():
         raise ShapeError(f"layer ids differ: {a.layer_ids()} vs {b.layer_ids()}")
@@ -374,19 +370,6 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> ParameterSe
 
     entries = tuple(LayerParams(e.layer_id, *grads[e.layer_id]) for e in params.entries)
     return ParameterSet(entries)
-
-
-def sgd_step(params: ParameterSet, grad: ParameterSet, lr: float) -> ParameterSet:
-    """params - lr * grad; pure, no state."""
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    check_congruent(params, grad)
-
-    def step(lid, w, b):
-        g = grad[lid]
-        return w - lr * g.weight, b - lr * g.bias
-
-    return params.map(step)
 
 
 def predict(arch: ModelArch, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:

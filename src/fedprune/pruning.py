@@ -1,10 +1,11 @@
 """Cardinality-constrained weight pruning.
 
 The training-time loss is augmented with (rho/2)||W - Z + U||^2 per layer;
-alternating updates keep Z on the cardinality set via Euclidean projection
-(top-k by magnitude) and accumulate the constraint violation into the dual
-tensors U.  A magnitude-masked per-round projection of local updates serves
-as the baseline method.  Biases are never pruned.
+the local step (federation.client_round) adds its gradient rho*(W - Z + U).
+Here, alternating updates keep Z on the cardinality set via Euclidean
+projection (top-k by magnitude) and accumulate the constraint violation into
+the dual tensors U.  A magnitude-masked per-round projection of local updates
+serves as the baseline method.  Biases are never pruned.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class SparsityConfig:
 class ADMMState:
     z: dict[str, np.ndarray]
     u: dict[str, np.ndarray]
-    rho: float
     step: int = 0
 
 
@@ -97,17 +97,7 @@ def admm_init(params: ParameterSet, cfg: SparsityConfig) -> ADMMState:
     budgets = cfg.budgets(params)
     z = {lid: euclidean_project(params[lid].weight, n) for lid, n in budgets.items()}
     u = {lid: np.zeros_like(params[lid].weight) for lid in budgets}
-    return ADMMState(z=z, u=u, rho=cfg.rho)
-
-
-def admm_reg_gradient(params: ParameterSet, state: ADMMState) -> ParameterSet:
-    """Gradient of the augmented penalty: rho*(W - Z + U); zero for biases
-    and for unconstrained layers."""
-    def g(lid, w, b):
-        if lid in state.z:
-            return state.rho * (w - state.z[lid] + state.u[lid]), np.zeros_like(b)
-        return np.zeros_like(w), np.zeros_like(b)
-    return params.map(g)
+    return ADMMState(z=z, u=u)
 
 
 def admm_z_step(params: ParameterSet, state: ADMMState,
@@ -132,19 +122,6 @@ def final_hard_prune(params: ParameterSet,
     pruned = _project_params(params, budgets)
     mask = PruneMask({lid: pruned[lid].weight != 0.0 for lid in budgets})
     return pruned, mask
-
-
-def apply_mask(params: ParameterSet, mask: PruneMask) -> ParameterSet:
-    """Zero the weights (or gradient entries) at masked-out positions.
-
-    Pruned positions are set by selection, not multiplied by zero, so a
-    non-finite value there cannot survive (NaN * 0 is NaN).
-    """
-    def f(lid, w, b):
-        if lid in mask.layers:
-            return np.where(mask.layers[lid], w, 0.0), b.copy()
-        return w.copy(), b.copy()
-    return params.map(f)
 
 
 def compression_rate(params: ParameterSet) -> float:

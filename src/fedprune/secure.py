@@ -63,16 +63,6 @@ class NonceExhaustionError(SecureChannelError):
 
 
 @dataclass(frozen=True)
-class ClientKey:
-    client_id: int
-    sk: bytes                # 256-bit symmetric key
-
-    def __post_init__(self):
-        if len(self.sk) != 32:
-            raise ValueError("sk must be 32 bytes")
-
-
-@dataclass(frozen=True)
 class AttestationTranscript:
     client_id: int
     challenge: bytes         # 32B client nonce
@@ -150,7 +140,7 @@ class KeyManager:
         self._rng = np.random.default_rng(seed)
         self.signing_key = Ed25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         self.verify_key_bytes = self.signing_key.public_key().public_bytes_raw()
-        self.keys: dict[int, ClientKey] = {}
+        self.keys: dict[int, bytes] = {}     # client id -> 256-bit AES key
         self._accepted: dict[int, tuple[int, int]] = {}
 
     # -- attestation / key agreement ------------------------------------
@@ -170,15 +160,15 @@ class KeyManager:
                            eph: X25519PrivateKey) -> None:
         sk = _session_key(eph, transcript.client_pub, transcript.signed_payload())
         transcript.check_key_confirmation(sk)
-        self.keys[transcript.client_id] = ClientKey(transcript.client_id, sk)
+        self.keys[transcript.client_id] = sk
 
     # -- decryption ------------------------------------------------------
 
     def decrypt_update(self, enc: EncryptedUpdate) -> bytes:
         """Plaintext iff the tag verifies with the header as associated data;
         rejects unknown clients and records not past the last accepted one."""
-        key = self.keys.get(enc.client_id)
-        if key is None:
+        sk = self.keys.get(enc.client_id)
+        if sk is None:
             raise SecureChannelError(f"unknown client {enc.client_id}")
         if len(enc.nonce) != NONCE.size:
             raise SecureChannelError(f"nonce of {len(enc.nonce)} bytes")
@@ -186,7 +176,7 @@ class KeyManager:
         if (rnd, sub) <= self._accepted.get(enc.client_id, (-1, -1)):
             raise ReplayError(f"replayed record from client {enc.client_id}")
         try:
-            plaintext = AESGCM(key.sk).decrypt(enc.nonce, enc.ciphertext, enc.header())
+            plaintext = AESGCM(sk).decrypt(enc.nonce, enc.ciphertext, enc.header())
         except InvalidTag as exc:
             raise SecureChannelError("authentication tag mismatch") from exc
         # the nonce is the GCM IV, so a verified tag authenticates the counter
@@ -197,10 +187,10 @@ class KeyManager:
 class ClientChannel:
     """Client-side keying material and nonce bookkeeping."""
 
-    def __init__(self, client_id: int, key: ClientKey,
+    def __init__(self, client_id: int, sk: bytes,
                  transcript: AttestationTranscript):
         self.client_id = client_id
-        self.key = key
+        self.sk = sk                    # 256-bit AES key
         self.transcript = transcript
         self._last_sealed = (0, -1)     # (round, sub-counter); next is (0, 0)
 
@@ -214,7 +204,7 @@ class ClientChannel:
             raise NonceExhaustionError("nonce sub-counter exhausted")
         nonce = NONCE.pack(self.client_id, round_index, sub)
         self._last_sealed = (round_index, sub)
-        ct = AESGCM(self.key.sk).encrypt(nonce, update_bytes, _record_header(
+        ct = AESGCM(self.sk).encrypt(nonce, update_bytes, _record_header(
             self.client_id, round_index, payload_format, nonce,
             len(update_bytes) + TAG_SIZE))
         return EncryptedUpdate(self.client_id, round_index, payload_format, nonce, ct)
@@ -239,7 +229,7 @@ def attest_and_exchange(client_id: int, manager: KeyManager,
     # client side: check the quote before sending its half of the exchange
     verify_transcript(transcript, manager.verify_key_bytes, sk)
     manager.finish_attestation(transcript, eph)
-    return ClientChannel(client_id, ClientKey(client_id, sk), transcript)
+    return ClientChannel(client_id, sk, transcript)
 
 
 def verify_transcript(transcript: AttestationTranscript, verify_key_bytes: bytes,

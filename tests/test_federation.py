@@ -162,7 +162,31 @@ class TestClientRound:
         # the upload's projection to the budget leaves the masked model as it is
         for lid, n in cfg.sparsity.budgets(g).items():
             assert np.count_nonzero(upd[lid].weight) <= n
-        assert codec.csr_encode(upd) == codec.csr_encode(pruning.apply_mask(upd, mask))
+        on_mask = upd.map(lambda lid, w, b: (np.where(mask.layers[lid], w, 0.0), b))
+        assert codec.csr_encode(upd) == codec.csr_encode(on_mask)
+
+    def test_masked_nan_gradient_stays_budget_sized(self, monkeypatch):
+        # NaN * 0 is NaN: a mask applied by multiplication would let a NaN
+        # off the mask into the weights, and from there into every weight
+        ds = synthetic_blobs(80, 10, 10, 3, seed=1)
+        arch = nn.mlp((10, 8, 3))
+        cfg = tiny_cfg(local_epochs=2)
+        g, mask = pruning.final_hard_prune(nn.init_model(arch, 0), cfg.sparsity)
+        real_backward = nn.backward
+
+        def nan_off_mask(arch_, params, batch):
+            return real_backward(arch_, params, batch).map(
+                lambda lid, w, b: (np.where(mask.layers[lid], w, np.nan), b))
+
+        monkeypatch.setattr(nn, "backward", nan_off_mask)
+        upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg,
+                              RoundPlan("masked_finetune", cfg.sparsity, False),
+                              None, mask, seed=5)
+        assert upd.allfinite()
+        for lid, n in cfg.sparsity.budgets(g).items():
+            assert np.count_nonzero(upd[lid].weight) <= n
+            assert np.all(upd[lid].weight[~mask.layers[lid]] == 0.0)
+        assert codec.encoded_size(upd, "csr") <= codec.encoded_size(g, "csr")
 
     def test_admm_round_projects_upload(self):
         ds = synthetic_blobs(80, 10, 10, 3, seed=1)
@@ -191,6 +215,146 @@ class TestClientRound:
             0.0047912482770558484, abs=1e-15)
         assert float(upd["fc2"].weight[0, 0]) == pytest.approx(
             0.09406825543359625, abs=1e-15)
+
+
+def reference_client_round(arch, global_params, x, y, cfg, plan, admm_state, mask, seed):
+    """client_round as a chain of whole-model steps, one new ParameterSet
+    per term: loss gradient, + ADMM penalty, mask, momentum, SGD step."""
+    def add(a, b):
+        return a.map(lambda lid, w, bias: (w + b[lid].weight, bias + b[lid].bias))
+
+    def axpy(factor, v, g):
+        return v.map(lambda lid, w, bias: (factor * w + g[lid].weight,
+                                           factor * bias + g[lid].bias))
+
+    def penalty(params, state, rho):
+        def g(lid, w, b):
+            if lid in state.z:
+                return rho * (w - state.z[lid] + state.u[lid]), np.zeros_like(b)
+            return np.zeros_like(w), np.zeros_like(b)
+        return params.map(g)
+
+    def apply_mask(params, mask):
+        def f(lid, w, b):
+            if lid in mask.layers:
+                return np.where(mask.layers[lid], w, 0.0), b.copy()
+            return w.copy(), b.copy()
+        return params.map(f)
+
+    def sgd_step(params, grad, lr):
+        return params.map(lambda lid, w, b: (w - lr * grad[lid].weight,
+                                             b - lr * grad[lid].bias))
+
+    rng = np.random.default_rng(seed)
+    params, velocity = global_params, None
+    if plan.phase == "admm_prune" and admm_state is None:
+        admm_state = pruning.admm_init(params, plan.stage_cfg)
+    if cfg.lr > 0:
+        for _ in range(cfg.local_epochs):
+            perm = rng.permutation(len(y))
+            for lo in range(0, len(y), cfg.batch_size):
+                ix = perm[lo:lo + cfg.batch_size]
+                grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
+                if plan.phase == "admm_prune":
+                    grad = add(grad, penalty(params, admm_state, plan.stage_cfg.rho))
+                if mask is not None:
+                    grad = apply_mask(grad, mask)
+                velocity = grad if velocity is None else axpy(cfg.momentum, velocity, grad)
+                params = sgd_step(params, velocity, cfg.lr)
+    if plan.phase == "admm_prune":
+        admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
+        admm_state = pruning.admm_u_step(params, admm_state)
+    if plan.stage_cfg is not None:
+        params = pruning.final_hard_prune(params, plan.stage_cfg)[0]
+    return params, admm_state
+
+
+def param_bytes(params):
+    return [(e.layer_id, e.weight.tobytes(), e.bias.tobytes()) for e in params.entries]
+
+
+def state_bytes(state):
+    if state is None:
+        return None
+    return (state.step, [(lid, state.z[lid].tobytes(), state.u[lid].tobytes())
+                         for lid in sorted(state.z)])
+
+
+class TestLocalStep:
+    """client_round's step against the chain of whole-model steps it fused,
+    and its arithmetic against hand-computed values."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("case", ["warmup", "admm_first", "admm_returning",
+                                      "masked_prune", "finetune", "dense"])
+    def test_bit_identical_to_reference_chain(self, case, momentum):
+        # fc3 is unconstrained; two epochs carry the momentum buffer over.
+        # rho and lr are large enough that a penalty summed in another order
+        # changes the update's last bits.
+        ds = synthetic_blobs(80, 10, 10, 3, seed=1)
+        arch = nn.mlp((10, 8, 6, 3))
+        sparsity = SparsityConfig(keep={"fc1": 0.25, "fc2": 0.5}, rho=1.0)
+        cfg = tiny_cfg(arch_params={"dims": (10, 8, 6, 3)}, sparsity=sparsity,
+                       local_epochs=2, lr=0.05, momentum=momentum)
+        g = nn.init_model(arch, 0)
+        state = mask = None
+        if case == "warmup":
+            plan = RoundPlan("warmup", None, False)
+        elif case == "dense":
+            plan = RoundPlan("dense", None, False)
+        elif case == "masked_prune":
+            plan = RoundPlan("masked_prune", stage_keep_config(sparsity, 0), False)
+        elif case == "finetune":
+            plan = RoundPlan("masked_finetune", sparsity, False)
+            g, mask = pruning.final_hard_prune(g, sparsity)
+        else:
+            plan = RoundPlan("admm_prune", stage_keep_config(sparsity, 2), False)
+            if case == "admm_returning":
+                # Z on the budget and a dense U, so both are non-zero together
+                rng = np.random.default_rng(7)
+                budgets = plan.stage_cfg.budgets(g)
+                state = pruning.ADMMState(
+                    z={lid: pruning.euclidean_project(rng.normal(0, 0.3, g[lid].weight.shape), n)
+                       for lid, n in budgets.items()},
+                    u={lid: rng.normal(0, 0.1, g[lid].weight.shape) for lid in budgets},
+                    step=3)
+        inputs = (param_bytes(g), state_bytes(state),
+                  mask and [m.tobytes() for m in mask.layers.values()])
+
+        upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
+                                mask, seed=5)
+        ref_upd, ref_out = reference_client_round(arch, g, ds.train_x, ds.train_y, cfg,
+                                                  plan, state, mask, seed=5)
+        assert upd.allfinite()
+        assert param_bytes(upd) == param_bytes(ref_upd)
+        assert state_bytes(out) == state_bytes(ref_out)
+        assert (out is None) == (plan.phase != "admm_prune")
+        # nothing the caller passed in was written to
+        assert inputs == (param_bytes(g), state_bytes(state),
+                          mask and [m.tobytes() for m in mask.layers.values()])
+
+    def test_arithmetic(self, fixed_grad_round):
+        params = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 1.0]), np.zeros(1)),))
+        grad = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 2.0]), np.ones(1)),))
+        upd, _ = fixed_grad_round(params, [grad], RoundPlan("dense", None, False), lr=0.1)
+        assert np.allclose(upd["a"].weight, [0.9, 0.8])
+        assert np.allclose(upd["a"].bias, [-0.1])
+
+    def test_momentum_arithmetic(self, fixed_grad_round):
+        # v1 = g1, v2 = 0.5 * v1 + g2; each step is W - lr * v
+        params = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 1.0]), np.zeros(1)),))
+        g1 = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 0.0]), np.ones(1)),))
+        g2 = nn.ParameterSet((nn.LayerParams("a", np.array([0.0, 2.0]), np.ones(1)),))
+        upd, _ = fixed_grad_round(params, [g1, g2], RoundPlan("dense", None, False),
+                                  lr=0.1, momentum=0.5)
+        assert np.allclose(upd["a"].weight, [1.0 - 0.1 - 0.05, 1.0 - 0.2])
+        assert np.allclose(upd["a"].bias, [-0.1 - 0.15])
+
+    def test_zero_grad_no_change(self, fixed_grad_round):
+        params = nn.init_model(nn.mlp((3, 2)), 1)
+        zeros = params.map(lambda lid, w, b: (np.zeros_like(w), np.zeros_like(b)))
+        upd, _ = fixed_grad_round(params, [zeros], RoundPlan("dense", None, False), lr=0.5)
+        assert param_bytes(upd) == param_bytes(params)
 
 
 class TestRunExperiment:
@@ -318,6 +482,20 @@ class TestRunExperiment:
         assert len(ei.value.partial.metrics) == 2
         assert all(m.bytes_up > 0 for m in ei.value.partial.metrics)
         assert ei.value.partial.global_params is None and ei.value.partial.mask is None
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"sparsity": SparsityConfig(keep={"fc9": 0.5})}, "unknown layers"),
+        ({"eval_batch_size": 0}, "eval_batch_size"),
+        ({"momentum": float("nan")}, "momentum"),
+        ({"momentum": -0.5}, "momentum"),
+        ({"momentum": float("inf")}, "momentum"),
+    ], ids=["keep_missing_layer", "eval_batch_size", "momentum_nan", "momentum_negative",
+            "momentum_inf"])
+    def test_rejected_at_construction_not_mid_run(self, kw, match):
+        # each of these used to construct, then abort the run: a KeyError after
+        # round 1, a zero range() step in evaluation, or every upload non-finite
+        with pytest.raises(ValueError, match=match):
+            tiny_cfg(**kw)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):

@@ -159,26 +159,6 @@ class TestBackward:
         assert np.allclose(g.entries[-1].bias, expected, atol=1e-12)
 
 
-class TestSgdStep:
-    def test_zero_grad_no_change(self):
-        arch = nn.mlp((3, 2))
-        params = nn.init_model(arch, 1)
-        out = nn.sgd_step(params, nn.zeros_like(params), lr=0.5)
-        assert np.array_equal(out.entries[0].weight, params.entries[0].weight)
-
-    def test_arithmetic(self):
-        p = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 1.0]), np.zeros(1)),))
-        g = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 2.0]), np.zeros(1)),))
-        out = nn.sgd_step(p, g, lr=0.1)
-        assert np.allclose(out.entries[0].weight, [0.9, 0.8])
-
-    def test_nonpositive_lr_rejected(self):
-        arch = nn.mlp((3, 2))
-        params = nn.init_model(arch, 1)
-        with pytest.raises(ValueError):
-            nn.sgd_step(params, nn.zeros_like(params), lr=0.0)
-
-
 class TestEvaluate:
     def test_perfect_predictor(self):
         arch = nn.mlp((2, 3))
@@ -213,7 +193,9 @@ class TestTrainingBehavior:
         losses = []
         for _ in range(25):
             losses.append(nn.forward_loss(arch, params, batch)[0])
-            params = nn.sgd_step(params, nn.backward(arch, params, batch), lr=0.01)
+            g = nn.backward(arch, params, batch)
+            params = params.map(lambda lid, w, b: (w - 0.01 * g[lid].weight,
+                                                   b - 0.01 * g[lid].bias))
         losses.append(nn.forward_loss(arch, params, batch)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -223,5 +205,6 @@ class TestTrainingBehavior:
         ds = synthetic_blobs(50, 10, 4, 3, seed=5)
         for _ in range(10):
             g = nn.backward(arch, params, nn.Batch(ds.train_x, ds.train_y))
-            params = nn.sgd_step(params, g, 0.1)
+            params = params.map(lambda lid, w, b: (w - 0.1 * g[lid].weight,
+                                                   b - 0.1 * g[lid].bias))
         assert params.allfinite()

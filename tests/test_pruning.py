@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedprune import codec, nn, pruning
-from fedprune.pruning import (ADMMState, SparsityConfig, admm_init,
-                              admm_reg_gradient, admm_u_step, admm_z_step,
-                              apply_mask, compression_rate, euclidean_project,
+from fedprune import nn, pruning
+from fedprune.federation import RoundPlan
+from fedprune.pruning import (ADMMState, SparsityConfig, admm_init, admm_u_step,
+                              admm_z_step, compression_rate, euclidean_project,
                               final_hard_prune)
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
@@ -158,7 +158,6 @@ class TestAdmm:
         st_ = admm_init(params, cfg)
         assert np.array_equal(st_.z["a"], params["a"].weight)
         assert np.all(st_.u["a"] == 0.0)
-        assert st_.rho == 1e-3
         assert st_.step == 0
 
     def test_init_respects_budget(self):
@@ -169,39 +168,48 @@ class TestAdmm:
         assert np.count_nonzero(st_.z["a"]) <= 3
         assert np.count_nonzero(st_.z["b"]) <= 2
 
-    def test_reg_gradient_zero_at_consensus(self):
-        params = two_layer_params([1.0, 2.0])
+    def test_reg_gradient_zero_at_consensus(self, fixed_grad_round):
+        # keep 1.0 makes Z = W and U = 0: with no loss gradient the penalty
+        # term moves neither weights nor biases
+        params = two_layer_params([1.0, 2.0], [3.0])
         cfg = SparsityConfig(keep={"a": 1.0})
-        st_ = admm_init(params, cfg)
-        g = admm_reg_gradient(params, st_)
-        assert np.all(g["a"].weight == 0.0)
-        assert np.all(g["a"].bias == 0.0)
+        upd, st_ = fixed_grad_round(params, [two_layer_params([0.0, 0.0], [0.0])],
+                                    RoundPlan("admm_prune", cfg, False), lr=1.0)
+        for e, u in zip(params.entries, upd.entries):
+            assert np.array_equal(u.weight, e.weight)
+            assert np.array_equal(u.bias, e.bias)
+        assert np.all(st_.u["a"] == 0.0)
 
-    def test_reg_gradient_arithmetic(self):
-        params = two_layer_params([1.0, 0.0])
-        st_ = ADMMState(z={"a": np.array([0.0, 0.0])},
-                        u={"a": np.array([0.5, 0.0])}, rho=2.0)
-        g = admm_reg_gradient(params, st_)
-        assert np.allclose(g["a"].weight, [3.0, 0.0])
+    def test_reg_gradient_arithmetic(self, fixed_grad_round):
+        # one step of lr 0.1 with no loss gradient: W - 0.1 * rho * (W - Z + U);
+        # no penalty on biases or on the unconstrained layer b
+        params = two_layer_params([1.0, 0.0], [4.0])
+        st_ = ADMMState(z={"a": np.array([0.0, 0.0])}, u={"a": np.array([0.5, 0.0])})
+        cfg = SparsityConfig(keep={"a": 1.0}, rho=2.0)
+        upd, _ = fixed_grad_round(params, [two_layer_params([0.0, 0.0], [0.0])],
+                                  RoundPlan("admm_prune", cfg, False), state=st_)
+        assert np.allclose(upd["a"].weight, [0.7, 0.0])
+        assert np.array_equal(upd["b"].weight, [4.0])
+        assert np.all(upd["a"].bias == 0.0)
 
     def test_z_step_examples(self):
         params = two_layer_params([1.0, -3.0, 2.0, 0.0])
         cfg = SparsityConfig(keep={"a": 0.5})
-        st_ = ADMMState(z={"a": np.zeros(4)}, u={"a": np.zeros(4)}, rho=1.0)
+        st_ = ADMMState(z={"a": np.zeros(4)}, u={"a": np.zeros(4)})
         st2 = admm_z_step(params, st_, cfg)
         assert np.array_equal(st2.z["a"], [0.0, -3.0, 2.0, 0.0])
         assert np.count_nonzero(st2.z["a"]) <= 2
 
     def test_u_step_arithmetic(self):
         params = two_layer_params([2.0])
-        st_ = ADMMState(z={"a": np.array([0.0])}, u={"a": np.array([1.0])}, rho=1.0)
+        st_ = ADMMState(z={"a": np.array([0.0])}, u={"a": np.array([1.0])})
         st2 = admm_u_step(params, st_)
         assert np.allclose(st2.u["a"], [3.0])
         assert st2.step == 1
 
     def test_u_fixed_point_at_consensus(self):
         params = two_layer_params([5.0, 0.0])
-        st_ = ADMMState(z={"a": np.array([5.0, 0.0])}, u={"a": np.zeros(2)}, rho=1.0)
+        st_ = ADMMState(z={"a": np.array([5.0, 0.0])}, u={"a": np.zeros(2)})
         assert np.all(admm_u_step(params, st_).u["a"] == 0.0)
 
     def test_frozen_w_linear_dual_growth(self):
@@ -249,31 +257,6 @@ class TestHardPruneAndMask:
         assert sum(int(m.sum()) for m in mask.layers.values()) == 10
         again, _ = final_hard_prune(pruned, cfg)
         assert np.array_equal(again["a"].weight, pruned["a"].weight)
-
-    def test_masked_training_keeps_zeros(self):
-        arch = nn.mlp((6, 5, 3))
-        params = nn.init_model(arch, 3)
-        cfg = SparsityConfig(keep={"fc1": 0.3, "fc2": 0.4})
-        params, mask = final_hard_prune(params, cfg)
-        rng = np.random.default_rng(0)
-        for _ in range(15):
-            batch = nn.Batch(rng.normal(size=(8, 6)), rng.integers(0, 3, 8))
-            g = apply_mask(nn.backward(arch, params, batch), mask)
-            params = nn.sgd_step(params, g, 0.1)
-        for lid, m in mask.layers.items():
-            assert np.all(params[lid].weight[~m] == 0.0)
-
-    def test_masked_nan_update_stays_budget_sized(self):
-        # NaN * 0 is NaN: masking by multiplication would leave every pruned
-        # position non-zero, and the CSR upload would carry all of them
-        params = nn.init_model(nn.lenet5(), 0)
-        budget_sized, mask = final_hard_prune(params, SparsityConfig(keep=LENET_KEEP_CR87))
-        nan_update = params.map(lambda lid, w, b: (np.full_like(w, np.nan), b.copy()))
-        masked = apply_mask(nan_update, mask)
-        assert codec.encoded_size(masked, "csr") == \
-            codec.encoded_size(budget_sized, "csr")
-        for lid, m in mask.layers.items():
-            assert np.all(masked[lid].weight[~m] == 0.0)
 
     def test_magnitude_mask_equals_projection(self):
         rng = np.random.default_rng(2)

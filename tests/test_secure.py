@@ -6,7 +6,7 @@ import pytest
 
 from fedprune import secure
 from fedprune.secure import (AttestationError, AttestationTranscript,
-                             ClientChannel, ClientKey, DuplicateClientError,
+                             ClientChannel, DuplicateClientError,
                              EncryptedUpdate, KeyManager, ReplayError,
                              SecureChannelError, attest_and_exchange,
                              verify_transcript)
@@ -25,15 +25,15 @@ def channel(manager):
 class TestAttestation:
     def test_both_sides_same_key(self, manager):
         ch = attest_and_exchange(5, manager, np.random.default_rng(0))
-        assert manager.keys[5].sk == ch.key.sk
-        assert len(ch.key.sk) == 32
+        assert manager.keys[5] == ch.sk
+        assert len(ch.sk) == 32
 
     def test_deterministic_under_seeds(self):
         keys = []
         for _ in range(2):
             m = KeyManager(seed=3)
             ch = attest_and_exchange(1, m, np.random.default_rng(4))
-            keys.append(ch.key.sk)
+            keys.append(ch.sk)
         assert keys[0] == keys[1]
 
     def test_hundred_clients_distinct_keys(self, manager):
@@ -41,7 +41,7 @@ class TestAttestation:
         for cid in range(100):
             attest_and_exchange(cid, manager, rng)
         assert len(manager.keys) == 100
-        assert len({k.sk for k in manager.keys.values()}) == 100
+        assert len(set(manager.keys.values())) == 100
 
     def test_duplicate_client_rejected(self, manager):
         rng = np.random.default_rng(1)
@@ -51,23 +51,23 @@ class TestAttestation:
 
     def test_any_mutated_transcript_field_fails(self, manager, channel):
         t = channel.transcript
-        verify_transcript(t, manager.verify_key_bytes, channel.key.sk)  # sanity
+        verify_transcript(t, manager.verify_key_bytes, channel.sk)  # sanity
         for fname in ("challenge", "measurement", "enclave_pub", "signature",
                       "client_pub", "key_confirm"):
             raw = bytearray(getattr(t, fname))
             raw[0] ^= 0x01
             bad = dataclasses.replace(t, **{fname: bytes(raw)})
             with pytest.raises(AttestationError):
-                verify_transcript(bad, manager.verify_key_bytes, channel.key.sk)
+                verify_transcript(bad, manager.verify_key_bytes, channel.sk)
         bad_id = dataclasses.replace(t, client_id=t.client_id + 1)
         with pytest.raises(AttestationError):
-            verify_transcript(bad_id, manager.verify_key_bytes, channel.key.sk)
+            verify_transcript(bad_id, manager.verify_key_bytes, channel.sk)
 
     def test_digests_pinned(self, channel):
         # keys, transcripts and sealed bytes for fixed seeds must not drift
         enc = channel.encrypt_update(b"golden payload", 3, 1)
         t = channel.transcript
-        assert hashlib.sha256(channel.key.sk).hexdigest() == \
+        assert hashlib.sha256(channel.sk).hexdigest() == \
             "bf41163c5632a7df445f26914f216d12e43e6e34e8b01b61a5cb9197ce53afff"
         assert hashlib.sha256(enc.to_bytes()).hexdigest() == \
             "6aead8d390dbb14303847ff351e1dbb1f5a27b2c2d93c63fd876bcd8ee65c584"
@@ -92,7 +92,7 @@ class TestEncryptDecrypt:
         assert a.ciphertext != b.ciphertext
 
     def test_unknown_client_rejected(self, manager):
-        ch = ClientChannel(42, ClientKey(42, bytes(32)), transcript=None)
+        ch = ClientChannel(42, bytes(32), transcript=None)
         enc = ch.encrypt_update(b"p", 0, 0)
         with pytest.raises(SecureChannelError):
             manager.decrypt_update(enc)
