@@ -3,6 +3,17 @@
 Everything runs in float64 numpy on the CPU. The API is purely functional:
 parameter sets go in, new parameter sets / gradients come out, nothing is
 mutated, so many clients can train in parallel worker contexts safely.
+
+Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
+``(out_ch, in_ch, k, k)``.  Inside the passes, activations are channels-last,
+``(B, H, W, C)``: a conv is im2col + one GEMM whose output reshapes to the
+next activation without a transpose, max pooling takes the max of the k*k
+strided views, and ``Flatten`` puts features back in (c, h, w) order.
+``backward`` computes no gradient for the first parameterized layer's input,
+which nothing uses.  ``predict`` keeps no backprop caches and runs the conv
+and pool layers in tiles of ``_TILE`` examples, the dense layers on the whole
+chunk.  Every GEMM sees the operands of the channels-first formulation, so
+logits and gradients are the same bytes.
 """
 
 from __future__ import annotations
@@ -233,19 +244,20 @@ def check_congruent(a: ParameterSet, b: ParameterSet) -> None:
             raise ShapeError(f"shape mismatch in layer {ea.layer_id}")
 
 
+def _param_shapes(layer: Dense | Conv2d) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(weight shape, bias shape) of a parameterized layer."""
+    if isinstance(layer, Dense):
+        return (layer.n_in, layer.n_out), (layer.n_out,)
+    return (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel), (layer.out_ch,)
+
+
 def init_model(arch: ModelArch, seed: int) -> ParameterSet:
     """Deterministic scaled-uniform fan-in init; biases zero."""
     rng = np.random.default_rng(seed)
     entries = []
     for layer in arch.param_layers():
-        if isinstance(layer, Dense):
-            fan_in = layer.n_in
-            shape = (layer.n_in, layer.n_out)
-            bias_shape = (layer.n_out,)
-        else:
-            fan_in = layer.in_ch * layer.kernel * layer.kernel
-            shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
-            bias_shape = (layer.out_ch,)
+        shape, bias_shape = _param_shapes(layer)
+        fan_in = shape[0] if isinstance(layer, Dense) else int(np.prod(shape[1:]))
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=shape)
         entries.append(LayerParams(layer.name, w, np.zeros(bias_shape)))
@@ -256,64 +268,111 @@ def init_model(arch: ModelArch, seed: int) -> ParameterSet:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
+# Examples per conv/pool tile in ``predict``.  It bounds the im2col matrices:
+# LeNet-5's conv2 needs 8 MB for 32 examples, 77 MB for 300.  Splitting a conv
+# GEMM's rows by example keeps its bytes (tests/test_nn_reference.py);
+# splitting a dense GEMM's rows changes the last bit, so dense layers run on
+# the whole chunk.
+_TILE = 32
+
+
+def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):
+    """Pair every layer with its parameters (None for the others), checking
+    their shapes, and view the inputs channels-last."""
+    entries = iter(params.entries)
+    bound = []
+    for layer in arch.layers:
+        e = None
+        if isinstance(layer, (Dense, Conv2d)):
+            e = next(entries, None)
+            want = _param_shapes(layer)
+            if e is None or (e.weight.shape, e.bias.shape) != want:
+                got = None if e is None else (e.weight.shape, e.bias.shape)
+                raise ShapeError(f"params for '{layer.name}' have (weight, bias) "
+                                 f"shapes {got}, arch wants {want}")
+        bound.append((layer, e))
+    x = np.asarray(inputs, dtype=np.float64)
+    return bound, (x.transpose(0, 2, 3, 1) if x.ndim == 4 else x)
+
+
 def _im2col(x: np.ndarray, k: int, stride: int):
-    # x: (B, C, H, W) -> cols: (B*Ho*Wo, C*k*k)
-    b, c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                    # (B, C, Ho, Wo, k, k)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), ho, wo
+    # x: (B, H, W, C) -> cols: (B*Ho*Wo, C*k*k), columns ordered (c, ki, kj)
+    b, _, _, c = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]                        # (B, Ho, Wo, C, k, k)
+    _, ho, wo = win.shape[:3]
+    return np.ascontiguousarray(win.reshape(b * ho * wo, c * k * k)), ho, wo
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int):
-    b, c, h, w = x_shape
+    b, h, w, c = x_shape
     dx = np.zeros(x_shape)
     dcols = dcols.reshape(b, ho, wo, c, k, k)
     for i in range(k):
         for j in range(k):
-            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+            dx[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[..., i, j]
     return dx
 
 
-def _forward(arch: ModelArch, params: ParameterSet, x: np.ndarray):
-    """Run the stack, returning logits and per-layer caches for backprop."""
-    caches = []
-    pidx = 0
-    pl = params.entries
-    for layer in arch.layers:
+def _maxpool(x: np.ndarray, k: int) -> np.ndarray:
+    # Max over the k*k strided views of x: (B, H, W, C).  A +0/-0 tie may keep
+    # either zero; activations are only compared or fed to GEMMs, which
+    # accumulate from +0, so the sign never reaches logits or gradients.
+    views = [x[:, i::k, j::k] for i in range(k) for j in range(k)]
+    m = np.maximum(views[0], views[-1])
+    for v in views[1:-1]:
+        np.maximum(m, v, out=m)
+    return m
+
+
+def _maxpool_backward(dout: np.ndarray, x: np.ndarray, m: np.ndarray, k: int):
+    """Route each window's gradient to the element argmax would pick: the
+    first equal to the max, or the first NaN."""
+    dx = np.empty(x.shape)
+    rest = np.ones(m.shape, dtype=bool)                     # windows not yet routed
+    has_nan = bool(np.isnan(m).any())
+    for n in range(k * k):
+        i, j = divmod(n, k)
+        v = x[:, i::k, j::k]
+        if n < k * k - 1:
+            hit = v == m
+            if has_nan:
+                hit |= np.isnan(v)
+            hit &= rest
+        else:                                               # the max of every window left
+            hit = rest
+        dx[:, i::k, j::k] = np.where(hit, dout, 0.0)
+        rest ^= hit
+    return dx
+
+
+def _forward(bound, x: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """Run (layer, params) pairs on x; append what backward needs to ``caches``
+    when given.  Activations with spatial axes are (B, H, W, C)."""
+    for layer, e in bound:
         if isinstance(layer, Dense):
-            e = pl[pidx]; pidx += 1
-            if e.weight.shape != (layer.n_in, layer.n_out):
-                raise ShapeError(f"params for '{layer.name}' have shape "
-                                 f"{e.weight.shape}, arch wants {(layer.n_in, layer.n_out)}")
-            caches.append(("dense", x, e))
-            x = x @ e.weight + e.bias
+            cache = x
+            x = x @ e.weight
+            x += e.bias
         elif isinstance(layer, Conv2d):
-            e = pl[pidx]; pidx += 1
             cols, ho, wo = _im2col(x, layer.kernel, layer.stride)
-            wmat = e.weight.reshape(layer.out_ch, -1).T      # (C*k*k, out_ch)
-            out = cols @ wmat + e.bias
-            caches.append(("conv", x.shape, cols, e, layer, ho, wo))
-            x = out.reshape(x.shape[0], ho, wo, layer.out_ch).transpose(0, 3, 1, 2)
+            cache = (x.shape, cols, ho, wo)
+            wmat = e.weight.reshape(layer.out_ch, -1).T         # (C*k*k, out_ch)
+            out = cols @ wmat
+            out += e.bias
+            x = out.reshape(x.shape[0], ho, wo, layer.out_ch)
         elif isinstance(layer, ReLU):
-            mask = x > 0
-            caches.append(("relu", mask))
-            x = x * mask
+            cache = x > 0
+            x = x * cache
         elif isinstance(layer, MaxPool):
-            k = layer.k
-            b, c, h, w = x.shape
-            xr = x.reshape(b, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-            xr = xr.reshape(b, c, h // k, w // k, k * k)
-            idx = np.argmax(xr, axis=-1)                    # first max wins ties
-            caches.append(("pool", x.shape, idx, k))
-            x = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+            cache = (x, _maxpool(x, layer.k))
+            x = cache[1]
         elif isinstance(layer, Flatten):
-            caches.append(("flatten", x.shape))
-            x = x.reshape(x.shape[0], -1)
-    return x, caches
+            cache = x.shape
+            x = (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x).reshape(x.shape[0], -1)
+        if caches is not None:
+            caches.append(cache)
+    return x
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -324,7 +383,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward_loss(arch: ModelArch, params: ParameterSet, batch: Batch):
     """Mean softmax cross-entropy over the batch; returns (loss, logits)."""
-    logits, _ = _forward(arch, params, np.asarray(batch.inputs, dtype=np.float64))
+    logits = _forward(*_start(arch, params, batch.inputs))
     b = len(batch.labels)
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -334,47 +393,64 @@ def forward_loss(arch: ModelArch, params: ParameterSet, batch: Batch):
 
 def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> ParameterSet:
     """Analytic gradient of forward_loss w.r.t. every parameter."""
-    x = np.asarray(batch.inputs, dtype=np.float64)
-    logits, caches = _forward(arch, params, x)
+    bound, x = _start(arch, params, batch.inputs)
+    caches: list = []
+    logits = _forward(bound, x, caches)
     b = len(batch.labels)
     dout = _softmax(logits)
     dout[np.arange(b), batch.labels] -= 1.0
     dout /= b
 
+    # Nothing below the first parameterized layer needs a gradient.
+    first = next((n for n, (_, e) in enumerate(bound) if e is not None), len(bound))
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for layer, cache in zip(reversed(arch.layers), reversed(caches)):
-        kind = cache[0]
-        if kind == "dense":
-            _, xin, e = cache
-            grads[e.layer_id] = (xin.T @ dout, dout.sum(axis=0))
-            dout = dout @ e.weight.T
-        elif kind == "conv":
-            _, x_shape, cols, e, lyr, ho, wo = cache
-            dmat = dout.transpose(0, 2, 3, 1).reshape(-1, lyr.out_ch)
+    for n in range(len(bound) - 1, first - 1, -1):
+        (layer, e), cache = bound[n], caches[n]
+        if isinstance(layer, Dense):
+            grads[e.layer_id] = (cache.T @ dout, dout.sum(axis=0))
+            if n > first:
+                dout = dout @ e.weight.T
+        elif isinstance(layer, Conv2d):
+            x_shape, cols, ho, wo = cache
+            dmat = dout.reshape(-1, layer.out_ch)
             dw = (cols.T @ dmat).T.reshape(e.weight.shape)
-            db = dmat.sum(axis=0)
+            # At one example the channels-first gradient reshaped to a
+            # column-major (H*W, C) view; keep its order of summation.
+            db = dmat.sum(axis=0) if b > 1 else np.ascontiguousarray(dmat.T).sum(axis=1)
             grads[e.layer_id] = (dw, db)
-            dcols = dmat @ e.weight.reshape(lyr.out_ch, -1)
-            dout = _col2im(dcols, x_shape, lyr.kernel, lyr.stride, ho, wo)
-        elif kind == "relu":
-            dout = dout * cache[1]
-        elif kind == "pool":
-            _, x_shape, idx, k = cache
-            bb, c, ho, wo = idx.shape[0], idx.shape[1], idx.shape[2], idx.shape[3]
-            dxr = np.zeros((bb, c, ho, wo, k * k))
-            np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-            dout = dxr.reshape(bb, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5) \
-                      .reshape(x_shape)
-        elif kind == "flatten":
-            dout = dout.reshape(cache[1])
+            if n > first:
+                dcols = dmat @ e.weight.reshape(layer.out_ch, -1)
+                dout = _col2im(dcols, x_shape, layer.kernel, layer.stride, ho, wo)
+        elif isinstance(layer, ReLU):
+            dout = dout * cache
+        elif isinstance(layer, MaxPool):
+            dout = _maxpool_backward(dout, *cache, layer.k)
+        elif isinstance(layer, Flatten):
+            if len(cache) == 4:
+                bb, h, w, c = cache
+                dout = dout.reshape(bb, c, h, w).transpose(0, 2, 3, 1)
+            else:
+                dout = dout.reshape(cache)
 
     entries = tuple(LayerParams(e.layer_id, *grads[e.layer_id]) for e in params.entries)
     return ParameterSet(entries)
 
 
+def _logits(arch: ModelArch, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:
+    """Logits without backprop caches: the layers up to the first Flatten run
+    in tiles of ``_TILE`` examples, the dense layers on all of ``inputs``."""
+    bound, x = _start(arch, params, inputs)
+    cut = 0
+    if x.ndim == 4:         # the spatial layers: up to the first Flatten
+        cut = 1 + next((n for n, (layer, _) in enumerate(bound) if isinstance(layer, Flatten)), -1)
+    if cut:
+        x = np.concatenate([_forward(bound[:cut], x[i:i + _TILE])
+                            for i in range(0, len(x), _TILE)])
+    return _forward(bound[cut:], x)
+
+
 def predict(arch: ModelArch, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:
-    logits, _ = _forward(arch, params, np.asarray(inputs, dtype=np.float64))
-    return np.argmax(logits, axis=1)
+    return np.argmax(_logits(arch, params, inputs), axis=1)
 
 
 def evaluate(arch: ModelArch, params: ParameterSet,

@@ -114,6 +114,23 @@ class TestForwardLoss:
         with pytest.raises(nn.ShapeError):
             nn.forward_loss(arch, params, nn.Batch(np.ones((1, 3)), np.array([0])))
 
+    @pytest.mark.parametrize("weight_shape", [
+        (3, 2 * 3 * 3),     # flattened (out_ch, in_ch*k*k)
+        (3, 1, 3, 3),       # wrong in_ch
+        (3, 2, 2, 2),       # wrong kernel
+    ])
+    def test_conv_weight_shape_mismatch_raises(self, weight_shape):
+        arch = nn.ModelArch((nn.Conv2d("c", 2, 3, 3), nn.Flatten(),
+                             nn.Dense("f", 3 * 4 * 4, 2)), (2, 6, 6), 2)
+        params = nn.init_model(arch, 0)
+        bad = params.map(lambda lid, w, b: (np.zeros(weight_shape) if lid == "c" else w, b))
+        batch = nn.Batch(np.ones((1, 2, 6, 6)), np.array([0]))
+        for call in (lambda: nn.forward_loss(arch, bad, batch),
+                     lambda: nn.backward(arch, bad, batch),
+                     lambda: nn.predict(arch, bad, batch.inputs)):
+            with pytest.raises(nn.ShapeError, match="'c'"):
+                call()
+
 
 class TestBackward:
     @pytest.mark.parametrize("arch,input_shape", [
@@ -124,6 +141,16 @@ class TestBackward:
         (nn.ModelArch((nn.Conv2d("c", 1, 2, 2, stride=2), nn.Flatten(),
                        nn.Dense("f", 8, 2)), (1, 5, 5), 2),
          (1, 5, 5)),
+        # a conv after a pool: its input gradient runs through _col2im and
+        # the pool's routing into the first conv
+        (nn.ModelArch((nn.Conv2d("c1", 2, 3, 3), nn.MaxPool(2),
+                       nn.Conv2d("c2", 3, 4, 3, stride=2), nn.Flatten(),
+                       nn.Dense("f", 4 * 2 * 2, 3)), (2, 12, 12), 3),
+         (2, 12, 12)),
+        (nn.ModelArch((nn.Conv2d("c1", 2, 3, 3), nn.ReLU(), nn.MaxPool(2),
+                       nn.Conv2d("c2", 3, 4, 3, stride=2), nn.ReLU(), nn.Flatten(),
+                       nn.Dense("f", 4 * 2 * 2, 3)), (2, 12, 12), 3),
+         (2, 12, 12)),
     ])
     def test_matches_finite_differences(self, arch, input_shape, rng):
         params = nn.init_model(arch, seed=3)

@@ -1,0 +1,247 @@
+"""The channels-last kernels of ``nn`` against a reference copy of the
+channels-first ones they replaced, compared byte for byte.
+
+Both paths run on the same host's BLAS, so the comparison does not depend on
+the CPU.  Inputs are sparse and binary so that many pooling windows tie.
+"""
+
+import numpy as np
+import pytest
+
+from fedprune import nn
+from fedprune.pruning import euclidean_project
+
+# Keep table of configs/mnist_iid_cr87.cfg (CR~87).
+CR87_KEEP = {"conv1": 0.5, "conv2": 0.06, "fc1": 0.0055025, "fc2": 0.2}
+
+
+# -- reference: channels-first im2col + GEMM with argmax pooling -------------
+
+def ref_im2col(x, k, stride):
+    b, c, h, w = x.shape
+    ho = (h - k) // stride + 1
+    wo = (w - k) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
+    return np.ascontiguousarray(cols), ho, wo
+
+
+def ref_col2im(dcols, x_shape, k, stride, ho, wo):
+    b, c, h, w = x_shape
+    dx = np.zeros(x_shape)
+    dcols = dcols.reshape(b, ho, wo, c, k, k)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dx
+
+
+def ref_forward(arch, params, x):
+    caches = []
+    pidx = 0
+    pl = params.entries
+    for layer in arch.layers:
+        if isinstance(layer, nn.Dense):
+            e = pl[pidx]; pidx += 1
+            caches.append(("dense", x, e))
+            x = x @ e.weight + e.bias
+        elif isinstance(layer, nn.Conv2d):
+            e = pl[pidx]; pidx += 1
+            cols, ho, wo = ref_im2col(x, layer.kernel, layer.stride)
+            wmat = e.weight.reshape(layer.out_ch, -1).T
+            out = cols @ wmat + e.bias
+            caches.append(("conv", x.shape, cols, e, layer, ho, wo))
+            x = out.reshape(x.shape[0], ho, wo, layer.out_ch).transpose(0, 3, 1, 2)
+        elif isinstance(layer, nn.ReLU):
+            mask = x > 0
+            caches.append(("relu", mask))
+            x = x * mask
+        elif isinstance(layer, nn.MaxPool):
+            k = layer.k
+            b, c, h, w = x.shape
+            xr = x.reshape(b, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+            xr = xr.reshape(b, c, h // k, w // k, k * k)
+            idx = np.argmax(xr, axis=-1)
+            caches.append(("pool", x.shape, idx, k))
+            x = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+        elif isinstance(layer, nn.Flatten):
+            caches.append(("flatten", x.shape))
+            x = x.reshape(x.shape[0], -1)
+    return x, caches
+
+
+def ref_backward(arch, params, batch):
+    x = np.asarray(batch.inputs, dtype=np.float64)
+    logits, caches = ref_forward(arch, params, x)
+    b = len(batch.labels)
+    dout = nn._softmax(logits)
+    dout[np.arange(b), batch.labels] -= 1.0
+    dout /= b
+    grads = {}
+    for layer, cache in zip(reversed(arch.layers), reversed(caches)):
+        kind = cache[0]
+        if kind == "dense":
+            _, xin, e = cache
+            grads[e.layer_id] = (xin.T @ dout, dout.sum(axis=0))
+            dout = dout @ e.weight.T
+        elif kind == "conv":
+            _, x_shape, cols, e, lyr, ho, wo = cache
+            dmat = dout.transpose(0, 2, 3, 1).reshape(-1, lyr.out_ch)
+            dw = (cols.T @ dmat).T.reshape(e.weight.shape)
+            db = dmat.sum(axis=0)
+            grads[e.layer_id] = (dw, db)
+            dcols = dmat @ e.weight.reshape(lyr.out_ch, -1)
+            dout = ref_col2im(dcols, x_shape, lyr.kernel, lyr.stride, ho, wo)
+        elif kind == "relu":
+            dout = dout * cache[1]
+        elif kind == "pool":
+            _, x_shape, idx, k = cache
+            bb, c, ho, wo = idx.shape
+            dxr = np.zeros((bb, c, ho, wo, k * k))
+            np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
+            dout = dxr.reshape(bb, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5) \
+                      .reshape(x_shape)
+        elif kind == "flatten":
+            dout = dout.reshape(cache[1])
+    return [grads[e.layer_id] for e in params.entries]
+
+
+def ref_logits(arch, params, inputs):
+    return ref_forward(arch, params, np.asarray(inputs, dtype=np.float64))[0]
+
+
+def ref_evaluate(arch, params, inputs, labels, batch_size):
+    correct = 0
+    for i in range(0, len(labels), batch_size):
+        pred = np.argmax(ref_logits(arch, params, inputs[i:i + batch_size]), axis=1)
+        correct += int((pred == labels[i:i + batch_size]).sum())
+    return correct / len(labels)
+
+
+# -- models and data ---------------------------------------------------------
+
+def stride2_stack():
+    return nn.ModelArch((nn.Conv2d("c1", 2, 4, 3), nn.ReLU(), nn.MaxPool(2),
+                         nn.Conv2d("c2", 4, 6, 3, stride=2), nn.Flatten(),
+                         nn.Dense("f", 6 * 3 * 3, 5)), (2, 16, 16), 5)
+
+
+def cr87(params):
+    return params.map(lambda lid, w, b: (
+        euclidean_project(w, int(round(CR87_KEEP[lid] * w.size))), b))
+
+
+MODELS = {
+    "lenet5": (nn.lenet5, lambda p: p),
+    "lenet5_cr87": (nn.lenet5, cr87),
+    "small_convnet": (nn.small_convnet, lambda p: p),
+    "stride2_stack": (stride2_stack, lambda p: p),
+}
+
+
+def tied_inputs(arch, n, seed):
+    """Sparse binary images: zero patches give equal conv outputs, so many
+    pooling windows tie."""
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n, *arch.input_shape)) < 0.3).astype(np.float64)
+    return x, rng.integers(0, arch.num_classes, size=n)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -- tests -------------------------------------------------------------------
+
+class TestGradientBytes:
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 10])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_backward_matches_reference(self, model, batch_size, biased):
+        make, prune = MODELS[model]
+        arch = make()
+        params = prune(nn.init_model(arch, seed=4))
+        if biased:    # zero biases give exact-zero conv outputs on zero patches
+            rng = np.random.default_rng(5)
+            params = params.map(lambda lid, w, b: (w, rng.normal(scale=0.1, size=b.shape)))
+        x, y = tied_inputs(arch, batch_size, seed=batch_size)
+        got = nn.backward(arch, params, nn.Batch(x, y))
+        for e, (gw, gb) in zip(got.entries, ref_backward(arch, params, nn.Batch(x, y))):
+            assert same_bytes(e.weight, gw), e.layer_id
+            assert same_bytes(e.bias, gb), e.layer_id
+
+    def test_forward_loss_logits_match_reference(self):
+        arch = nn.lenet5()
+        params = nn.init_model(arch, seed=4)
+        x, y = tied_inputs(arch, 10, seed=0)
+        _, logits = nn.forward_loss(arch, params, nn.Batch(x, y))
+        assert same_bytes(logits, ref_logits(arch, params, x))
+
+    @pytest.mark.parametrize("where", ["input", "conv1 weight"])
+    def test_nan_routes_like_argmax(self, where):
+        # A NaN conv1 weight makes every pooling window of its channel NaN; a
+        # pool that routed only to an element equal to the max would give that
+        # channel a zero gradient instead of a NaN one.
+        arch = stride2_stack()
+        params = nn.init_model(arch, seed=4)
+        x, y = tied_inputs(arch, 3, seed=1)
+        if where == "input":
+            x[1, 0, 5, 6] = np.nan
+        else:
+            params.entries[0].weight[2, 1, 0, 0] = np.nan
+        got = nn.backward(arch, params, nn.Batch(x, y))
+        assert not got.allfinite()
+        for e, (gw, gb) in zip(got.entries, ref_backward(arch, params, nn.Batch(x, y))):
+            assert np.array_equal(e.weight, gw, equal_nan=True), e.layer_id
+            assert np.array_equal(e.bias, gb, equal_nan=True), e.layer_id
+
+    def test_pool_routes_to_first_max_or_first_nan(self):
+        windows = [np.array([[1.0, 1.0], [0.0, 1.0]]),        # three-way tie
+                   np.array([[2.0, 5.0], [5.0, 3.0]]),        # tie at the max
+                   np.array([[0.0, np.nan], [7.0, 1.0]]),     # NaN after a finite value
+                   np.array([[np.nan, 4.0], [np.nan, 9.0]])]  # two NaNs
+        x = np.concatenate(windows, axis=1)[None, :, :, None]  # (1, 2, 8, 1), side by side
+        m = nn._maxpool(x, 2)
+        dx = nn._maxpool_backward(np.ones(m.shape), x, m, 2)[0, :, :, 0]
+        for n, win in enumerate(windows):
+            want = np.zeros(4)
+            want[np.argmax(win)] = 1.0
+            assert np.array_equal(dx[:, 2 * n:2 * n + 2].ravel(), want), n
+
+
+class TestInferenceBytes:
+    def test_lenet5_logits_at_eval_batch_512(self):
+        # 300 examples in one 512 chunk: conv tiles of 32 and a remainder of 12
+        arch = nn.lenet5()
+        params = nn.init_model(arch, seed=4)
+        x, y = tied_inputs(arch, 300, seed=0)
+        assert same_bytes(nn._logits(arch, params, x), ref_logits(arch, params, x))
+        assert nn.evaluate(arch, params, x, y, 512) == ref_evaluate(arch, params, x, y, 512)
+
+    @pytest.mark.parametrize("n,batch_size", [
+        (45, 512),        # example count not a multiple of the tile
+        (45, 7),          # eval batch smaller than the tile
+        (nn._TILE, 512),  # exactly one tile
+    ])
+    def test_chunking_edge_cases(self, n, batch_size):
+        arch = nn.lenet5()
+        params = cr87(nn.init_model(arch, seed=2))
+        x, y = tied_inputs(arch, n, seed=n)
+        for i in range(0, n, batch_size):
+            chunk = x[i:i + batch_size]
+            assert same_bytes(nn._logits(arch, params, chunk), ref_logits(arch, params, chunk))
+        assert nn.evaluate(arch, params, x, y, batch_size) == \
+            ref_evaluate(arch, params, x, y, batch_size)
+
+    @pytest.mark.parametrize("model", ["lenet5", "small_convnet"])
+    def test_all_zero_input_ties_everywhere(self, model):
+        make, _ = MODELS[model]
+        arch = make()
+        params = nn.init_model(arch, seed=4)
+        x = np.zeros((40, *arch.input_shape))
+        y = np.arange(40) % arch.num_classes
+        assert same_bytes(nn._logits(arch, params, x), ref_logits(arch, params, x))
+        assert nn.evaluate(arch, params, x, y, 16) == ref_evaluate(arch, params, x, y, 16)
