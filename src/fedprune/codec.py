@@ -17,12 +17,15 @@ fp32; in-memory math stays fp64.
 Decoding checks the blob against the published layer table (``schema``):
 layer count, ids, dims, the CSR matrix view and bias lengths must match it
 before any array is read, so no allocation is ever sized from the wire.
+``decode_layers``, the one reader, keeps each layer as the wire carried it
+(``WireLayer``), as the enclave holds it; ``decode_params`` widens to fp64.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,9 +112,26 @@ class _Reader:
         return np.frombuffer(self.take(itemsize * count), dtype=dtype)
 
 
-def decode_params(blob: bytes, expect: tuple) -> tuple[ParameterSet, str]:
+@dataclass(frozen=True)
+class WireLayer:
+    """One decoded layer, fp32 values and bias as the wire carried them."""
+
+    layer_id: str
+    shape: tuple
+    flat: np.ndarray | None    # row-major weight index of each value; None: dense
+    values: np.ndarray
+    bias: np.ndarray
+
+    def dense(self) -> LayerParams:
+        """fp64 weight and bias, zeros wherever the wire stored no value."""
+        w = np.zeros(math.prod(self.shape))
+        w[slice(None) if self.flat is None else self.flat] = self.values
+        return LayerParams(self.layer_id, w.reshape(self.shape), self.bias.astype(np.float64))
+
+
+def decode_layers(blob: bytes, expect: tuple) -> tuple[tuple[WireLayer, ...], str]:
     """Decode either format against the published layer table ``expect``
-    (see schema); returns (params, format_name), fp64 tensors."""
+    (see schema); returns (layers, format_name), values as the wire sent them."""
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise CodecError("bad magic")
@@ -122,13 +142,13 @@ def decode_params(blob: bytes, expect: tuple) -> tuple[ParameterSet, str]:
         raise CodecError(f"unknown format byte {fmt}")
     if n_layers != len(expect):
         raise CodecError(f"{n_layers} layers, the published model has {len(expect)}")
-    entries = []
+    layers = []
     for lid, shape, bias_shape in expect:
         header = _layer_header(lid, shape)
         if r.take(len(header)) != header:
             raise CodecError(f"layer {lid}: id or dims differ from the published {shape}")
         if fmt == FORMAT_DENSE:
-            w = r.array("<f4", math.prod(shape)).astype(np.float64)
+            values, flat = r.array("<f4", math.prod(shape)), None
         else:
             rows, cols = _matrix_view(shape)
             if r.unpack("<II") != (rows, cols):
@@ -138,18 +158,24 @@ def decode_params(blob: bytes, expect: tuple) -> tuple[ParameterSet, str]:
             row_ptr = r.array("<u4", rows + 1)
             col_idx = r.array("<u4", nnz)
             values = r.array("<f4", nnz)
-            w = _csr_to_dense(lid, rows, cols, row_ptr, col_idx, values)
+            flat = _csr_flat(lid, rows, cols, row_ptr, col_idx, values)
         if r.unpack("<I") != bias_shape:
             raise CodecError(f"layer {lid}: bias length differs from the published "
                              f"{bias_shape}")
-        b = r.array("<f4", bias_shape[0]).astype(np.float64)
-        entries.append(LayerParams(lid, w.reshape(shape), b))
+        layers.append(WireLayer(lid, shape, flat, values, r.array("<f4", bias_shape[0])))
     if r.off != len(blob):
         raise CodecError(f"{len(blob) - r.off} trailing bytes")
-    return ParameterSet(tuple(entries)), _FORMAT_NAMES[fmt]
+    return tuple(layers), _FORMAT_NAMES[fmt]
 
 
-def _csr_to_dense(lid, rows, cols, row_ptr, col_idx, values) -> np.ndarray:
+def decode_params(blob: bytes, expect: tuple) -> tuple[ParameterSet, str]:
+    """decode_layers widened to fp64 tensors; returns (params, format_name)."""
+    layers, fmt = decode_layers(blob, expect)
+    return ParameterSet(tuple(map(WireLayer.dense, layers))), fmt
+
+
+def _csr_flat(lid, rows, cols, row_ptr, col_idx, values) -> np.ndarray:
+    """Row-major flat index of every stored value; checks the CSR invariants."""
     if row_ptr[0] != 0 or row_ptr[-1] != len(values):
         raise CodecError(f"layer {lid}: row_ptr endpoints invalid")
     row_nnz = np.diff(row_ptr.astype(np.int64))
@@ -162,9 +188,7 @@ def _csr_to_dense(lid, rows, cols, row_ptr, col_idx, values) -> np.ndarray:
     flat = np.repeat(np.arange(rows, dtype=np.int64) * cols, row_nnz) + col_idx
     if np.any(np.diff(flat) <= 0):
         raise CodecError(f"layer {lid}: col_idx not strictly increasing in a row")
-    m = np.zeros(rows * cols)
-    m[flat] = values
-    return m
+    return flat
 
 
 def encoded_size(params: ParameterSet, fmt: str) -> int:

@@ -1,21 +1,24 @@
 """Emulated trusted enclave on the aggregation server.
 
 Boundary crossings are counted: every encrypted update loaded is one ecall
-and every model publication one ocall, each bounded by a trusted scratch
-buffer.  The orchestrator times the crossings from outside.  Decrypted update
-tensors only ever exist wrapped in PlaintextUpdate, which cannot be
-constructed outside this module's trusted section.
+and every model publication one ocall.  The orchestrator times the crossings
+from outside.  Decrypted updates only ever exist wrapped in PlaintextUpdate,
+which cannot be constructed outside this module's trusted section; it keeps
+the layers as the wire carried them (codec.WireLayer), so a sparse upload
+costs its non-zeros, and fedavg widens one record at a time.  The trusted
+bytes held at once are counted and bounded (see enclave_load).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec
-from .nn import LayerParams, ParameterSet, check_congruent
-from .secure import HEADER, EncryptedUpdate, KeyManager, SecureChannelError
+from .nn import LayerParams, ParameterSet
+from .secure import HEADER, TAG_SIZE, EncryptedUpdate, KeyManager, SecureChannelError
 
 _TRUSTED_TOKEN = object()
 
@@ -36,20 +39,26 @@ class InvalidUpdateError(ValueError):
 class PlaintextUpdate:
     """Decrypted client update; constructible only inside the trusted section."""
 
-    __slots__ = ("client_id", "params")
+    __slots__ = ("client_id", "layers")
 
-    def __init__(self, token, client_id: int, params: ParameterSet):
+    def __init__(self, token, client_id: int, layers: tuple[codec.WireLayer, ...]):
         if token is not _TRUSTED_TOKEN:
             raise TrustBoundaryError(
                 "PlaintextUpdate can only be created inside the enclave")
         self.client_id = client_id
-        self.params = params
+        self.layers = layers
+
+    @property
+    def params(self) -> ParameterSet:
+        """Dense fp64 view, built on each access; fedavg does not use it."""
+        return ParameterSet(tuple(map(codec.WireLayer.dense, self.layers)))
 
 
 @dataclass
 class EnclaveContext:
     key_manager: KeyManager
-    scratch_limit: int = 256 * 1024 * 1024   # trusted buffer budget, bytes
+    scratch_limit: int = 256 * 1024 * 1024   # trusted memory budget, bytes
+    peak_bytes: int = 0                      # most trusted bytes held at once in the last load
     ecall_count: int = 0
     ocall_count: int = 0
     schema: tuple | None = None              # codec.schema of the last published model
@@ -81,65 +90,76 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
 
     Each record is one ecall.  A failed decryption (bad tag, replay, unknown
     client), a payload that does not decode against the last published
-    model's layer table, that holds a non-finite value, or that has more
-    non-zeros in a layer than ctx.budgets allows drops that client's
-    contribution for the round and is reported; the rest proceed.  Before
-    any model is published every update is rejected.
+    model's layer table, that holds a non-finite value, that has more
+    non-zeros in a layer than ctx.budgets allows (a stored 0.0 is not one),
+    or that would take the trusted bytes past ctx.scratch_limit drops that
+    client's contribution for the round and is reported; the rest proceed.
+    Before any model is published every update is rejected.  Trusted bytes
+    are the records kept plus the larger of the record being opened with its
+    plaintext and fedavg's fp64 accumulator; ctx.peak_bytes is their peak.
     """
-    records = []
-    rejections = []
+    records, rejections = [], []
+    accumulator = 8 * sum(math.prod(w) + math.prod(b) for _lid, w, b in ctx.schema or ())
+    held = ctx.peak_bytes = 0                # bytes of the records kept so far
     for enc in encs:
         ctx.ecall_count += 1
         try:
-            size = HEADER.size + len(enc.ciphertext)
-            if size > ctx.scratch_limit:
-                raise EnclaveMemoryError(
-                    f"update of {size} bytes exceeds trusted buffer "
-                    f"({ctx.scratch_limit} bytes)")
+            opening = HEADER.size + 2 * len(enc.ciphertext) - TAG_SIZE   # record + plaintext
+            _hold(ctx, held + max(opening, accumulator))
             if ctx.schema is None:
                 raise InvalidUpdateError("no model published")
-            params, _fmt = codec.decode_params(ctx.key_manager.decrypt_update(enc),
+            layers, _fmt = codec.decode_layers(ctx.key_manager.decrypt_update(enc),
                                                ctx.schema)
-            if not params.allfinite():
+            if not all(np.isfinite(a).all() for x in layers for a in (x.values, x.bias)):
                 raise InvalidUpdateError("update holds non-finite values")
-            for lid, budget in (ctx.budgets or {}).items():
-                nnz = np.count_nonzero(params[lid].weight)
-                if nnz > budget:
+            for x in layers:
+                nnz, budget = np.count_nonzero(x.values), (ctx.budgets or {}).get(x.layer_id)
+                if budget is not None and nnz > budget:
                     raise InvalidUpdateError(
-                        f"layer {lid} has {nnz} non-zeros, above its budget of {budget}")
+                        f"layer {x.layer_id} has {nnz} non-zeros, above its budget of {budget}")
             n = example_counts.get(enc.client_id)
             if n is None or n <= 0:
                 raise SecureChannelError(f"no example count for client {enc.client_id}")
+            kept = sum(a.nbytes for x in layers for a in (x.flat, x.values, x.bias)
+                       if a is not None)
+            _hold(ctx, held + kept + max(opening, accumulator))
             records.append(AggregationRecord(
-                enc.client_id, PlaintextUpdate(_TRUSTED_TOKEN, enc.client_id, params), n))
+                enc.client_id, PlaintextUpdate(_TRUSTED_TOKEN, enc.client_id, layers), n))
+            held += kept
         except (SecureChannelError, codec.CodecError, EnclaveMemoryError,
                 InvalidUpdateError) as exc:
             rejections.append(Rejection(enc.client_id, str(exc)))
     return AggregationInput(tuple(records)), rejections
 
 
+def _hold(ctx: EnclaveContext, nbytes: int) -> None:
+    if nbytes > ctx.scratch_limit:
+        raise EnclaveMemoryError(f"{nbytes} bytes would exceed the trusted buffer "
+                                 f"({ctx.scratch_limit} bytes)")
+    ctx.peak_bytes = max(ctx.peak_bytes, nbytes)
+
+
 def fedavg(agg: AggregationInput) -> ParameterSet:
     """Example-count-weighted coordinate mean of the client updates.
 
     Summation runs in ascending client_id order so the result is bit-exact
-    regardless of arrival order.
+    regardless of arrival order.  Each layer starts from fp64 +0.0; a record
+    adds (count / total) * value, widened to fp64 first, where it sent one.
+    That is the dense sum bit for bit: the dense sum's +0.0 elsewhere cannot
+    change an accumulator that never holds -0.0.
     """
     if not agg.records:
         raise ValueError("cannot aggregate an empty input")
     recs = sorted(agg.records, key=lambda r: r.client_id)
-    first = recs[0].update.params
-    for r in recs[1:]:
-        check_congruent(first, r.update.params)
     total = float(sum(r.example_count for r in recs))
     entries = []
-    for i, e in enumerate(first.entries):
-        w = np.zeros_like(e.weight)
-        b = np.zeros_like(e.bias)
+    for i, first in enumerate(recs[0].update.layers):
+        w, b = np.zeros(math.prod(first.shape)), np.zeros(first.bias.shape)
         for r in recs:
-            le = r.update.params.entries[i]
-            w += (r.example_count / total) * le.weight
-            b += (r.example_count / total) * le.bias
-        entries.append(LayerParams(e.layer_id, w, b))
+            x, s = r.update.layers[i], r.example_count / total
+            w[slice(None) if x.flat is None else x.flat] += s * x.values.astype(np.float64)
+            b += s * x.bias.astype(np.float64)
+        entries.append(LayerParams(first.layer_id, w.reshape(first.shape), b))
     return ParameterSet(tuple(entries))
 
 

@@ -178,6 +178,7 @@ class RoundMetrics:
     bytes_up: int
     bytes_down: int
     dense_bytes_up: int        # what the same uploads would cost dense
+    trusted_peak_bytes: int    # enclave memory held at once (EnclaveContext.peak_bytes)
     attestation_s: float
     provisioning_s: float
     transmission_s: float
@@ -432,6 +433,8 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         # broadcast: publish dense global model out of the enclave
         with _span(times, "ocall_s"):
             blob_down = enclave.publish_model(global_params, ctx)
+        with _span(times, "local_training_s"):   # every client decodes the same blob
+            received = codec.decode_params(blob_down, schema)[0]
         selected = np.sort(sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
                                              replace=False))
 
@@ -447,9 +450,8 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             with _span(times, "local_training_s"):
                 ix = part[cid]
                 update, state = client_round(
-                    arch, codec.decode_params(blob_down, schema)[0], dataset.train_x[ix],
-                    dataset.train_y[ix], cfg, plan, admm_states.get(cid), mask,
-                    _client_seed(cfg.seed, rnd, cid))
+                    arch, received, dataset.train_x[ix], dataset.train_y[ix], cfg, plan,
+                    admm_states.get(cid), mask, _client_seed(cfg.seed, rnd, cid))
                 if state is not None:
                     admm_states[cid] = state
             with _span(times, "provisioning_s"):
@@ -480,6 +482,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             bytes_up=bytes_up, bytes_down=cfg.clients_per_round * len(blob_down),
             dense_bytes_up=cfg.clients_per_round * (
                 len(blob_down) + secure.HEADER.size + secure.TAG_SIZE),
+            trusted_peak_bytes=ctx.peak_bytes,
             # wall time plus the two fields not measured inside the round
             total_s=(time.perf_counter() - round_t0 + times["attestation_s"]
                      + times["transmission_s"]), **times)

@@ -18,6 +18,7 @@ logits and gradients are the same bytes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -201,9 +202,6 @@ class ParameterSet:
                 return e
         raise KeyError(layer_id)
 
-    def layer_ids(self) -> list[str]:
-        return [e.layer_id for e in self.entries]
-
     def param_count(self) -> int:
         return sum(e.weight.size + e.bias.size for e in self.entries)
 
@@ -234,14 +232,6 @@ class Batch:
     def __post_init__(self):
         if len(self.labels) != len(self.inputs) or len(self.labels) < 1:
             raise ShapeError("batch inputs/labels length mismatch or empty")
-
-
-def check_congruent(a: ParameterSet, b: ParameterSet) -> None:
-    if a.layer_ids() != b.layer_ids():
-        raise ShapeError(f"layer ids differ: {a.layer_ids()} vs {b.layer_ids()}")
-    for ea, eb in zip(a.entries, b.entries):
-        if ea.weight.shape != eb.weight.shape or ea.bias.shape != eb.bias.shape:
-            raise ShapeError(f"shape mismatch in layer {ea.layer_id}")
 
 
 def _param_shapes(layer: Dense | Conv2d) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -295,13 +285,23 @@ def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):
     return bound, (x.transpose(0, 2, 3, 1) if x.ndim == 4 else x)
 
 
+@functools.lru_cache(maxsize=64)
+def _im2col_index(h: int, w: int, c: int, k: int, stride: int):
+    """(H, W, C) offsets of the im2col entries in (Ho, Wo, C, k, k) order; Ho; Wo."""
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    rows = np.arange(ho)[:, None, None, None, None] * stride + np.arange(k)[:, None]
+    cols = np.arange(wo)[:, None, None, None] * stride + np.arange(k)
+    idx = ((rows * w + cols) * c + np.arange(c)[:, None, None]).ravel()
+    idx.flags.writeable = False            # one array shared by every caller of the cache
+    return idx, ho, wo
+
+
 def _im2col(x: np.ndarray, k: int, stride: int):
-    # x: (B, H, W, C) -> cols: (B*Ho*Wo, C*k*k), columns ordered (c, ki, kj)
-    b, _, _, c = x.shape
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                        # (B, Ho, Wo, C, k, k)
-    _, ho, wo = win.shape[:3]
-    return np.ascontiguousarray(win.reshape(b * ho * wo, c * k * k)), ho, wo
+    # x: (B, H, W, C) -> cols: (B*Ho*Wo, C*k*k), columns ordered (c, ki, kj),
+    # gathered per example through the cached index
+    b, h, w, c = x.shape
+    idx, ho, wo = _im2col_index(h, w, c, k, stride)
+    return np.take(x.reshape(b, h * w * c), idx, axis=1).reshape(b * ho * wo, c * k * k), ho, wo
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int):

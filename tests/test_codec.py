@@ -28,7 +28,7 @@ def roundtrip(encode, p):
 
 
 def assert_equal_params(a, b):
-    assert a.layer_ids() == b.layer_ids()
+    assert [e.layer_id for e in a.entries] == [e.layer_id for e in b.entries]
     for ea, eb in zip(a.entries, b.entries):
         assert ea.weight.shape == eb.weight.shape
         assert np.array_equal(ea.weight, eb.weight)
@@ -161,6 +161,22 @@ class TestPublishedLayers:
         blob = csr_blob(rows, cols, [0, 0], [])
         with pytest.raises(CodecError, match="published"):
             decode_params(blob, W_2X8)
+
+
+class TestDecodeLayers:
+    def test_csr_layer_kept_as_the_wire_sent_it(self):
+        (layer,), fmt = codec.decode_layers(csr_blob(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)
+        assert fmt == "csr" and (layer.layer_id, layer.shape) == ("w", (2, 8))
+        assert layer.flat.tolist() == [2, 5, 8]
+        assert layer.values.dtype == layer.bias.dtype == np.float32
+        assert layer.values.tolist() == [1.0, 1.0, 1.0] and layer.bias.tolist() == [0.0]
+
+    def test_dense_layer_has_no_index(self):
+        p = params_of(np.arange(6.0).reshape(2, 3))
+        (layer,), fmt = codec.decode_layers(dense_encode(p), codec.schema(p))
+        assert fmt == "dense" and layer.flat is None
+        assert layer.values.dtype == np.float32
+        assert layer.values.tolist() == list(range(6))
 
 
 class TestDense:

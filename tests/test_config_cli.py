@@ -228,6 +228,14 @@ class TestReport:
         assert (f"speedup_vs_dense_baseline = {(total + extra) / total:.2f}x"
                 in paths["summary"].read_text())
 
+    def test_trusted_peak_column(self, cfg_file, tmp_path):
+        res, rows, _ = _run_and_rows(cfg_file, tmp_path)
+        assert [int(r["trusted_peak_bytes"]) for r in rows] == \
+            [m.trusted_peak_bytes for m in res.metrics]
+        # at least fedavg's fp64 accumulator of the model
+        assert all(m.trusted_peak_bytes > 8 * res.global_params.param_count()
+                   for m in res.metrics)
+
     def test_dense_run_saves_nothing(self, cfg_file, tmp_path):
         res, rows, _ = _run_and_rows(cfg_file, tmp_path, mode="dense",
                                      pruning_rounds=0)

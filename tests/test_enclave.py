@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from fedprune import codec, enclave, nn, secure
+from fedprune import codec, enclave, nn, pruning, secure
 from fedprune.enclave import (AggregationInput, EnclaveContext, PlaintextUpdate,
                               TrustBoundaryError, enclave_load, fedavg,
                               publish_model)
@@ -26,6 +28,40 @@ def encrypt(channels, cid, params, rnd=0, fmt="csr"):
     if fmt == "csr":
         return channels[cid].encrypt_update(codec.csr_encode(params), rnd, codec.FORMAT_CSR)
     return channels[cid].encrypt_update(codec.dense_encode(params), rnd, codec.FORMAT_DENSE)
+
+
+def csr_upload(layers, bias=(0.0,)):
+    """Hand-made CSR blob of 2-D layers, each (id, (rows, cols), {flat index:
+    value}), every given value stored as it is, explicit zeros included."""
+    parts = [codec.MAGIC, struct.pack("<BBH", codec.VERSION, codec.FORMAT_CSR, len(layers))]
+    for lid, (rows, cols), stored in layers:
+        flat = sorted(stored)
+        row_ptr = np.searchsorted(np.asarray(flat, dtype=int) // cols, np.arange(rows + 1))
+        parts += [struct.pack(f"<B{len(lid)}sB2I", len(lid), lid.encode(), 2, rows, cols),
+                  struct.pack("<III", rows, cols, len(flat)),
+                  np.asarray(row_ptr, dtype="<u4").tobytes(),
+                  np.asarray([i % cols for i in flat], dtype="<u4").tobytes(),
+                  np.asarray([stored[i] for i in flat], dtype="<f4").tobytes(),
+                  struct.pack("<I", len(bias)), np.asarray(bias, dtype="<f4").tobytes()]
+    return b"".join(parts)
+
+
+def dense_fedavg(decoded):
+    """The dense fp64 FedAvg that fedavg replaced, kept as its reference:
+    (client id, params, example count) triples, each update a dense fp64
+    ParameterSet."""
+    recs = sorted(decoded, key=lambda r: r[0])
+    total = float(sum(n for _cid, _p, n in recs))
+    entries = []
+    for i, e in enumerate(recs[0][1].entries):
+        w = np.zeros_like(e.weight)
+        b = np.zeros_like(e.bias)
+        for _cid, p, n in recs:
+            le = p.entries[i]
+            w += (n / total) * le.weight
+            b += (n / total) * le.bias
+        entries.append(nn.LayerParams(e.layer_id, w, b))
+    return nn.ParameterSet(tuple(entries))
 
 
 class TestContainment:
@@ -153,6 +189,131 @@ class TestFedavg:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fedavg(AggregationInput(()))
+
+
+class TestFedavgMatchesDense:
+    """fedavg over compact records equals the dense fp64 sum bit for bit."""
+
+    SHAPES = {"a": (3, 4), "b": (2, 5)}
+    # fp32 values whose product with 3/29, 7/29 or 11/29 rounds differently in
+    # fp32 than in fp64, so multiplying before widening shows
+    V = np.float32([0.1, 1 / 3, -2.7182817, 1e-7, 123.456, -0.33333334])
+
+    def _hand_made(self):
+        v = [float(x) for x in self.V]
+        return {
+            # client id: (example count, blob)
+            4: (3, csr_upload([("a", (3, 4), {0: -0.0, 5: 0.0, 7: v[0], 11: v[1]}),
+                               ("b", (2, 5), {1: v[2], 9: -0.0})], bias=(v[3], -0.0))),
+            1: (7, codec.dense_encode(make_params(
+                [np.array([[v[4], -0.0, 0.0, v[5]], [v[0], v[1], -0.0, v[2]],
+                           [0.0, v[3], v[4], -0.0]]),
+                 np.array([[-0.0, v[5], 0.0, v[0], v[1]], [v[2], v[3], -0.0, v[4], 0.0]])],
+                ids=("a", "b")).map(lambda lid, w, b: (w, np.array([v[1], -0.0]))))),
+            9: (11, csr_upload([("a", (3, 4), {2: v[5], 5: v[4], 6: -0.0}),
+                                ("b", (2, 5), {})], bias=(-0.0, v[2]))),
+            2: (8, csr_upload([("a", (3, 4), {5: -v[4], 11: -v[1]}),
+                               ("b", (2, 5), {0: v[3], 1: -v[2], 4: 0.0, 8: v[5]})],
+                              bias=(0.0, 0.0))),
+        }
+
+    @pytest.mark.parametrize("clients", [(4, 1, 9, 2), (4, 9, 2), (9, 2), (1,), (2,)])
+    def test_bit_exact(self, setup, clients):
+        manager, channels, ctx = setup
+        uploads = {cid: u for cid, u in self._hand_made().items() if cid in clients}
+        publish_model(make_params([np.zeros(s_) for s_ in self.SHAPES.values()],
+                                  ids=tuple(self.SHAPES)).map(
+            lambda lid, w, b: (w, np.zeros(2))), ctx)
+        encs = [channels[cid].encrypt_update(
+            blob, 0, codec.FORMAT_CSR if blob[5] == codec.FORMAT_CSR else codec.FORMAT_DENSE)
+            for cid, (_n, blob) in uploads.items()]
+        agg, rej = enclave_load(encs, ctx, {cid: n for cid, (n, _b) in uploads.items()})
+        assert not rej and len(agg.records) == len(uploads)
+        want = dense_fedavg([(cid, codec.decode_params(blob, ctx.schema)[0], n)
+                             for cid, (n, blob) in uploads.items()])
+        got = fedavg(agg)
+        for g, w in zip(got.entries, want.entries):
+            assert g.layer_id == w.layer_id
+            for have, ref in ((g.weight, w.weight), (g.bias, w.bias)):
+                assert have.dtype == ref.dtype and have.shape == ref.shape
+                assert have.tobytes() == ref.tobytes()      # tells -0.0 from +0.0
+
+    def test_values_catch_an_fp32_multiply(self):
+        for n in (3, 7, 8, 11):
+            s = n / 29
+            assert (s * self.V).dtype == np.float32
+            assert not np.array_equal((s * self.V).astype(np.float64),
+                                      s * self.V.astype(np.float64))
+
+    def test_params_view_is_the_dense_decode(self, setup):
+        manager, channels, ctx = setup
+        publish_model(make_params([np.zeros((3, 4)), np.zeros((2, 5))],
+                                  ids=("a", "b")), ctx)
+        blob = csr_upload([("a", (3, 4), {1: 2.5, 5: 0.0}), ("b", (2, 5), {9: -1.0})])
+        agg, rej = enclave_load([channels[0].encrypt_update(blob, 0, codec.FORMAT_CSR)],
+                                ctx, {0: 1})
+        view, (want, _fmt) = agg.records[0].update.params, codec.decode_params(blob, ctx.schema)
+        for a, b in zip(view.entries, want.entries):
+            assert a.weight.tobytes() == b.weight.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+
+
+class TestBudgetCountsNonzeroValues:
+    def test_stored_zeros_do_not_count_at_the_boundary(self, setup):
+        # layer a capped at 2 non-zeros; every upload stores 3 or 2 entries
+        manager, channels, ctx = setup
+        publish_model(make_params([np.zeros((2, 4))]), ctx)
+        ctx.budgets = {"a": 2}
+        uploads = {0: {1: 1.0, 4: 0.0, 6: -2.0},     # explicit 0.0: 2 non-zeros
+                   1: {1: 1.0, 4: -0.0, 6: -2.0},    # explicit -0.0: 2 non-zeros
+                   2: {1: 1.0, 6: -2.0},              # exactly at the budget
+                   3: {1: 1.0, 4: 3.0, 6: -2.0}}      # one over
+        encs = [channels[cid].encrypt_update(csr_upload([("a", (2, 4), stored)]), 0,
+                                             codec.FORMAT_CSR)
+                for cid, stored in uploads.items()]
+        agg, rej = enclave_load(encs, ctx, {cid: 1 for cid in uploads})
+        assert [r.client_id for r in agg.records] == [0, 1, 2]
+        assert [(r.client_id, r.reason) for r in rej] == [
+            (3, "layer a has 3 non-zeros, above its budget of 2")]
+
+
+class TestTrustedBytes:
+    CLIENTS = 25
+
+    def _cr87_round(self, scratch_limit):
+        """A lenet_masked_fanin-sized CSR round: 25 uploads of LeNet-5
+        projected to the CR~87 keep table; returns the context and the load."""
+        from test_pruning import LENET_KEEP_CR87
+        manager = secure.KeyManager(seed=0)
+        rng = np.random.default_rng(0)
+        ctx = EnclaveContext(key_manager=manager, scratch_limit=scratch_limit)
+        cfg = pruning.SparsityConfig(keep=LENET_KEEP_CR87)
+        model = nn.init_model(nn.lenet5(), 0)
+        publish_model(model, ctx)
+        ctx.budgets = cfg.budgets(model)
+        encs = []
+        for cid in range(self.CLIENTS):
+            channel = secure.attest_and_exchange(cid, manager, rng)
+            update = pruning.final_hard_prune(nn.init_model(nn.lenet5(), cid + 1), cfg)[0]
+            encs.append(channel.encrypt_update(codec.csr_encode(update), 0, codec.FORMAT_CSR))
+        return ctx, enclave_load(encs, ctx, {cid: 10 for cid in range(self.CLIENTS)})
+
+    def test_peak_matches_hand_count(self):
+        ctx, (agg, rej) = self._cr87_round(EnclaveContext.scratch_limit)
+        assert not rej and len(agg.records) == self.CLIENTS
+        # per upload: 250 + 1,500 + 2,201 + 1,000 = 4,951 stored values, each
+        # an int64 flat index and an fp32 value, plus 20 + 50 + 500 + 10 fp32
+        # biases; then one fp64 accumulator of all 431,080 parameters
+        per_upload = 4951 * (8 + 4) + 580 * 4
+        accumulator = 431_080 * 8
+        assert ctx.peak_bytes == self.CLIENTS * per_upload + accumulator == 4_991_940
+
+    def test_one_byte_less_rejects_the_last_upload(self):
+        ctx, (agg, rej) = self._cr87_round(4_991_939)
+        assert len(agg.records) == self.CLIENTS - 1
+        assert [r.client_id for r in rej] == [self.CLIENTS - 1]
+        assert "trusted buffer" in rej[0].reason
+        assert ctx.peak_bytes == 4_991_940 - (4951 * 12 + 580 * 4)
 
 
 class TestPublish:

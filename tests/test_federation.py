@@ -638,7 +638,7 @@ def metrics_of(phase, uploads, dense_uploads, download, rnd=0):
     """RoundMetrics of one round with the given per-client byte counts."""
     return RoundMetrics(
         rnd, phase, 1.0, 1.0, sum(uploads), len(uploads) * download,
-        sum(dense_uploads), total_s=0.0,
+        sum(dense_uploads), trusted_peak_bytes=0, total_s=0.0,
         **dict.fromkeys(RoundMetrics.TIME_FIELDS, 0.0))
 
 
