@@ -250,6 +250,12 @@ def plan_round(cfg: ExperimentConfig, round_index: int) -> RoundPlan:
 # Local training
 # ---------------------------------------------------------------------------
 
+# Entries per block of the in-place local step, so that a block of each array
+# it touches (weight, velocity, gradient, U, scratch) stays in cache between
+# the step's operations.
+_BLOCK = 1 << 15
+
+
 def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
                  x: np.ndarray, y: np.ndarray, cfg: ExperimentConfig,
                  plan: RoundPlan, admm_state: pruning.ADMMState | None,
@@ -263,7 +269,9 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     (the shared mask of fine-tune rounds) then zeroes g off it by selection,
     so a non-finite value there cannot reach the weights.  The velocity is g
     on the first step and momentum*v + g after; the step is W - lr*v.  Biases
-    get the momentum and the step only.  No array passed in is written to.
+    get the momentum and the step only.  The weights and velocities are this
+    round's own buffers, updated in place; no array passed in or returned by
+    nn.backward is written to.
 
     admm_prune rounds end with one Z/U update.  Every sparse upload, that is
     every round with a plan.stage_cfg, is projected to that config's
@@ -275,36 +283,39 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     resumes from the Z, U and step of its last participation, however stale.
     """
     rng = np.random.default_rng(seed)
-    params = global_params
-    velocity: dict[str, tuple[np.ndarray, np.ndarray]] = {}   # layer -> (weight, bias)
     n = len(y)
-    penalized: dict[str, np.ndarray] = {}    # constrained layer -> Z
+    penalized: dict[str, pruning.KeptEntries] = {}    # constrained layer -> Z
+    rho = None
     if plan.phase == PHASE_ADMM:
         if admm_state is None:
-            admm_state = pruning.admm_init(params, plan.stage_cfg)
+            admm_state = pruning.admm_init(global_params, plan.stage_cfg)
         penalized, rho = admm_state.z, plan.stage_cfg.rho
     masked = mask.layers if mask is not None else {}
 
-    if cfg.lr > 0:
-        for _ in range(cfg.local_epochs):
-            perm = rng.permutation(n)
-            for lo in range(0, n, cfg.batch_size):
-                ix = perm[lo:lo + cfg.batch_size]
-                grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
-                stepped = []
-                for p, g in zip(params.entries, grad.entries):
-                    lid, gw, gb = p.layer_id, g.weight, g.bias
-                    if lid in penalized:
-                        gw = gw + rho * (p.weight - penalized[lid] + admm_state.u[lid])
-                    if lid in masked:
-                        gw = np.where(masked[lid], gw, 0.0)
-                    if lid in velocity:
-                        vw, vb = velocity[lid]
-                        gw, gb = cfg.momentum * vw + gw, cfg.momentum * vb + gb
-                    velocity[lid] = gw, gb
-                    stepped.append(nn.LayerParams(lid, p.weight - cfg.lr * gw,
-                                                  p.bias - cfg.lr * gb))
-                params = nn.ParameterSet(tuple(stepped))
+    params = global_params.map(lambda lid, w, b: (w.copy(), b.copy()))
+    # one slot per weight and bias tensor, in gradient order, of flat views:
+    # (trained tensor, its velocity, Z or None, U or None, off-mask or None)
+    slots = []
+    for e in params.entries:
+        lid = e.layer_id
+        z = penalized.get(lid)
+        w, b = e.weight.reshape(-1), e.bias.reshape(-1)
+        slots.append((w, np.empty_like(w), z,
+                      admm_state.u[lid].reshape(-1) if z is not None else None,
+                      ~masked[lid].reshape(-1) if lid in masked else None))
+        slots.append((b, np.empty_like(b), None, None, None))
+    scratch = np.empty(min(_BLOCK, max(slot[0].size for slot in slots)))
+
+    first = True
+    for _ in range(cfg.local_epochs if cfg.lr > 0 else 0):
+        perm = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            ix = perm[lo:lo + cfg.batch_size]
+            grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
+            grads = (a.reshape(-1) for g in grad.entries for a in (g.weight, g.bias))
+            for slot, g in zip(slots, grads):
+                _step(slot, g, first, rho, cfg, scratch)
+            first = False
 
     if plan.phase == PHASE_ADMM:
         admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
@@ -312,6 +323,33 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     if plan.stage_cfg is not None:
         params = pruning.final_hard_prune(params, plan.stage_cfg)[0]
     return params, admm_state
+
+
+def _step(slot, g: np.ndarray, first: bool, rho: float | None,
+          cfg: ExperimentConfig, scratch: np.ndarray) -> None:
+    """One minibatch's update of one tensor, block by block, in the per-entry
+    order of the dense expressions: g + rho*((W - Z) + U), selected by the
+    mask, (momentum*v) + g, W - lr*v."""
+    w, v, z, u, off = slot
+    for lo in range(0, w.size, _BLOCK):
+        hi = min(lo + _BLOCK, w.size)
+        wb, vb, gb, s = w[lo:hi], v[lo:hi], g[lo:hi], scratch[:hi - lo]
+        acc = vb if first else s      # the first step's velocity is the gradient
+        if z is not None:
+            pruning.admm_residual(wb, z, u[lo:hi], acc, lo)
+            np.multiply(acc, rho, out=acc)
+            np.add(gb, acc, out=acc)
+        elif first or off is not None:
+            acc[...] = gb
+        else:
+            acc = gb
+        if off is not None:
+            np.copyto(acc, 0.0, where=off[lo:hi])
+        if not first:
+            np.multiply(vb, cfg.momentum, out=vb)
+            np.add(vb, acc, out=vb)
+        np.multiply(vb, cfg.lr, out=s)
+        np.subtract(wb, s, out=wb)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +510,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             global_params = enclave.fedavg(agg_input)
             if plan.finalize_after:
                 global_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
+                admm_states.clear()    # no ADMM round is left to use a Z or U
 
         keep = (pruning.overall_keep_fraction(global_params, plan.stage_cfg)
                 if plan.stage_cfg is not None else 1.0)

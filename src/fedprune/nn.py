@@ -259,11 +259,12 @@ def init_model(arch: ModelArch, seed: int) -> ParameterSet:
 # ---------------------------------------------------------------------------
 
 # Examples per conv/pool tile in ``predict``.  It bounds the im2col matrices:
-# LeNet-5's conv2 needs 8 MB for 32 examples, 77 MB for 300.  Splitting a conv
-# GEMM's rows by example keeps its bytes (tests/test_nn_reference.py);
+# LeNet-5's conv2 needs 2.5 MB for 10 examples, 77 MB for 300.  Splitting a
+# conv GEMM's rows by example keeps its bytes (tests/test_nn_reference.py);
 # splitting a dense GEMM's rows changes the last bit, so dense layers run on
-# the whole chunk.
-_TILE = 32
+# the whole chunk.  On 300 LeNet-5 examples (one BLAS thread, 2-core host)
+# tiles of 10 took 61/78 ms min/median against 70/86 ms for tiles of 32.
+_TILE = 10
 
 
 def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):

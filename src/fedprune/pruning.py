@@ -1,11 +1,13 @@
 """Cardinality-constrained weight pruning.
 
 The training-time loss is augmented with (rho/2)||W - Z + U||^2 per layer;
-the local step (federation.client_round) adds its gradient rho*(W - Z + U).
-Here, alternating updates keep Z on the cardinality set via Euclidean
-projection (top-k by magnitude) and accumulate the constraint violation into
-the dual tensors U.  A magnitude-masked per-round projection of local updates
-serves as the baseline method.  Biases are never pruned.
+the local step (federation.client_round) adds its gradient rho*(W - Z + U),
+with the residual from admm_residual.  Here, alternating updates keep Z on
+the cardinality set via Euclidean projection (top-k by magnitude) and
+accumulate the constraint violation into the dual tensors U.  Z is held as
+the kept entries of its projection (KeptEntries), never as a dense tensor.
+A magnitude-masked per-round projection of local updates serves as the
+baseline method.  Biases are never pruned.
 """
 
 from __future__ import annotations
@@ -45,8 +47,30 @@ class SparsityConfig:
 
 
 @dataclass(frozen=True)
+class KeptEntries:
+    """A tensor stored as its entries other than +0.0: sorted flat indices
+    and their values.  A kept -0.0 is stored, because W - (-0.0) and
+    W - (+0.0) differ at W = -0.0; every other entry is +0.0."""
+
+    shape: tuple[int, ...]
+    index: np.ndarray      # sorted flat indices
+    value: np.ndarray      # the tensor's values there
+
+    @classmethod
+    def of(cls, t: np.ndarray) -> "KeptEntries":
+        flat = t.reshape(-1)
+        index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+        return cls(t.shape, index, flat[index])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.value.dtype)
+        out.reshape(-1)[self.index] = self.value
+        return out
+
+
+@dataclass(frozen=True)
 class ADMMState:
-    z: dict[str, np.ndarray]
+    z: dict[str, KeptEntries]
     u: dict[str, np.ndarray]
     step: int = 0
 
@@ -95,7 +119,8 @@ def _project_params(params: ParameterSet, budgets: dict[str, int]) -> ParameterS
 def admm_init(params: ParameterSet, cfg: SparsityConfig) -> ADMMState:
     """Z = project(W), U = 0 for every constrained layer."""
     budgets = cfg.budgets(params)
-    z = {lid: euclidean_project(params[lid].weight, n) for lid, n in budgets.items()}
+    z = {lid: KeptEntries.of(euclidean_project(params[lid].weight, n))
+         for lid, n in budgets.items()}
     u = {lid: np.zeros_like(params[lid].weight) for lid in budgets}
     return ADMMState(z=z, u=u)
 
@@ -104,15 +129,35 @@ def admm_z_step(params: ParameterSet, state: ADMMState,
                 cfg: SparsityConfig) -> ADMMState:
     """Z <- project(W + U) onto each layer's cardinality set."""
     budgets = cfg.budgets(params)
-    z = {lid: euclidean_project(params[lid].weight + state.u[lid], budgets[lid])
+    z = {lid: KeptEntries.of(euclidean_project(params[lid].weight + state.u[lid],
+                                               budgets[lid]))
          for lid in state.z}
     return replace(state, z=z)
 
 
 def admm_u_step(params: ParameterSet, state: ADMMState) -> ADMMState:
-    """U <- U + W - Z; advances the iteration counter."""
-    u = {lid: state.u[lid] + params[lid].weight - state.z[lid] for lid in state.u}
+    """U <- U + W - Z; advances the iteration counter.
+
+    Off Z's stored entries Z is +0.0, and (U + W) - 0.0 is U + W bit for
+    bit, so only the stored entries are redone as (U + W) - z."""
+    u = {}
+    for lid, z in state.z.items():
+        u[lid] = state.u[lid] + params[lid].weight
+        u[lid].reshape(-1)[z.index] -= z.value
     return replace(state, u=u, step=state.step + 1)
+
+
+def admm_residual(w: np.ndarray, z: KeptEntries, u: np.ndarray,
+                  out: np.ndarray, start: int) -> None:
+    """Write W - Z + U into out, bit for bit as the dense (W - Z) + U.
+
+    w, u and out are 1-D and cover the flat entries [start, start + out.size)
+    of a layer whose Z is z.  Off Z's stored entries (W - 0.0) + U is W + U,
+    so out gets W + U and then (W - z) + U on the stored entries."""
+    np.add(w, u, out=out)
+    lo, hi = np.searchsorted(z.index, (start, start + out.size))
+    at = z.index[lo:hi] - start
+    out[at] = (w[at] - z.value[lo:hi]) + u[at]
 
 
 def final_hard_prune(params: ParameterSet,

@@ -209,11 +209,11 @@ def test_criterion_06_admm_residual():
     state = pruning.admm_init(params, cfg)
     residuals = []
     for _ in range(50):
-        w = (a + cfg.rho * (state.z["a"] - state.u["a"])) / (1.0 + cfg.rho)
+        w = (a + cfg.rho * (state.z["a"].dense() - state.u["a"])) / (1.0 + cfg.rho)
         params = nn.ParameterSet((nn.LayerParams("a", w, np.zeros(1)),))
         state = pruning.admm_z_step(params, state, cfg)
         state = pruning.admm_u_step(params, state)
-        residuals.append(float(np.linalg.norm(w - state.z["a"])))
+        residuals.append(float(np.linalg.norm(w - state.z["a"].dense())))
     tail = residuals[-10:]
     ok = all(b <= a_ + 1e-12 for a_, b in zip(tail, tail[1:]))
     report(6, ok, f"||W-Z|| tail {tail[0]:.2e} -> {tail[-1]:.2e}, non-increasing")

@@ -199,7 +199,7 @@ class TestClientRound:
         budgets = cfg.sparsity.budgets(g)
         for lid, n in budgets.items():
             assert np.count_nonzero(upd[lid].weight) == n
-            assert np.count_nonzero(state.z[lid]) <= n
+            assert np.count_nonzero(state.z[lid].dense()) <= n
         assert state.step == 1
 
     def test_regression_fixture(self):
@@ -219,7 +219,8 @@ class TestClientRound:
 
 def reference_client_round(arch, global_params, x, y, cfg, plan, admm_state, mask, seed):
     """client_round as a chain of whole-model steps, one new ParameterSet
-    per term: loss gradient, + ADMM penalty, mask, momentum, SGD step."""
+    per term: loss gradient, + ADMM penalty, mask, momentum, SGD step.  Z is
+    dense throughout, and the Z and U steps are the dense formulas."""
     def add(a, b):
         return a.map(lambda lid, w, bias: (w + b[lid].weight, bias + b[lid].bias))
 
@@ -227,10 +228,10 @@ def reference_client_round(arch, global_params, x, y, cfg, plan, admm_state, mas
         return v.map(lambda lid, w, bias: (factor * w + g[lid].weight,
                                            factor * bias + g[lid].bias))
 
-    def penalty(params, state, rho):
+    def penalty(params, z, u, rho):
         def g(lid, w, b):
-            if lid in state.z:
-                return rho * (w - state.z[lid] + state.u[lid]), np.zeros_like(b)
+            if lid in z:
+                return rho * (w - z[lid] + u[lid]), np.zeros_like(b)
             return np.zeros_like(w), np.zeros_like(b)
         return params.map(g)
 
@@ -247,8 +248,15 @@ def reference_client_round(arch, global_params, x, y, cfg, plan, admm_state, mas
 
     rng = np.random.default_rng(seed)
     params, velocity = global_params, None
-    if plan.phase == "admm_prune" and admm_state is None:
-        admm_state = pruning.admm_init(params, plan.stage_cfg)
+    if plan.phase == "admm_prune":
+        budgets = plan.stage_cfg.budgets(params)
+        if admm_state is None:
+            z = {lid: pruning.euclidean_project(params[lid].weight, n)
+                 for lid, n in budgets.items()}
+            u, step = {lid: np.zeros_like(z[lid]) for lid in z}, 0
+        else:
+            z = {lid: kept.dense() for lid, kept in admm_state.z.items()}
+            u, step = admm_state.u, admm_state.step
     if cfg.lr > 0:
         for _ in range(cfg.local_epochs):
             perm = rng.permutation(len(y))
@@ -256,14 +264,17 @@ def reference_client_round(arch, global_params, x, y, cfg, plan, admm_state, mas
                 ix = perm[lo:lo + cfg.batch_size]
                 grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
                 if plan.phase == "admm_prune":
-                    grad = add(grad, penalty(params, admm_state, plan.stage_cfg.rho))
+                    grad = add(grad, penalty(params, z, u, plan.stage_cfg.rho))
                 if mask is not None:
                     grad = apply_mask(grad, mask)
                 velocity = grad if velocity is None else axpy(cfg.momentum, velocity, grad)
                 params = sgd_step(params, velocity, cfg.lr)
     if plan.phase == "admm_prune":
-        admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
-        admm_state = pruning.admm_u_step(params, admm_state)
+        z = {lid: pruning.euclidean_project(params[lid].weight + u[lid], budgets[lid])
+             for lid in z}
+        u = {lid: u[lid] + params[lid].weight - z[lid] for lid in z}
+        admm_state = pruning.ADMMState(
+            z={lid: pruning.KeptEntries.of(t) for lid, t in z.items()}, u=u, step=step + 1)
     if plan.stage_cfg is not None:
         params = pruning.final_hard_prune(params, plan.stage_cfg)[0]
     return params, admm_state
@@ -276,8 +287,62 @@ def param_bytes(params):
 def state_bytes(state):
     if state is None:
         return None
-    return (state.step, [(lid, state.z[lid].tobytes(), state.u[lid].tobytes())
+    return (state.step, [(lid, state.z[lid].dense().tobytes(), state.u[lid].tobytes())
                          for lid in sorted(state.z)])
+
+
+STEP_CASES = ["warmup", "admm_first", "admm_returning", "masked_prune", "finetune", "dense"]
+
+
+def assert_step_matches_reference(case, momentum):
+    """client_round against reference_client_round on a (10, 8, 6, 3) MLP."""
+    # fc3 is unconstrained; two epochs carry the momentum buffer over.
+    # rho and lr are large enough that a penalty summed in another order
+    # changes the update's last bits.
+    ds = synthetic_blobs(80, 10, 10, 3, seed=1)
+    arch = nn.mlp((10, 8, 6, 3))
+    sparsity = SparsityConfig(keep={"fc1": 0.25, "fc2": 0.5}, rho=1.0)
+    cfg = tiny_cfg(arch_params={"dims": (10, 8, 6, 3)}, sparsity=sparsity,
+                   local_epochs=2, lr=0.05, momentum=momentum)
+    g = nn.init_model(arch, 0)
+    state = mask = None
+    if case == "warmup":
+        plan = RoundPlan("warmup", None, False)
+    elif case == "dense":
+        plan = RoundPlan("dense", None, False)
+    elif case == "masked_prune":
+        plan = RoundPlan("masked_prune", stage_keep_config(sparsity, 0), False)
+    elif case == "finetune":
+        plan = RoundPlan("masked_finetune", sparsity, False)
+        g, mask = pruning.final_hard_prune(g, sparsity)
+    else:
+        plan = RoundPlan("admm_prune", stage_keep_config(sparsity, 2), False)
+        if case == "admm_returning":
+            # Z on the budget and a dense U, so both are non-zero together
+            rng = np.random.default_rng(7)
+            budgets = plan.stage_cfg.budgets(g)
+            state = pruning.ADMMState(
+                z={lid: pruning.KeptEntries.of(pruning.euclidean_project(
+                    rng.normal(0, 0.3, g[lid].weight.shape), n))
+                   for lid, n in budgets.items()},
+                u={lid: rng.normal(0, 0.1, g[lid].weight.shape) for lid in budgets},
+                step=3)
+    inputs = (param_bytes(g), state_bytes(state),
+              mask and [m.tobytes() for m in mask.layers.values()])
+
+    upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
+                            mask, seed=5)
+    ref_upd, ref_out = reference_client_round(arch, g, ds.train_x, ds.train_y, cfg,
+                                              plan, state, mask, seed=5)
+    assert upd.allfinite()
+    assert param_bytes(upd) == param_bytes(ref_upd)
+    assert state_bytes(out) == state_bytes(ref_out)
+    assert (out is None) == (plan.phase != "admm_prune")
+    # nothing the caller passed in was written to, or is returned
+    assert inputs == (param_bytes(g), state_bytes(state),
+                      mask and [m.tobytes() for m in mask.layers.values()])
+    assert not any(np.shares_memory(a, b) for e, f in zip(upd.entries, g.entries)
+                   for a, b in ((e.weight, f.weight), (e.bias, f.bias)))
 
 
 class TestLocalStep:
@@ -285,53 +350,38 @@ class TestLocalStep:
     and its arithmetic against hand-computed values."""
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    @pytest.mark.parametrize("case", ["warmup", "admm_first", "admm_returning",
-                                      "masked_prune", "finetune", "dense"])
+    @pytest.mark.parametrize("case", STEP_CASES)
     def test_bit_identical_to_reference_chain(self, case, momentum):
-        # fc3 is unconstrained; two epochs carry the momentum buffer over.
-        # rho and lr are large enough that a penalty summed in another order
-        # changes the update's last bits.
-        ds = synthetic_blobs(80, 10, 10, 3, seed=1)
-        arch = nn.mlp((10, 8, 6, 3))
-        sparsity = SparsityConfig(keep={"fc1": 0.25, "fc2": 0.5}, rho=1.0)
-        cfg = tiny_cfg(arch_params={"dims": (10, 8, 6, 3)}, sparsity=sparsity,
-                       local_epochs=2, lr=0.05, momentum=momentum)
-        g = nn.init_model(arch, 0)
-        state = mask = None
-        if case == "warmup":
-            plan = RoundPlan("warmup", None, False)
-        elif case == "dense":
-            plan = RoundPlan("dense", None, False)
-        elif case == "masked_prune":
-            plan = RoundPlan("masked_prune", stage_keep_config(sparsity, 0), False)
-        elif case == "finetune":
-            plan = RoundPlan("masked_finetune", sparsity, False)
-            g, mask = pruning.final_hard_prune(g, sparsity)
-        else:
-            plan = RoundPlan("admm_prune", stage_keep_config(sparsity, 2), False)
-            if case == "admm_returning":
-                # Z on the budget and a dense U, so both are non-zero together
-                rng = np.random.default_rng(7)
-                budgets = plan.stage_cfg.budgets(g)
-                state = pruning.ADMMState(
-                    z={lid: pruning.euclidean_project(rng.normal(0, 0.3, g[lid].weight.shape), n)
-                       for lid, n in budgets.items()},
-                    u={lid: rng.normal(0, 0.1, g[lid].weight.shape) for lid in budgets},
-                    step=3)
-        inputs = (param_bytes(g), state_bytes(state),
-                  mask and [m.tobytes() for m in mask.layers.values()])
+        assert_step_matches_reference(case, momentum)
 
-        upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
-                                mask, seed=5)
-        ref_upd, ref_out = reference_client_round(arch, g, ds.train_x, ds.train_y, cfg,
-                                                  plan, state, mask, seed=5)
-        assert upd.allfinite()
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("case", STEP_CASES)
+    def test_bit_identical_across_blocks(self, case, momentum, monkeypatch):
+        # blocks of 7 entries: every tensor but fc3's bias spans several
+        # blocks and ends in a ragged one, and Z's entries fall in most blocks
+        monkeypatch.setattr(federation, "_BLOCK", 7)
+        assert_step_matches_reference(case, momentum)
+
+    def test_lenet_fc1_at_the_real_block_size(self):
+        # fc1's 400,000 weights are 12 full blocks and a ragged 13th
+        assert 400_000 % federation._BLOCK and 400_000 > 12 * federation._BLOCK
+        arch = nn.lenet5()
+        sparsity = SparsityConfig(keep={"conv2": 0.06, "fc1": 0.0055}, rho=1.0)
+        cfg = tiny_cfg(arch="lenet5", arch_params={}, sparsity=sparsity,
+                       local_epochs=1, batch_size=5, lr=0.05, momentum=0.9)
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
+        g = nn.init_model(arch, 0)
+        plan = RoundPlan("admm_prune", stage_keep_config(sparsity, 0), False)
+        state = pruning.ADMMState(
+            z={lid: pruning.KeptEntries.of(pruning.euclidean_project(
+                rng.normal(0, 0.05, g[lid].weight.shape), n))
+               for lid, n in plan.stage_cfg.budgets(g).items()},
+            u={lid: rng.normal(0, 0.01, g[lid].weight.shape) for lid in sparsity.keep})
+        upd, out = client_round(arch, g, x, y, cfg, plan, state, None, seed=5)
+        ref_upd, ref_out = reference_client_round(arch, g, x, y, cfg, plan, state, None, seed=5)
         assert param_bytes(upd) == param_bytes(ref_upd)
         assert state_bytes(out) == state_bytes(ref_out)
-        assert (out is None) == (plan.phase != "admm_prune")
-        # nothing the caller passed in was written to
-        assert inputs == (param_bytes(g), state_bytes(state),
-                          mask and [m.tobytes() for m in mask.layers.values()])
 
     def test_arithmetic(self, fixed_grad_round):
         params = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 1.0]), np.zeros(1)),))
@@ -349,6 +399,40 @@ class TestLocalStep:
                                   lr=0.1, momentum=0.5)
         assert np.allclose(upd["a"].weight, [1.0 - 0.1 - 0.05, 1.0 - 0.2])
         assert np.allclose(upd["a"].bias, [-0.1 - 0.15])
+
+    @pytest.mark.parametrize("phase", ["admm_prune", "masked_finetune"])
+    def test_reused_gradient_arrays(self, fixed_grad_round, phase):
+        # one gradient object for all three steps of a round with a mask, with
+        # and without the ADMM penalty: were any step to write into it, the
+        # later steps would see it
+        def layers(a, b):
+            return nn.ParameterSet((nn.LayerParams("a", np.array(a[0]), np.array(a[1])),
+                                    nn.LayerParams("b", np.array(b[0]), np.array(b[1]))))
+        params = layers(([1.0, 2.0, 3.0], [0.0]), ([4.0], [0.0]))
+        grad = layers(([0.5, -1.0, 2.0], [0.25]), ([1.0], [-1.0]))
+        z, u = np.array([1.0, 0.0, 3.0]), np.array([0.1, -0.2, 0.3])
+        m = np.array([True, False, True])
+        state = None
+        if phase == "admm_prune":
+            state = pruning.ADMMState(z={"a": pruning.KeptEntries.of(z)}, u={"a": u})
+        plan = RoundPlan(phase, SparsityConfig(keep={"a": 1.0}, rho=2.0), False)
+        upd, _ = fixed_grad_round(params, [grad] * 3, plan, state=state,
+                                  mask=pruning.PruneMask({"a": m}), lr=0.1, momentum=0.5)
+        want = []
+        for e, g in zip(params.entries, grad.entries):
+            for t, gt, masked in ((e.weight, g.weight, e.layer_id == "a"),
+                                  (e.bias, g.bias, False)):
+                v = None
+                for _ in range(3):
+                    step = gt
+                    if masked and state is not None:
+                        step = step + 2.0 * (t - z + u)
+                    if masked:
+                        step = np.where(m, step, 0.0)
+                    v = step if v is None else 0.5 * v + step
+                    t = t - 0.1 * v
+                want.append(t.tobytes())
+        assert want == [t.tobytes() for e in upd.entries for t in (e.weight, e.bias)]
 
     def test_zero_grad_no_change(self, fixed_grad_round):
         params = nn.init_model(nn.mlp((3, 2)), 1)
@@ -530,13 +614,13 @@ class TestAdmmStateAcrossRounds:
                 returned, z, u = last[cid]
                 assert state is returned and state.step == len(joined[cid])
                 for lid in z:
-                    assert state.z[lid].tobytes() == z[lid]
+                    assert state.z[lid].dense().tobytes() == z[lid]
                     assert state.u[lid].tobytes() == u[lid]
             else:
                 assert state is None
             update, out = real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
             joined.setdefault(cid, []).append(rnd)
-            last[cid] = (out, {lid: a.tobytes() for lid, a in out.z.items()},
+            last[cid] = (out, {lid: a.dense().tobytes() for lid, a in out.z.items()},
                          {lid: a.tobytes() for lid, a in out.u.items()})
             return update, out
 
@@ -546,6 +630,22 @@ class TestAdmmStateAcrossRounds:
         assert inits == sorted((rounds[0], cid) for cid, rounds in joined.items())
         assert any(b - a > 1 for rounds in joined.values()
                    for a, b in zip(rounds, rounds[1:]))
+
+    def test_finetune_rounds_get_no_state(self, monkeypatch):
+        # the client ADMM states are dropped after the last ADMM round
+        cfg = tiny_cfg(clients_per_round=2, warmup_rounds=1, pruning_rounds=6)
+        real_round = federation.client_round
+        seen = []    # (phase, state passed in)
+
+        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed):
+            seen.append((plan.phase, state))
+            return real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+
+        monkeypatch.setattr(federation, "client_round", client_round)
+        run_experiment(cfg)
+        assert any(phase == "admm_prune" and state is not None for phase, state in seen)
+        finetune = [state for phase, state in seen if phase == "masked_finetune"]
+        assert len(finetune) == 4 and all(state is None for state in finetune)
 
 
 DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo_synthetic.cfg"

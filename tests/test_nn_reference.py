@@ -214,7 +214,7 @@ class TestGradientBytes:
 
 class TestInferenceBytes:
     def test_lenet5_logits_at_eval_batch_512(self):
-        # 300 examples in one 512 chunk: conv tiles of 32 and a remainder of 12
+        # 300 examples in one 512 chunk: 30 conv tiles of 10
         arch = nn.lenet5()
         params = nn.init_model(arch, seed=4)
         x, y = tied_inputs(arch, 300, seed=0)

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedprune import nn, pruning
-from fedprune.federation import RoundPlan
-from fedprune.pruning import (ADMMState, SparsityConfig, admm_init, admm_u_step,
-                              admm_z_step, compression_rate, euclidean_project,
-                              final_hard_prune)
+from fedprune.federation import RoundPlan, stage_keep_config
+from fedprune.pruning import (ADMMState, KeptEntries, SparsityConfig, admm_init,
+                              admm_residual, admm_u_step, admm_z_step,
+                              compression_rate, euclidean_project, final_hard_prune)
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
 LENET_KEEP_CR10 = {"conv1": 0.8, "conv2": 0.4, "fc1": 30193 / 400000, "fc2": 0.5}
@@ -151,12 +151,18 @@ def two_layer_params(w1, w2=None):
     return nn.ParameterSet(tuple(entries))
 
 
+def dense_state(z, u):
+    """An ADMMState from dense Z and U tensors."""
+    return ADMMState(z={lid: KeptEntries.of(np.asarray(t, dtype=float)) for lid, t in z.items()},
+                     u={lid: np.asarray(t, dtype=float) for lid, t in u.items()})
+
+
 class TestAdmm:
     def test_init_projection_fixed_point(self):
         params = two_layer_params([3.0, 0.0, 0.0, -2.0])
         cfg = SparsityConfig(keep={"a": 0.5}, rho=1e-3)
         st_ = admm_init(params, cfg)
-        assert np.array_equal(st_.z["a"], params["a"].weight)
+        assert np.array_equal(st_.z["a"].dense(), params["a"].weight)
         assert np.all(st_.u["a"] == 0.0)
         assert st_.step == 0
 
@@ -165,8 +171,8 @@ class TestAdmm:
         params = two_layer_params(rng.normal(size=10), rng.normal(size=8))
         cfg = SparsityConfig(keep={"a": 0.3, "b": 0.25})
         st_ = admm_init(params, cfg)
-        assert np.count_nonzero(st_.z["a"]) <= 3
-        assert np.count_nonzero(st_.z["b"]) <= 2
+        assert np.count_nonzero(st_.z["a"].dense()) <= 3
+        assert np.count_nonzero(st_.z["b"].dense()) <= 2
 
     def test_reg_gradient_zero_at_consensus(self, fixed_grad_round):
         # keep 1.0 makes Z = W and U = 0: with no loss gradient the penalty
@@ -184,7 +190,7 @@ class TestAdmm:
         # one step of lr 0.1 with no loss gradient: W - 0.1 * rho * (W - Z + U);
         # no penalty on biases or on the unconstrained layer b
         params = two_layer_params([1.0, 0.0], [4.0])
-        st_ = ADMMState(z={"a": np.array([0.0, 0.0])}, u={"a": np.array([0.5, 0.0])})
+        st_ = dense_state(z={"a": [0.0, 0.0]}, u={"a": [0.5, 0.0]})
         cfg = SparsityConfig(keep={"a": 1.0}, rho=2.0)
         upd, _ = fixed_grad_round(params, [two_layer_params([0.0, 0.0], [0.0])],
                                   RoundPlan("admm_prune", cfg, False), state=st_)
@@ -195,21 +201,21 @@ class TestAdmm:
     def test_z_step_examples(self):
         params = two_layer_params([1.0, -3.0, 2.0, 0.0])
         cfg = SparsityConfig(keep={"a": 0.5})
-        st_ = ADMMState(z={"a": np.zeros(4)}, u={"a": np.zeros(4)})
+        st_ = dense_state(z={"a": np.zeros(4)}, u={"a": np.zeros(4)})
         st2 = admm_z_step(params, st_, cfg)
-        assert np.array_equal(st2.z["a"], [0.0, -3.0, 2.0, 0.0])
-        assert np.count_nonzero(st2.z["a"]) <= 2
+        assert np.array_equal(st2.z["a"].dense(), [0.0, -3.0, 2.0, 0.0])
+        assert np.count_nonzero(st2.z["a"].dense()) <= 2
 
     def test_u_step_arithmetic(self):
         params = two_layer_params([2.0])
-        st_ = ADMMState(z={"a": np.array([0.0])}, u={"a": np.array([1.0])})
+        st_ = dense_state(z={"a": [0.0]}, u={"a": [1.0]})
         st2 = admm_u_step(params, st_)
         assert np.allclose(st2.u["a"], [3.0])
         assert st2.step == 1
 
     def test_u_fixed_point_at_consensus(self):
         params = two_layer_params([5.0, 0.0])
-        st_ = ADMMState(z={"a": np.array([5.0, 0.0])}, u={"a": np.zeros(2)})
+        st_ = dense_state(z={"a": [5.0, 0.0]}, u={"a": np.zeros(2)})
         assert np.all(admm_u_step(params, st_).u["a"] == 0.0)
 
     def test_frozen_w_linear_dual_growth(self):
@@ -218,11 +224,11 @@ class TestAdmm:
         params = two_layer_params([9.0, 1.0])
         cfg = SparsityConfig(keep={"a": 0.5})
         st_ = admm_init(params, cfg)
-        z = st_.z["a"].copy()          # [9, 0]
+        z = st_.z["a"].dense()         # [9, 0]
         for k in range(1, 6):
             st_ = admm_z_step(params, st_, cfg)
             st_ = admm_u_step(params, st_)
-            assert np.array_equal(st_.z["a"], z)
+            assert np.array_equal(st_.z["a"].dense(), z)
             assert np.allclose(st_.u["a"], k * (params["a"].weight - z))
 
     def test_residual_nonincreasing_quadratic_toy(self):
@@ -237,13 +243,70 @@ class TestAdmm:
         state = admm_init(params, cfg)
         residuals = []
         for _ in range(50):
-            w = (a + cfg.rho * (state.z["a"] - state.u["a"])) / (1 + cfg.rho)
+            w = (a + cfg.rho * (state.z["a"].dense() - state.u["a"])) / (1 + cfg.rho)
             params = two_layer_params(w)
             state = admm_z_step(params, state, cfg)
             state = admm_u_step(params, state)
-            residuals.append(float(np.linalg.norm(w - state.z["a"])))
+            residuals.append(float(np.linalg.norm(w - state.z["a"].dense())))
         tail = residuals[-10:]
         assert all(b <= a_ + 1e-12 for a_, b in zip(tail, tail[1:]))
+
+
+def assert_sparse_z_is_dense_arithmetic(w, zd, u):
+    """admm_u_step and admm_residual (whole, and in ragged blocks of 3) with Z
+    stored as KeptEntries.of(zd), against the dense formulas (U + W) - Z and
+    (W - Z) + U, byte for byte."""
+    z = KeptEntries.of(zd)
+    assert z.dense().tobytes() == zd.tobytes()
+    stepped = admm_u_step(two_layer_params(w), ADMMState(z={"a": z}, u={"a": u}))
+    assert stepped.u["a"].tobytes() == (u + w - zd).tobytes()
+    want = (w - zd + u).reshape(-1)
+    for block in (w.size, 3):
+        out = np.empty(w.size)
+        for lo in range(0, w.size, block):
+            hi = min(lo + block, w.size)
+            admm_residual(w.reshape(-1)[lo:hi], z, u.reshape(-1)[lo:hi], out[lo:hi], lo)
+        assert out.tobytes() == want.tobytes()
+
+
+class TestSparseZ:
+    def test_stores_exactly_the_entries_other_than_positive_zero(self):
+        t = np.array([[0.0, -0.0, 2.0], [np.nan, 0.0, -1.0]])
+        z = KeptEntries.of(t)
+        assert z.index.tolist() == [1, 2, 3, 5] and z.shape == (2, 3)
+        assert z.dense().tobytes() == t.tobytes()
+
+    def test_kept_negative_zero(self):
+        # a budget above the non-zero count keeps the lowest-index zeros,
+        # here +0.0 at 0 and -0.0 at 1; with W = U = -0.0 there the dense
+        # formulas give +0.0 where W + U would give -0.0
+        w = np.array([0.0, -0.0, 3.0, -0.0, 0.0, 1.0, -0.0, 2.0])
+        zd = euclidean_project(w, 5)
+        assert 1 in KeptEntries.of(zd).index.tolist()
+        assert_sparse_z_is_dense_arithmetic(w, zd, np.full(8, -0.0))
+
+    @pytest.mark.parametrize("n_keep", [3, 11])
+    def test_nan_in_w_plus_u(self, n_keep):
+        # Z from the Z step on a W + U with NaNs; at 11 of 12 a NaN is kept
+        rng = np.random.default_rng(4)
+        w, u = rng.normal(size=12), rng.normal(size=12)
+        w[[2, 7]], u[[7, 9]] = np.nan, np.nan
+        cfg = SparsityConfig(keep={"a": n_keep / 12})
+        z = admm_z_step(two_layer_params(w), dense_state({"a": np.zeros(12)}, {"a": u}),
+                        cfg).z["a"]
+        assert z.index.size <= n_keep
+        assert_sparse_z_is_dense_arithmetic(w, z.dense(), u)
+
+    def test_returning_client_with_a_looser_stage_z(self):
+        # Z projected at stage 0's budget meets stage 3's weights
+        rng = np.random.default_rng(5)
+        cfg = SparsityConfig(keep={"a": 0.05}, rho=1.0)
+        loose = stage_keep_config(cfg, 0).budgets(two_layer_params(np.zeros((20, 30))))["a"]
+        tight = cfg.budgets(two_layer_params(np.zeros((20, 30))))["a"]
+        assert loose > 4 * tight
+        zd = euclidean_project(rng.normal(size=(20, 30)), loose)
+        w = euclidean_project(rng.normal(size=(20, 30)), tight)
+        assert_sparse_z_is_dense_arithmetic(w, zd, rng.normal(0, 0.1, size=(20, 30)))
 
 
 class TestHardPruneAndMask:
