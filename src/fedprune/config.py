@@ -88,18 +88,19 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     keep: dict[str, float] = {}
     if cp.has_section("pruning"):
         for key, raw in cp.items("pruning"):
-            if key == "rho":
-                rho = float(raw)
-            else:
-                try:
+            try:
+                if key == "rho":
+                    rho = float(raw)
+                else:
                     keep[key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad keep fraction for {key}: {raw!r}") from exc
-    if keep:
-        kwargs["sparsity"] = SparsityConfig(keep=keep, rho=rho)
+            except ValueError as exc:
+                what = "value for rho" if key == "rho" else f"keep fraction for {key}"
+                raise ConfigError(f"bad {what}: {raw!r}") from exc
 
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:
+        if keep:
+            kwargs["sparsity"] = SparsityConfig(keep=keep, rho=rho)
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

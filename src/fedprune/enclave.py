@@ -6,7 +6,7 @@ from outside.  Decrypted updates only ever exist wrapped in PlaintextUpdate,
 which cannot be constructed outside this module's trusted section; it keeps
 the layers as the wire carried them (codec.WireLayer), so a sparse upload
 costs its non-zeros, and fedavg widens one record at a time.  The trusted
-bytes held at once are counted and bounded (see enclave_load).
+bytes held at once in a round are counted and bounded (see enclave_load).
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class PlaintextUpdate:
 class EnclaveContext:
     key_manager: KeyManager
     scratch_limit: int = 256 * 1024 * 1024   # trusted memory budget, bytes
-    peak_bytes: int = 0                      # most trusted bytes held at once in the last load
+    held_bytes: int = 0                      # bytes of the records kept this round
+    peak_bytes: int = 0                      # most trusted bytes held at once this round
     ecall_count: int = 0
     ocall_count: int = 0
     schema: tuple | None = None              # codec.schema of the last published model
@@ -95,17 +96,19 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
     or that would take the trusted bytes past ctx.scratch_limit drops that
     client's contribution for the round and is reported; the rest proceed.
     Before any model is published every update is rejected.  Trusted bytes
-    are the records kept plus the larger of the record being opened with its
-    plaintext and fedavg's fp64 accumulator; ctx.peak_bytes is their peak.
+    are the records kept this round, by this call and earlier ones since the
+    last publish_model (ctx.held_bytes), plus the larger of the record being
+    opened with its plaintext and fedavg's fp64 accumulator; ctx.peak_bytes
+    is their peak over the round, so loading a round's uploads one call at a
+    time counts the same bytes as loading them in one call.
     """
     records, rejections = [], []
     accumulator = 8 * sum(math.prod(w) + math.prod(b) for _lid, w, b in ctx.schema or ())
-    held = ctx.peak_bytes = 0                # bytes of the records kept so far
     for enc in encs:
         ctx.ecall_count += 1
         try:
             opening = HEADER.size + 2 * len(enc.ciphertext) - TAG_SIZE   # record + plaintext
-            _hold(ctx, held + max(opening, accumulator))
+            _hold(ctx, ctx.held_bytes + max(opening, accumulator))
             if ctx.schema is None:
                 raise InvalidUpdateError("no model published")
             layers, _fmt = codec.decode_layers(ctx.key_manager.decrypt_update(enc),
@@ -122,10 +125,10 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
                 raise SecureChannelError(f"no example count for client {enc.client_id}")
             kept = sum(a.nbytes for x in layers for a in (x.flat, x.values, x.bias)
                        if a is not None)
-            _hold(ctx, held + kept + max(opening, accumulator))
+            _hold(ctx, ctx.held_bytes + kept + max(opening, accumulator))
             records.append(AggregationRecord(
                 enc.client_id, PlaintextUpdate(_TRUSTED_TOKEN, enc.client_id, layers), n))
-            held += kept
+            ctx.held_bytes += kept
         except (SecureChannelError, codec.CodecError, EnclaveMemoryError,
                 InvalidUpdateError) as exc:
             rejections.append(Rejection(enc.client_id, str(exc)))
@@ -165,8 +168,10 @@ def fedavg(agg: AggregationInput) -> ParameterSet:
 
 def publish_model(params: ParameterSet, ctx: EnclaveContext) -> bytes:
     """Serialize the global model dense and export it across the boundary;
-    one ocall.  Its layer table (codec.schema) is what uploads decode against."""
+    one ocall.  Its layer table (codec.schema) is what uploads decode against.
+    A publication starts a round: the held and peak trusted bytes restart at 0."""
     ctx.ocall_count += 1
+    ctx.held_bytes = ctx.peak_bytes = 0
     blob = codec.dense_encode(params)
     if len(blob) > ctx.scratch_limit:
         raise EnclaveMemoryError("published model exceeds trusted buffer")

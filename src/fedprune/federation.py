@@ -480,7 +480,9 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
             encode, fmt = codec.csr_encode, codec.FORMAT_CSR
         else:
             encode, fmt = codec.dense_encode, codec.FORMAT_DENSE
-        encs: list[secure.EncryptedUpdate] = []
+        ctx.budgets = (plan.stage_cfg.budgets(global_params)
+                       if plan.stage_cfg is not None else None)
+        records, rejections = [], []
         bytes_up = 0
         for cid in selected:
             cid = int(cid)
@@ -494,20 +496,24 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
                     admm_states[cid] = state
             with _span(times, "provisioning_s"):
                 sealed = channels[cid].encrypt_update(encode(update), rnd, fmt).to_bytes()
-                encs.append(secure.EncryptedUpdate.from_bytes(sealed))
             times["transmission_s"] += net.transmit(len(sealed))
             bytes_up += len(sealed)
+            # the enclave opens each upload as it arrives, so no more than one
+            # sealed upload waits on the untrusted side
+            with _span(times, "ecall_s"):
+                loaded, rejected = enclave.enclave_load(
+                    [secure.EncryptedUpdate.from_bytes(sealed)], ctx, counts)
+            records += loaded.records
+            rejections += rejected
+            del update, sealed, loaded      # the round keeps only the records
 
-        ctx.budgets = (plan.stage_cfg.budgets(global_params)
-                       if plan.stage_cfg is not None else None)
-        with _span(times, "ecall_s"):
-            agg_input, rejections = enclave.enclave_load(encs, ctx, counts)
         for rej in rejections:
             log.warning("round %d: client %d rejected: %s", rnd, rej.client_id, rej.reason)
-        if not agg_input.records:
+        if not records:
             raise RuntimeError(f"round {rnd}: all client updates rejected")
         with _span(times, "aggregation_s"):
-            global_params = enclave.fedavg(agg_input)
+            global_params = enclave.fedavg(enclave.AggregationInput(tuple(records)))
+            del records             # the round's records die with fedavg's input
             if plan.finalize_after:
                 global_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
                 admm_states.clear()    # no ADMM round is left to use a Z or U

@@ -29,8 +29,8 @@ class SparsityConfig:
     rho: float = 1e-3
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < float("inf"):
+            raise ValueError(f"rho must be finite and > 0, not {self.rho}")
         if not self.keep:
             raise ValueError("at least one layer must be constrained")
         for lid, f in self.keep.items():

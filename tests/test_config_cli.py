@@ -102,6 +102,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad keep fraction"):
             load_config(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_rho_must_be_finite_and_positive(self, tmp_path, value):
+        # rho = nan used to load, then reject every ADMM upload and abort the run
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG_TEXT.replace("rho = 0.001", f"rho = {value}"))
+        with pytest.raises(ConfigError, match="rho must be finite and > 0"):
+            load_config(p)
+
+    def test_bad_rho_value_names_the_key(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG_TEXT.replace("rho = 0.001", "rho = abc"))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert str(exc.value) == "bad value for rho: 'abc'"
+
     def test_invalid_combination_surfaces_as_config_error(self, cfg_file):
         with pytest.raises(ConfigError):
             load_config(cfg_file, clients_per_round=50)
@@ -173,6 +188,13 @@ class TestCli:
         p.write_text(CFG_TEXT.replace(old, new))
         assert main(["validate", "--config", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "abc"])
+    def test_validate_bad_rho(self, tmp_path, capsys, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG_TEXT.replace("rho = 0.001", f"rho = {value}"))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "rho" in capsys.readouterr().err
 
     def test_run_writes_reports(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "results"

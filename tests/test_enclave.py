@@ -279,10 +279,12 @@ class TestBudgetCountsNonzeroValues:
 
 class TestTrustedBytes:
     CLIENTS = 25
+    PER_UPLOAD = 4951 * (8 + 4) + 580 * 4     # see test_peak_matches_hand_count
 
-    def _cr87_round(self, scratch_limit):
+    def _cr87_round(self, scratch_limit, streamed=False):
         """A lenet_masked_fanin-sized CSR round: 25 uploads of LeNet-5
-        projected to the CR~87 keep table; returns the context and the load."""
+        projected to the CR~87 keep table; returns the context and the load,
+        made in one call or, streamed, in one call per upload."""
         from test_pruning import LENET_KEEP_CR87
         manager = secure.KeyManager(seed=0)
         rng = np.random.default_rng(0)
@@ -296,7 +298,15 @@ class TestTrustedBytes:
             channel = secure.attest_and_exchange(cid, manager, rng)
             update = pruning.final_hard_prune(nn.init_model(nn.lenet5(), cid + 1), cfg)[0]
             encs.append(channel.encrypt_update(codec.csr_encode(update), 0, codec.FORMAT_CSR))
-        return ctx, enclave_load(encs, ctx, {cid: 10 for cid in range(self.CLIENTS)})
+        counts = {cid: 10 for cid in range(self.CLIENTS)}
+        if not streamed:
+            return ctx, enclave_load(encs, ctx, counts)
+        records, rejections = [], []
+        for enc in encs:
+            agg, rej = enclave_load([enc], ctx, counts)
+            records += agg.records
+            rejections += rej
+        return ctx, (AggregationInput(tuple(records)), rejections)
 
     def test_peak_matches_hand_count(self):
         ctx, (agg, rej) = self._cr87_round(EnclaveContext.scratch_limit)
@@ -314,6 +324,59 @@ class TestTrustedBytes:
         assert [r.client_id for r in rej] == [self.CLIENTS - 1]
         assert "trusted buffer" in rej[0].reason
         assert ctx.peak_bytes == 4_991_940 - (4951 * 12 + 580 * 4)
+
+    def test_streamed_peak_matches_one_call(self):
+        ctx, (agg, rej) = self._cr87_round(EnclaveContext.scratch_limit, streamed=True)
+        assert not rej and len(agg.records) == self.CLIENTS
+        assert ctx.held_bytes == self.CLIENTS * self.PER_UPLOAD
+        assert ctx.peak_bytes == 4_991_940
+
+    def test_streamed_one_byte_less_rejects_the_last_upload(self):
+        ctx, (agg, rej) = self._cr87_round(4_991_939, streamed=True)
+        assert [r.client_id for r in agg.records] == list(range(self.CLIENTS - 1))
+        assert [r.client_id for r in rej] == [self.CLIENTS - 1]
+        assert "trusted buffer" in rej[0].reason
+        assert ctx.held_bytes == (self.CLIENTS - 1) * self.PER_UPLOAD
+        assert ctx.peak_bytes == 4_991_940 - self.PER_UPLOAD
+
+
+class TestStreamedRound:
+    """A round loads its uploads one call each; the trusted bytes of the
+    records kept carry from call to call until the next publication."""
+
+    KEPT = 2 * (8 + 4) + 4      # two CSR values with int64 indices, one fp32 bias
+
+    def test_tampered_upload_mid_round_rejected_alone(self, setup):
+        manager, channels, ctx = setup
+        publish_model(make_params([[0.0, 0.0]]), ctx)
+        records, rejections, held = [], [], []
+        for cid in range(5):
+            enc = encrypt(channels, cid, make_params([[1.0, 2.0]]))
+            if cid == 2:
+                raw = bytearray(enc.ciphertext)
+                raw[0] ^= 0xFF
+                enc = secure.EncryptedUpdate(enc.client_id, enc.round,
+                                             enc.payload_format, enc.nonce, bytes(raw))
+            agg, rej = enclave_load([enc], ctx, {cid: 10 for cid in range(5)})
+            records += agg.records
+            rejections += rej
+            held.append(ctx.held_bytes)
+        assert [r.client_id for r in records] == [0, 1, 3, 4]
+        assert [r.client_id for r in rejections] == [2]
+        assert held == [k * self.KEPT for k in (1, 2, 2, 3, 4)]
+
+    def test_publish_restarts_held_and_peak_bytes(self, setup):
+        manager, channels, ctx = setup
+        params = make_params([[0.0, 0.0]])
+        peaks = []
+        for rnd in range(2):
+            publish_model(params, ctx)
+            assert ctx.held_bytes == ctx.peak_bytes == 0
+            agg, rej = enclave_load([encrypt(channels, 0, make_params([[1.0, 2.0]]), rnd)],
+                                    ctx, {0: 10})
+            assert not rej and ctx.held_bytes == self.KEPT
+            peaks.append(ctx.peak_bytes)
+        assert peaks[0] == peaks[1] > self.KEPT
 
 
 class TestPublish:

@@ -1,5 +1,6 @@
 import struct
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -646,6 +647,63 @@ class TestAdmmStateAcrossRounds:
         assert any(phase == "admm_prune" and state is not None for phase, state in seen)
         finetune = [state for phase, state in seen if phase == "masked_finetune"]
         assert len(finetune) == 4 and all(state is None for state in finetune)
+
+
+class TestStreamedRound:
+    def test_each_upload_loaded_after_its_own_client(self, monkeypatch):
+        cfg = tiny_cfg()
+        who = {federation._client_seed(cfg.seed, rnd, cid): cid
+               for rnd in range(cfg.total_rounds()) for cid in range(cfg.num_clients)}
+        real_round, real_load = federation.client_round, enclave.enclave_load
+        calls = []
+
+        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed):
+            calls.append(("train", who[seed]))
+            return real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+
+        def load(encs, ctx, example_counts):
+            calls.append(("load", [enc.client_id for enc in encs]))
+            return real_load(encs, ctx, example_counts)
+
+        monkeypatch.setattr(federation, "client_round", client_round)
+        monkeypatch.setattr(enclave, "enclave_load", load)
+        run_experiment(cfg)
+        trained = [cid for kind, cid in calls if kind == "train"]
+        assert len(trained) == cfg.total_rounds() * cfg.clients_per_round
+        assert calls == [call for cid in trained for call in (("train", cid), ("load", [cid]))]
+
+    def test_records_freed_once_fedavg_has_used_them(self, monkeypatch):
+        # no collection is forced: the records must go as their last reference does
+        cfg = tiny_cfg()
+        real_round, real_fedavg, real_eval = federation.client_round, enclave.fedavg, nn.evaluate
+        inputs = []                          # per round: weak references to fedavg's input
+        at_eval, at_next_round = [], []      # how many of the last round's were alive
+
+        def fedavg(agg):
+            inputs.append([weakref.ref(agg)] + [weakref.ref(r) for r in agg.records]
+                          + [weakref.ref(x.values) for r in agg.records for x in r.update.layers])
+            return real_fedavg(agg)
+
+        def alive():
+            return sum(ref() is not None for ref in inputs[-1])
+
+        def evaluate(*args):
+            at_eval.append(alive())
+            return real_eval(*args)
+
+        def client_round(*args):
+            if len(at_next_round) < len(inputs):     # the first client of the next round
+                at_next_round.append(alive())
+            return real_round(*args)
+
+        monkeypatch.setattr(enclave, "fedavg", fedavg)
+        monkeypatch.setattr(nn, "evaluate", evaluate)
+        monkeypatch.setattr(federation, "client_round", client_round)
+        run_experiment(cfg)
+        assert len(inputs) == cfg.total_rounds()
+        assert all(len(refs) == 1 + 3 * cfg.clients_per_round for refs in inputs)
+        assert at_eval == [0] * (cfg.total_rounds() + 1)     # each round's and the final one
+        assert at_next_round == [0] * (cfg.total_rounds() - 1)
 
 
 DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo_synthetic.cfg"

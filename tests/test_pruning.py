@@ -369,3 +369,8 @@ class TestCompressionRate:
             SparsityConfig(keep={"a": 0.5}, rho=0.0)
         with pytest.raises(ValueError):
             SparsityConfig(keep={"a": 1.5})
+
+    @pytest.mark.parametrize("rho", [float("nan"), float("inf"), -float("inf"), -1e-3])
+    def test_rho_must_be_finite_and_positive(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and > 0"):
+            SparsityConfig(keep={"a": 0.5}, rho=rho)
