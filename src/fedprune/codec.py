@@ -74,14 +74,12 @@ def _encode(params: ParameterSet, fmt: int, weight_body) -> bytes:
 
 
 def _csr_body(w: np.ndarray) -> list[bytes]:
-    m = w.astype("<f4").reshape(_matrix_view(w.shape))  # nnz decided at fp32 precision
-    rows, cols = m.shape
-    mask = m != 0
-    row_ptr = np.zeros(rows + 1, dtype="<u4")
-    np.cumsum(mask.sum(axis=1), out=row_ptr[1:])
-    r_idx, c_idx = np.nonzero(mask)             # row-major: cols ascend per row
-    return [struct.pack("<III", rows, cols, len(c_idx)), row_ptr.tobytes(),
-            c_idx.astype("<u4").tobytes(), m[r_idx, c_idx].astype("<f4").tobytes()]
+    m = w.astype("<f4").reshape(-1)             # nnz decided at fp32 precision
+    rows, cols = _matrix_view(w.shape)
+    flat = np.flatnonzero(m != 0)               # row-major: cols ascend per row
+    row_ptr = np.searchsorted(flat, np.arange(rows + 1) * cols)
+    return [struct.pack("<III", rows, cols, flat.size), row_ptr.astype("<u4").tobytes(),
+            (flat % cols).astype("<u4").tobytes(), m[flat].tobytes()]
 
 
 def dense_encode(params: ParameterSet) -> bytes:

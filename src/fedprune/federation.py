@@ -140,8 +140,8 @@ class ExperimentConfig:
             raise ValueError("admm_stage_rounds must be at least 1")
         if self.bandwidth_mbps is not None and not 0 < self.bandwidth_mbps < float("inf"):
             raise ValueError(f"bandwidth_mbps must be finite and > 0, not {self.bandwidth_mbps}")
-        if not self.lr >= 0:
-            raise ValueError(f"lr must be >= 0, not {self.lr}")
+        if not 0 <= self.lr < float("inf"):
+            raise ValueError(f"lr must be finite and >= 0, not {self.lr}")
         if not 0 <= self.momentum < float("inf"):
             raise ValueError(f"momentum must be finite and >= 0, not {self.momentum}")
         if self.local_epochs < 0:
@@ -256,27 +256,44 @@ def plan_round(cfg: ExperimentConfig, round_index: int) -> RoundPlan:
 _BLOCK = 1 << 15
 
 
+def client_buffers(model: nn.ParameterSet) -> tuple:
+    """client_round's working set for models shaped like model: the trained
+    weights and biases, their flat velocities in gradient order and the
+    step's block scratch.  Allocated once per run and reused by every
+    client_round, so no large buffer is freed and faulted in again."""
+    work = model.map(lambda lid, w, b: (np.empty_like(w), np.empty_like(b)))
+    flat = [a.reshape(-1) for e in work.entries for a in (e.weight, e.bias)]
+    return (work, [np.empty_like(a) for a in flat],
+            np.empty(min(_BLOCK, max(a.size for a in flat))))
+
+
 def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
                  x: np.ndarray, y: np.ndarray, cfg: ExperimentConfig,
                  plan: RoundPlan, admm_state: pruning.ADMMState | None,
-                 mask: pruning.PruneMask | None, seed: int,
+                 mask: pruning.PruneMask | None, seed: int, buffers: tuple,
                  ) -> tuple[nn.ParameterSet, pruning.ADMMState | None]:
     """Local epochs of momentum SGD; returns the upload-ready update and the
     client's advanced ADMM state (when in the ADMM phase).
 
     Each minibatch is one pass over the layers.  In admm_prune rounds a
-    constrained layer's weight gradient g gains rho*(W - Z + U); a given mask
-    (the shared mask of fine-tune rounds) then zeroes g off it by selection,
-    so a non-finite value there cannot reach the weights.  The velocity is g
-    on the first step and momentum*v + g after; the step is W - lr*v.  Biases
-    get the momentum and the step only.  The weights and velocities are this
-    round's own buffers, updated in place; no array passed in or returned by
-    nn.backward is written to.
+    constrained layer's weight gradient g gains rho*(W - Z + U).  The
+    velocity is g on the first step and momentum*v + g after; the step is
+    W - lr*v.  Biases get the momentum and the step only.  A layer under a
+    given mask (the shared mask of fine-tune rounds) steps only on the
+    mask's support: off it the masked gradient is +0.0, so v stays +0.0 and
+    W - lr*0.0 is W bit for bit, and a non-finite gradient there never
+    reaches the weights.
+
+    The weights and velocities live in buffers (see client_buffers): the
+    received model is copied into them and updated in place; no array passed
+    in or returned by nn.backward is written to.  A dense round's update is
+    those buffers' own arrays, valid until the next client_round call with
+    the same buffers; encode it before then.
 
     admm_prune rounds end with one Z/U update.  Every sparse upload, that is
     every round with a plan.stage_cfg, is projected to that config's
-    per-layer budgets; the rest (warmup, dense) upload the trained model as
-    it is.
+    per-layer budgets into new arrays; the rest (warmup, dense) upload the
+    trained model as it is.
 
     ADMM state is the client's own and outlives the round: admm_init runs
     only in the client's first ADMM round, and a client that sits out rounds
@@ -292,19 +309,24 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
         penalized, rho = admm_state.z, plan.stage_cfg.rho
     masked = mask.layers if mask is not None else {}
 
-    params = global_params.map(lambda lid, w, b: (w.copy(), b.copy()))
-    # one slot per weight and bias tensor, in gradient order, of flat views:
-    # (trained tensor, its velocity, Z or None, U or None, off-mask or None)
-    slots = []
-    for e in params.entries:
-        lid = e.layer_id
-        z = penalized.get(lid)
-        w, b = e.weight.reshape(-1), e.bias.reshape(-1)
-        slots.append((w, np.empty_like(w), z,
-                      admm_state.u[lid].reshape(-1) if z is not None else None,
-                      ~masked[lid].reshape(-1) if lid in masked else None))
-        slots.append((b, np.empty_like(b), None, None, None))
-    scratch = np.empty(min(_BLOCK, max(slot[0].size for slot in slots)))
+    params, velocities, scratch = buffers
+    # one slot per weight and bias tensor, in gradient order: (flat tensor,
+    # mask support or None, then the stepped entries: the tensor or its
+    # support, their velocity, Z or None, U or None)
+    slots, vs = [], iter(velocities)
+    for e, got in zip(params.entries, global_params.entries):
+        np.copyto(e.weight, got.weight)
+        np.copyto(e.bias, got.bias)
+        lid, w, b = e.layer_id, e.weight.reshape(-1), e.bias.reshape(-1)
+        z, on, stepped, v = penalized.get(lid), None, w, next(vs)
+        u = admm_state.u[lid].reshape(-1) if z is not None else None
+        if lid in masked:
+            on = np.flatnonzero(masked[lid])
+            stepped, v = w[on], v[:on.size]
+            if z is not None:
+                z, u = pruning.KeptEntries.of(z.dense().reshape(-1)[on]), u[on]
+        slots.append((w, on, stepped, v, z, u))
+        slots.append((b, None, b, next(vs), None, None))
 
     first = True
     for _ in range(cfg.local_epochs if cfg.lr > 0 else 0):
@@ -313,8 +335,10 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
             ix = perm[lo:lo + cfg.batch_size]
             grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
             grads = (a.reshape(-1) for g in grad.entries for a in (g.weight, g.bias))
-            for slot, g in zip(slots, grads):
-                _step(slot, g, first, rho, cfg, scratch)
+            for (w, on, *slot), g in zip(slots, grads):
+                _step(slot, g if on is None else g[on], first, rho, cfg, scratch)
+                if on is not None:
+                    w[on] = slot[0]
             first = False
 
     if plan.phase == PHASE_ADMM:
@@ -328,9 +352,9 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
 def _step(slot, g: np.ndarray, first: bool, rho: float | None,
           cfg: ExperimentConfig, scratch: np.ndarray) -> None:
     """One minibatch's update of one tensor, block by block, in the per-entry
-    order of the dense expressions: g + rho*((W - Z) + U), selected by the
-    mask, (momentum*v) + g, W - lr*v."""
-    w, v, z, u, off = slot
+    order of the dense expressions: g + rho*((W - Z) + U), (momentum*v) + g,
+    W - lr*v."""
+    w, v, z, u = slot
     for lo in range(0, w.size, _BLOCK):
         hi = min(lo + _BLOCK, w.size)
         wb, vb, gb, s = w[lo:hi], v[lo:hi], g[lo:hi], scratch[:hi - lo]
@@ -339,12 +363,10 @@ def _step(slot, g: np.ndarray, first: bool, rho: float | None,
             pruning.admm_residual(wb, z, u[lo:hi], acc, lo)
             np.multiply(acc, rho, out=acc)
             np.add(gb, acc, out=acc)
-        elif first or off is not None:
+        elif first:
             acc[...] = gb
         else:
             acc = gb
-        if off is not None:
-            np.copyto(acc, 0.0, where=off[lo:hi])
         if not first:
             np.multiply(vb, cfg.momentum, out=vb)
             np.add(vb, acc, out=vb)
@@ -459,6 +481,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
 
     global_params = nn.init_model(arch, s_init)
     schema = codec.schema(global_params)
+    buffers = client_buffers(global_params)     # every client trains in these
     mask: pruning.PruneMask | None = None   # set by the hard prune before fine-tune rounds
     admm_states: dict[int, pruning.ADMMState] = {}
 
@@ -491,7 +514,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
                 ix = part[cid]
                 update, state = client_round(
                     arch, received, dataset.train_x[ix], dataset.train_y[ix], cfg, plan,
-                    admm_states.get(cid), mask, _client_seed(cfg.seed, rnd, cid))
+                    admm_states.get(cid), mask, _client_seed(cfg.seed, rnd, cid), buffers)
                 if state is not None:
                     admm_states[cid] = state
             with _span(times, "provisioning_s"):

@@ -105,7 +105,9 @@ def euclidean_project(t: np.ndarray, n_keep: int) -> np.ndarray:
     keep = mag > threshold
     ties = np.flatnonzero(mag == threshold)
     keep[ties[:n_keep - np.count_nonzero(keep)]] = True
-    return np.where(keep, flat, 0).reshape(t.shape)
+    out, at = np.zeros_like(flat), np.flatnonzero(keep)
+    out[at] = flat[at]
+    return out.reshape(t.shape)
 
 
 def _project_params(params: ParameterSet, budgets: dict[str, int]) -> ParameterSet:

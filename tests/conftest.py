@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedprune import nn
-from fedprune.federation import ExperimentConfig, client_round
+from fedprune.federation import ExperimentConfig, client_buffers, client_round
 
 
 @pytest.fixture
@@ -19,7 +19,8 @@ def fixed_grad_round(monkeypatch):
                                local_epochs=len(grads), batch_size=1, lr=lr,
                                momentum=momentum)
         out = client_round(None, params, np.zeros((1, 1)), np.zeros(1, dtype=int),
-                           cfg, plan, state, mask, seed=0)
+                           cfg, plan, state, mask, seed=0,
+                           buffers=client_buffers(params))
         assert before == [[(e.weight.tobytes(), e.bias.tobytes()) for e in g.entries]
                           for g in grads]
         return out

@@ -201,6 +201,62 @@ class TestDense:
 
 
 
+def rowwise_csr_body(w):
+    """codec._csr_body as it was before the one-scan encode: a 2-D mask,
+    row sums for row_ptr, a 2-D nonzero and a fancy gather.  The bit-exact
+    oracle of that rewrite."""
+    m = w.astype("<f4").reshape(codec._matrix_view(w.shape))
+    rows, cols = m.shape
+    mask = m != 0
+    row_ptr = np.zeros(rows + 1, dtype="<u4")
+    np.cumsum(mask.sum(axis=1), out=row_ptr[1:])
+    r_idx, c_idx = np.nonzero(mask)
+    return [struct.pack("<III", rows, cols, len(c_idx)), row_ptr.tobytes(),
+            c_idx.astype("<u4").tobytes(), m[r_idx, c_idx].astype("<f4").tobytes()]
+
+
+# +-0.0, NaN, +-inf, and magnitudes that are zero in fp32 (1e-46) or an
+# fp32 subnormal (1e-40)
+EDGE_VALUES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+               1e-46, -1e-46, 1e-40)
+
+
+@st.composite
+def edge_weights(draw):
+    """Weights of rank 1, 2 or 4 of small values and EDGE_VALUES, mostly
+    zero, with zeroed leading-axis slices (empty CSR rows), sometimes all
+    zero."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 30)),
+                           st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                           st.tuples(*[st.integers(1, 3)] * 4)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(-4, 4, width=32),
+                                     st.sampled_from(EDGE_VALUES)),
+                           min_size=size, max_size=size))
+    w = np.array(values).reshape(shape)
+    w[draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0]))] = 0.0
+    if draw(st.booleans()) and draw(st.booleans()):
+        w[...] = 0.0
+    return w
+
+
+class TestOneScanCsr:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(edge_weights(), min_size=1, max_size=3))
+    def test_bit_identical_to_rowwise_encode(self, weights):
+        p = params_of(*weights)
+        want = codec._encode(p, codec.FORMAT_CSR, rowwise_csr_body)
+        assert csr_encode(p) == want
+
+    def test_lenet_fc1_with_empty_rows(self):
+        rng = np.random.default_rng(2)
+        w = rng.normal(size=(800, 500)) * (rng.random((800, 500)) < 0.0055)
+        w[100:300] = 0.0
+        w.reshape(-1)[rng.integers(0, w.size, 40)] = np.array(EDGE_VALUES * 5)
+        p = params_of(w, np.zeros((20, 1, 5, 5)))
+        assert csr_encode(p) == codec._encode(p, codec.FORMAT_CSR, rowwise_csr_body)
+
+
 class TestSizes:
     def test_csr_payload_formula(self):
         rng = np.random.default_rng(5)

@@ -123,7 +123,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("bandwidth_mbps", "-1"), ("bandwidth_mbps", "0"), ("bandwidth_mbps", "nan"),
-        ("bandwidth_mbps", "inf"), ("lr", "-0.01"), ("lr", "nan")])
+        ("bandwidth_mbps", "inf"), ("lr", "-0.01"), ("lr", "nan"), ("lr", "inf")])
     def test_bad_bandwidth_or_lr_rejected(self, tmp_path, key, value):
         p = tmp_path / "bad.cfg"
         p.write_text(CFG_TEXT.replace("seed = 3", f"seed = 3\n{key} = {value}"))

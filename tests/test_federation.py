@@ -11,7 +11,7 @@ from fedprune.config import load_config
 from fedprune.datasets import synthetic_blobs
 from fedprune.federation import (PRUNING_PHASES, ExperimentAborted, ExperimentConfig,
                                  RoundMetrics, RoundPlan,
-                                 client_round, partition_iid, partition_noniid,
+                                 client_buffers, client_round, partition_iid, partition_noniid,
                                  plan_round, pruning_phase_bytes,
                                  run_experiment, saving_percent,
                                  stage_keep_config)
@@ -145,7 +145,8 @@ class TestClientRound:
         g = nn.init_model(arch, 0)
         cfg = tiny_cfg(lr=0.0, mode="dense", sparsity=None)
         upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg,
-                              RoundPlan("dense", None, False), None, None, seed=0)
+                              RoundPlan("dense", None, False), None, None, seed=0,
+                              buffers=client_buffers(g))
         for a, b in zip(upd.entries, g.entries):
             assert np.array_equal(a.weight, b.weight)
 
@@ -156,7 +157,7 @@ class TestClientRound:
         g, mask = pruning.final_hard_prune(nn.init_model(arch, 0), cfg.sparsity)
         upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg,
                               RoundPlan("masked_finetune", cfg.sparsity, False),
-                              None, mask, seed=5)
+                              None, mask, seed=5, buffers=client_buffers(g))
         for lid, m in mask.layers.items():
             assert np.all(upd[lid].weight[~m] == 0.0)
             assert np.any(upd[lid].weight[m] != g[lid].weight[m])
@@ -182,7 +183,7 @@ class TestClientRound:
         monkeypatch.setattr(nn, "backward", nan_off_mask)
         upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg,
                               RoundPlan("masked_finetune", cfg.sparsity, False),
-                              None, mask, seed=5)
+                              None, mask, seed=5, buffers=client_buffers(g))
         assert upd.allfinite()
         for lid, n in cfg.sparsity.budgets(g).items():
             assert np.count_nonzero(upd[lid].weight) <= n
@@ -196,7 +197,7 @@ class TestClientRound:
         g = nn.init_model(arch, 0)
         plan = RoundPlan("admm_prune", cfg.sparsity, False)
         upd, state = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan,
-                                  None, None, seed=5)
+                                  None, None, seed=5, buffers=client_buffers(g))
         budgets = cfg.sparsity.budgets(g)
         for lid, n in budgets.items():
             assert np.count_nonzero(upd[lid].weight) == n
@@ -211,7 +212,8 @@ class TestClientRound:
                        pruning_rounds=0, mode="dense", sparsity=None, seed=5)
         g = nn.init_model(arch, 5)
         upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg,
-                              RoundPlan("warmup", None, False), None, None, seed=1234)
+                              RoundPlan("warmup", None, False), None, None, seed=1234,
+                              buffers=client_buffers(g))
         assert float(upd["fc1"].weight.sum()) == pytest.approx(
             0.0047912482770558484, abs=1e-15)
         assert float(upd["fc2"].weight[0, 0]) == pytest.approx(
@@ -292,11 +294,13 @@ def state_bytes(state):
                          for lid in sorted(state.z)])
 
 
-STEP_CASES = ["warmup", "admm_first", "admm_returning", "masked_prune", "finetune", "dense"]
+STEP_CASES = ["warmup", "admm_first", "admm_returning", "masked_prune", "finetune", "dense",
+              "finetune_off_mask_weights", "admm_under_mask"]
 
 
-def assert_step_matches_reference(case, momentum):
-    """client_round against reference_client_round on a (10, 8, 6, 3) MLP."""
+def step_case(case, momentum):
+    """(arch, dataset, cfg, plan, global model, ADMM state, mask) of one
+    STEP_CASES round on a (10, 8, 6, 3) MLP."""
     # fc3 is unconstrained; two epochs carry the momentum buffer over.
     # rho and lr are large enough that a penalty summed in another order
     # changes the update's last bits.
@@ -316,9 +320,14 @@ def assert_step_matches_reference(case, momentum):
     elif case == "finetune":
         plan = RoundPlan("masked_finetune", sparsity, False)
         g, mask = pruning.final_hard_prune(g, sparsity)
+    elif case == "finetune_off_mask_weights":
+        # a mask of another model: the weights off it are not zero, and
+        # must come out of the local steps unchanged
+        plan = RoundPlan("masked_finetune", sparsity, False)
+        mask = pruning.final_hard_prune(nn.init_model(arch, 1), sparsity)[1]
     else:
         plan = RoundPlan("admm_prune", stage_keep_config(sparsity, 2), False)
-        if case == "admm_returning":
+        if case in ("admm_returning", "admm_under_mask"):
             # Z on the budget and a dense U, so both are non-zero together
             rng = np.random.default_rng(7)
             budgets = plan.stage_cfg.budgets(g)
@@ -328,11 +337,21 @@ def assert_step_matches_reference(case, momentum):
                    for lid, n in budgets.items()},
                 u={lid: rng.normal(0, 0.1, g[lid].weight.shape) for lid in budgets},
                 step=3)
+        if case == "admm_under_mask":
+            # the penalty off the mask is dropped; on it, Z's entries and
+            # its zeros both occur
+            mask = pruning.final_hard_prune(nn.init_model(arch, 1), sparsity)[1]
+    return arch, ds, cfg, plan, g, state, mask
+
+
+def assert_step_matches_reference(case, momentum):
+    """client_round against reference_client_round on a (10, 8, 6, 3) MLP."""
+    arch, ds, cfg, plan, g, state, mask = step_case(case, momentum)
     inputs = (param_bytes(g), state_bytes(state),
               mask and [m.tobytes() for m in mask.layers.values()])
 
     upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
-                            mask, seed=5)
+                            mask, seed=5, buffers=client_buffers(g))
     ref_upd, ref_out = reference_client_round(arch, g, ds.train_x, ds.train_y, cfg,
                                               plan, state, mask, seed=5)
     assert upd.allfinite()
@@ -379,10 +398,72 @@ class TestLocalStep:
                 rng.normal(0, 0.05, g[lid].weight.shape), n))
                for lid, n in plan.stage_cfg.budgets(g).items()},
             u={lid: rng.normal(0, 0.01, g[lid].weight.shape) for lid in sparsity.keep})
-        upd, out = client_round(arch, g, x, y, cfg, plan, state, None, seed=5)
+        upd, out = client_round(arch, g, x, y, cfg, plan, state, None, seed=5,
+                                buffers=client_buffers(g))
         ref_upd, ref_out = reference_client_round(arch, g, x, y, cfg, plan, state, None, seed=5)
         assert param_bytes(upd) == param_bytes(ref_upd)
         assert state_bytes(out) == state_bytes(ref_out)
+
+    def test_lenet_finetune_at_the_real_block_size(self):
+        # fc1's mask keeps 80,000 weights, so its support-only step runs
+        # two full blocks and a ragged third
+        assert 2 * federation._BLOCK < 80_000 < 3 * federation._BLOCK
+        arch = nn.lenet5()
+        sparsity = SparsityConfig(keep={"conv2": 0.06, "fc1": 0.2})
+        cfg = tiny_cfg(arch="lenet5", arch_params={}, sparsity=sparsity,
+                       local_epochs=1, batch_size=5, lr=0.05, momentum=0.9)
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
+        g, mask = pruning.final_hard_prune(nn.init_model(arch, 0), sparsity)
+        assert np.count_nonzero(mask.layers["fc1"]) == 80_000
+        plan = RoundPlan("masked_finetune", sparsity, False)
+        upd, _ = client_round(arch, g, x, y, cfg, plan, None, mask, seed=5,
+                              buffers=client_buffers(g))
+        ref_upd, _ = reference_client_round(arch, g, x, y, cfg, plan, None, mask, seed=5)
+        assert param_bytes(upd) == param_bytes(ref_upd)
+
+    @pytest.mark.parametrize("case", ["dense", "admm_returning", "finetune",
+                                      "admm_under_mask"])
+    def test_reused_buffers(self, case):
+        # client B on the buffers that client A trained in last gives the
+        # bytes B gets on fresh buffers, whatever kind of round A's was
+        arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9)
+        fresh = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask,
+                             seed=5, buffers=client_buffers(g))
+        want = (param_bytes(fresh[0]), state_bytes(fresh[1]))
+        for other in STEP_CASES:
+            _, _, _, plan_a, g_a, state_a, mask_a = step_case(other, 0.5)
+            buffers = client_buffers(g)
+            client_round(arch, g_a, ds.train_x[:30], ds.train_y[:30], cfg, plan_a,
+                         state_a, mask_a, seed=9, buffers=buffers)
+            upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
+                                    mask, seed=5, buffers=buffers)
+            assert (param_bytes(upd), state_bytes(out)) == want, other
+
+    def test_buffers_poisoned_with_nan(self):
+        # every entry the round reads is one it wrote first
+        for case in STEP_CASES:
+            arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9)
+            buffers = client_buffers(g)
+            work, velocities, scratch = buffers
+            for a in [t for e in work.entries for t in (e.weight, e.bias)] + velocities:
+                a.fill(np.nan)
+            scratch.fill(np.nan)
+            upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
+                                    mask, seed=5, buffers=buffers)
+            ref_upd, ref_out = reference_client_round(arch, g, ds.train_x, ds.train_y,
+                                                      cfg, plan, state, mask, seed=5)
+            assert param_bytes(upd) == param_bytes(ref_upd), case
+            assert state_bytes(out) == state_bytes(ref_out), case
+
+    def test_dense_update_is_the_buffers(self):
+        # no copy out: a dense round's update lives in the buffers until the
+        # next client_round with them
+        arch, ds, cfg, plan, g, state, mask = step_case("dense", 0.9)
+        buffers = client_buffers(g)
+        upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask,
+                              seed=5, buffers=buffers)
+        assert all(a is b for a, b in zip(upd.entries, buffers[0].entries))
 
     def test_arithmetic(self, fixed_grad_round):
         params = nn.ParameterSet((nn.LayerParams("a", np.array([1.0, 1.0]), np.zeros(1)),))
@@ -443,6 +524,21 @@ class TestLocalStep:
 
 
 class TestRunExperiment:
+    def test_clients_share_one_buffer_set(self, monkeypatch):
+        # the working set is allocated once per run, not once per client
+        cfg = tiny_cfg()
+        real_round = federation.client_round
+        seen = []
+
+        def client_round(*args):
+            seen.append(args[-1])
+            return real_round(*args)
+
+        monkeypatch.setattr(federation, "client_round", client_round)
+        run_experiment(cfg)
+        assert len(seen) == cfg.total_rounds() * cfg.clients_per_round
+        assert all(b is seen[0] for b in seen)
+
     def test_determinism_excluding_timing(self):
         cfg = tiny_cfg()
         a = run_experiment(cfg)
@@ -480,7 +576,7 @@ class TestRunExperiment:
         ix = part[0]
         upd, _ = client_round(arch, g0, ds.train_x[ix], ds.train_y[ix], cfg,
                               RoundPlan("warmup", None, False), None, None,
-                              _client_seed(cfg.seed, 0, 0))
+                              _client_seed(cfg.seed, 0, 0), client_buffers(g0))
         upd, _ = codec.decode_params(codec.dense_encode(upd), codec.schema(upd))  # fp32
         for a, b in zip(res.global_params.entries, upd.entries):
             assert np.array_equal(a.weight, b.weight)
@@ -606,11 +702,11 @@ class TestAdmmStateAcrossRounds:
             inits.append(current[0])
             return real_init(params, stage_cfg)
 
-        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed):
+        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed, buffers):
             current[:] = [who[seed]]
             rnd, cid = who[seed]
             if plan.phase != "admm_prune":
-                return real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+                return real_round(arch, g, x, y, cfg_, plan, state, mask, seed, buffers)
             if cid in last:
                 returned, z, u = last[cid]
                 assert state is returned and state.step == len(joined[cid])
@@ -619,7 +715,7 @@ class TestAdmmStateAcrossRounds:
                     assert state.u[lid].tobytes() == u[lid]
             else:
                 assert state is None
-            update, out = real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+            update, out = real_round(arch, g, x, y, cfg_, plan, state, mask, seed, buffers)
             joined.setdefault(cid, []).append(rnd)
             last[cid] = (out, {lid: a.dense().tobytes() for lid, a in out.z.items()},
                          {lid: a.tobytes() for lid, a in out.u.items()})
@@ -638,9 +734,9 @@ class TestAdmmStateAcrossRounds:
         real_round = federation.client_round
         seen = []    # (phase, state passed in)
 
-        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed):
+        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed, buffers):
             seen.append((plan.phase, state))
-            return real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+            return real_round(arch, g, x, y, cfg_, plan, state, mask, seed, buffers)
 
         monkeypatch.setattr(federation, "client_round", client_round)
         run_experiment(cfg)
@@ -657,9 +753,9 @@ class TestStreamedRound:
         real_round, real_load = federation.client_round, enclave.enclave_load
         calls = []
 
-        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed):
+        def client_round(arch, g, x, y, cfg_, plan, state, mask, seed, buffers):
             calls.append(("train", who[seed]))
-            return real_round(arch, g, x, y, cfg_, plan, state, mask, seed)
+            return real_round(arch, g, x, y, cfg_, plan, state, mask, seed, buffers)
 
         def load(encs, ctx, example_counts):
             calls.append(("load", [enc.client_id for enc in encs]))

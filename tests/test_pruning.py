@@ -144,6 +144,74 @@ class TestProjectionOracle:
                 assert_matches_reference(t, n_keep)
 
 
+def where_project(t, n_keep):
+    """euclidean_project as it was before its output became a scatter at
+    the kept indices: the same threshold selection, then one branchy
+    np.where over the whole tensor.  The bit-exact oracle of that rewrite."""
+    if not 0 <= n_keep <= t.size:
+        raise ValueError(f"n_keep={n_keep} out of range for size {t.size}")
+    if n_keep == t.size:
+        return t.copy()
+    if n_keep == 0:
+        return np.zeros_like(t)
+    flat = t.reshape(-1)
+    mag = np.abs(flat)
+    mag[np.isnan(mag)] = -1.0
+    threshold = np.partition(mag, t.size - n_keep)[t.size - n_keep]
+    keep = mag > threshold
+    ties = np.flatnonzero(mag == threshold)
+    keep[ties[:n_keep - np.count_nonzero(keep)]] = True
+    return np.where(keep, flat, 0).reshape(t.shape)
+
+
+# +-0.0, NaN, +-inf, and magnitudes that are zero in fp32 (1e-46) or an
+# fp32 subnormal (1e-40)
+EDGE_VALUES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+               1e-46, -1e-46, 1e-40)
+
+
+@st.composite
+def edge_tensors(draw):
+    """Tensors of rank 1, 2 or 4, float32 or float64, of small integers (so
+    the threshold is tied) and EDGE_VALUES, sometimes all zero or with
+    zeroed leading-axis slices (empty CSR rows); with an n_keep in range."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 30)),
+                           st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           st.tuples(*[st.integers(1, 3)] * 4)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                     st.sampled_from(EDGE_VALUES)),
+                           min_size=size, max_size=size))
+    t = np.array(values, dtype=draw(st.sampled_from([np.float32, np.float64])))
+    t = t.reshape(shape)
+    zero_rows = draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0]))
+    t[zero_rows] = 0.0
+    if draw(st.booleans()) and draw(st.booleans()):
+        t[...] = 0.0
+    n_keep = draw(st.one_of(st.sampled_from([0, 1, size - 1, size]),
+                            st.integers(0, size)))
+    return t, max(0, n_keep)
+
+
+class TestScatterProjection:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_tensors())
+    def test_bit_identical_to_where_form(self, case):
+        t, n_keep = case
+        got, want = euclidean_project(t, n_keep), where_project(t, n_keep)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), (t, n_keep)
+
+    def test_ties_at_the_threshold_lenet_fc1(self):
+        # fc1-sized, rounded so the 27% budget ends inside a run of ties
+        rng = np.random.default_rng(4)
+        t = np.round(rng.normal(scale=0.05, size=(800, 500)), 2)
+        t.reshape(-1)[rng.integers(0, t.size, 40)] = np.array(EDGE_VALUES * 5)
+        for n_keep in (108_000, 2_201, 1):
+            got, want = euclidean_project(t, n_keep), where_project(t, n_keep)
+            assert got.tobytes() == want.tobytes()
+
+
 def two_layer_params(w1, w2=None):
     entries = [nn.LayerParams("a", np.asarray(w1, dtype=float), np.zeros(1))]
     if w2 is not None:
