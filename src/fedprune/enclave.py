@@ -116,8 +116,11 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
             if not all(np.isfinite(a).all() for x in layers for a in (x.values, x.bias)):
                 raise InvalidUpdateError("update holds non-finite values")
             for x in layers:
-                nnz, budget = np.count_nonzero(x.values), (ctx.budgets or {}).get(x.layer_id)
-                if budget is not None and nnz > budget:
+                budget = (ctx.budgets or {}).get(x.layer_id)
+                if budget is None:
+                    continue
+                nnz = np.count_nonzero(x.values != 0)   # faster than over the floats
+                if nnz > budget:
                     raise InvalidUpdateError(
                         f"layer {x.layer_id} has {nnz} non-zeros, above its budget of {budget}")
             n = example_counts.get(enc.client_id)

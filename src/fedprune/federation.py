@@ -345,7 +345,7 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
         admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
         admm_state = pruning.admm_u_step(params, admm_state)
     if plan.stage_cfg is not None:
-        params = pruning.final_hard_prune(params, plan.stage_cfg)[0]
+        params = pruning.hard_prune(params, plan.stage_cfg)
     return params, admm_state
 
 

@@ -1,8 +1,20 @@
 """From-scratch differentiable models (MLP and LeNet-style convnets).
 
 Everything runs in float64 numpy on the CPU. The API is purely functional:
-parameter sets go in, new parameter sets / gradients come out, nothing is
-mutated, so many clients can train in parallel worker contexts safely.
+parameter sets go in, new parameter sets / gradients come out, and nothing
+the caller passes is mutated, so any number of threads may call it at once.
+
+Each process has one helper thread, started on first use, that shares the
+work of a single call.  In ``backward`` it runs the weight-gradient GEMM of
+every parameterized layer above the first while the calling thread computes
+that layer's input gradient; in ``_logits`` it runs the first half of the
+conv/pool tiles.  It runs the same BLAS calls and ``_forward`` tiles on the
+same operands as a one-thread pass would, writes the results into arrays
+the caller allocated, and the caller waits for it before returning, so
+logits and gradients are the same bytes.  Only private helpers and numpy run there, never a public
+function: a tracer that wraps the public names sees each call as one span
+on its caller's thread, and a public call started on the helper would run
+inline (see ``_offload``) rather than queue behind itself.
 
 Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
 ``(out_ch, in_ch, k, k)``.  Inside the passes, activations are channels-last,
@@ -19,8 +31,11 @@ logits and gradients are the same bytes.
 from __future__ import annotations
 
 import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -266,6 +281,31 @@ def init_model(arch: ModelArch, seed: int) -> ParameterSet:
 # tiles of 10 took 61/78 ms min/median against 70/86 ms for tiles of 32.
 _TILE = 10
 
+# (pid, executor) of this process's helper thread.  A child forked after the
+# helper started inherits the tuple but not the thread, so the pid check
+# gives it a helper of its own instead of a queue nobody drains.
+_helper: tuple[int, ThreadPoolExecutor] | None = None
+_helper_lock = threading.Lock()
+_thread = threading.local()         # .on_helper is set on the helper thread
+
+
+def _offload(on_helper: bool, fn, *args, **kwargs) -> Callable[[], object]:
+    """Start fn(*args, **kwargs) on the helper thread when ``on_helper``, or
+    run it now; returns a call that waits for fn and returns its result or
+    raises its exception.  On the helper thread itself fn runs now, so the
+    helper never waits on its own queue."""
+    global _helper
+    if not on_helper or getattr(_thread, "on_helper", False):
+        out = fn(*args, **kwargs)
+        return lambda: out
+    pid = os.getpid()
+    if _helper is None or _helper[0] != pid:
+        with _helper_lock:
+            if _helper is None or _helper[0] != pid:
+                _helper = (pid, ThreadPoolExecutor(
+                    1, "fedprune-nn", lambda: setattr(_thread, "on_helper", True)))
+    return _helper[1].submit(fn, *args, **kwargs).result
+
 
 def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):
     """Pair every layer with its parameters (None for the others), checking
@@ -362,6 +402,7 @@ def _forward(bound, x: np.ndarray, caches: list | None = None) -> np.ndarray:
             out = cols @ wmat
             out += e.bias
             x = out.reshape(x.shape[0], ho, wo, layer.out_ch)
+            del cols, out
         elif isinstance(layer, ReLU):
             cache = x > 0
             x = x * cache
@@ -373,6 +414,7 @@ def _forward(bound, x: np.ndarray, caches: list | None = None) -> np.ndarray:
             x = (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x).reshape(x.shape[0], -1)
         if caches is not None:
             caches.append(cache)
+        del cache       # without caches, a layer's input and im2col die with the layer
     return x
 
 
@@ -402,23 +444,29 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> ParameterSe
     dout[np.arange(b), batch.labels] -= 1.0
     dout /= b
 
-    # Nothing below the first parameterized layer needs a gradient.
+    # Nothing below the first parameterized layer needs a gradient.  Above
+    # it, each weight gradient is offloaded to the helper thread while this
+    # thread computes the input gradient; both only read dout and the caches.
     first = next((n for n, (_, e) in enumerate(bound) if e is not None), len(bound))
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    waits = []
     for n in range(len(bound) - 1, first - 1, -1):
         (layer, e), cache = bound[n], caches[n]
         if isinstance(layer, Dense):
-            grads[e.layer_id] = (cache.T @ dout, dout.sum(axis=0))
+            dw = np.empty(e.weight.shape)
+            waits.append(_offload(n > first, np.matmul, cache.T, dout, out=dw))
+            grads[e.layer_id] = (dw, dout.sum(axis=0))
             if n > first:
                 dout = dout @ e.weight.T
         elif isinstance(layer, Conv2d):
             x_shape, cols, ho, wo = cache
             dmat = dout.reshape(-1, layer.out_ch)
-            dw = (cols.T @ dmat).T.reshape(e.weight.shape)
+            dwt = np.empty((cols.shape[1], layer.out_ch))          # (C*k*k, out_ch)
+            waits.append(_offload(n > first, np.matmul, cols.T, dmat, out=dwt))
             # At one example the channels-first gradient reshaped to a
             # column-major (H*W, C) view; keep its order of summation.
             db = dmat.sum(axis=0) if b > 1 else np.ascontiguousarray(dmat.T).sum(axis=1)
-            grads[e.layer_id] = (dw, db)
+            grads[e.layer_id] = (dwt.T, db)
             if n > first:
                 dcols = dmat @ e.weight.reshape(layer.out_ch, -1)
                 dout = _col2im(dcols, x_shape, layer.kernel, layer.stride, ho, wo)
@@ -432,21 +480,38 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> ParameterSe
                 dout = dout.reshape(bb, c, h, w).transpose(0, 2, 3, 1)
             else:
                 dout = dout.reshape(cache)
+    for wait in waits:          # never return while the helper still writes
+        wait()
 
-    entries = tuple(LayerParams(e.layer_id, *grads[e.layer_id]) for e in params.entries)
+    entries = tuple(LayerParams(e.layer_id, grads[e.layer_id][0].reshape(e.weight.shape),
+                                grads[e.layer_id][1]) for e in params.entries)
     return ParameterSet(entries)
+
+
+def _forward_tiles(bound, x: np.ndarray, out: np.ndarray) -> None:
+    """Write the layers' output on x into out, ``_TILE`` examples at a time."""
+    for i in range(0, len(x), _TILE):
+        out[i:i + _TILE] = _forward(bound, x[i:i + _TILE])
 
 
 def _logits(arch: ModelArch, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:
     """Logits without backprop caches: the layers up to the first Flatten run
-    in tiles of ``_TILE`` examples, the dense layers on all of ``inputs``."""
+    in tiles of ``_TILE`` examples, the first half of the tiles on the helper
+    thread, and the dense layers on all of ``inputs``."""
     bound, x = _start(arch, params, inputs)
     cut = 0
     if x.ndim == 4:         # the spatial layers: up to the first Flatten
         cut = 1 + next((n for n, (layer, _) in enumerate(bound) if isinstance(layer, Flatten)), -1)
     if cut:
-        x = np.concatenate([_forward(bound[:cut], x[i:i + _TILE])
-                            for i in range(0, len(x), _TILE)])
+        shape = arch.input_shape
+        for layer in arch.layers[:cut]:
+            shape = _infer_shape(layer, shape)
+        out = np.empty((len(x), *shape))
+        mid = _TILE * (-(-len(x) // _TILE) // 2)     # half of the tiles, rounded down
+        wait = _offload(True, _forward_tiles, bound[:cut], x[:mid], out[:mid])
+        _forward_tiles(bound[:cut], x[mid:], out[mid:])
+        wait()
+        x = out
     return _forward(bound[cut:], x)
 
 

@@ -110,7 +110,10 @@ def euclidean_project(t: np.ndarray, n_keep: int) -> np.ndarray:
     return out.reshape(t.shape)
 
 
-def _project_params(params: ParameterSet, budgets: dict[str, int]) -> ParameterSet:
+def hard_prune(params: ParameterSet, cfg: SparsityConfig) -> ParameterSet:
+    """Project every constrained layer to its budget; copy the others."""
+    budgets = cfg.budgets(params)
+
     def prj(lid, w, b):
         if lid in budgets:
             return euclidean_project(w, budgets[lid]), b.copy()
@@ -164,10 +167,9 @@ def admm_residual(w: np.ndarray, z: KeptEntries, u: np.ndarray,
 
 def final_hard_prune(params: ParameterSet,
                      cfg: SparsityConfig) -> tuple[ParameterSet, PruneMask]:
-    """Project every constrained layer to its budget and record the mask."""
-    budgets = cfg.budgets(params)
-    pruned = _project_params(params, budgets)
-    mask = PruneMask({lid: pruned[lid].weight != 0.0 for lid in budgets})
+    """hard_prune, and the mask of the weights it kept."""
+    pruned = hard_prune(params, cfg)
+    mask = PruneMask({lid: pruned[lid].weight != 0.0 for lid in cfg.budgets(params)})
     return pruned, mask
 
 

@@ -277,6 +277,21 @@ class TestBudgetCountsNonzeroValues:
             (3, "layer a has 3 non-zeros, above its budget of 2")]
 
 
+    def test_negative_zeros_in_a_dense_upload_do_not_count(self, setup):
+        # layer a capped at 2 non-zeros, layer b unconstrained and full
+        manager, channels, ctx = setup
+        publish_model(make_params([np.zeros(4), np.zeros(3)], ids=("a", "b")), ctx)
+        ctx.budgets = {"a": 2}
+        uploads = {0: [1.0, -0.0, -2.0, -0.0], 1: [-0.0, -0.0, -0.0, -0.0],
+                   2: [1.0, -0.0, -2.0, 3.0]}
+        encs = [encrypt(channels, cid, make_params([a, [1.0, -2.0, 3.0]], ids=("a", "b")),
+                        fmt="dense") for cid, a in uploads.items()]
+        agg, rej = enclave_load(encs, ctx, {cid: 1 for cid in uploads})
+        assert [r.client_id for r in agg.records] == [0, 1]
+        assert [(r.client_id, r.reason) for r in rej] == [
+            (2, "layer a has 3 non-zeros, above its budget of 2")]
+
+
 class TestTrustedBytes:
     CLIENTS = 25
     PER_UPLOAD = 4951 * (8 + 4) + 580 * 4     # see test_peak_matches_hand_count

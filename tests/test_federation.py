@@ -204,6 +204,24 @@ class TestClientRound:
             assert np.count_nonzero(state.z[lid].dense()) <= n
         assert state.step == 1
 
+    @pytest.mark.parametrize("phase", ["admm_prune", "masked_finetune"])
+    def test_sparse_upload_builds_no_mask(self, phase, monkeypatch):
+        ds = synthetic_blobs(80, 10, 10, 3, seed=1)
+        arch = nn.mlp((10, 8, 3))
+        cfg = tiny_cfg()
+        g, mask = pruning.final_hard_prune(nn.init_model(arch, 0), cfg.sparsity)
+
+        def no_mask(layers):
+            raise AssertionError("a client upload built a PruneMask")
+
+        monkeypatch.setattr(pruning, "PruneMask", no_mask)
+        upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg,
+                              RoundPlan(phase, cfg.sparsity, False), None,
+                              mask if phase == "masked_finetune" else None, seed=5,
+                              buffers=client_buffers(g))
+        for lid, n in cfg.sparsity.budgets(g).items():
+            assert 0 < np.count_nonzero(upd[lid].weight) <= n
+
     def test_regression_fixture(self):
         # frozen from a reference run of this exact configuration
         ds = synthetic_blobs(120, 40, 10, 3, seed=8)

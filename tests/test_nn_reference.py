@@ -3,13 +3,20 @@ channels-first ones they replaced, compared byte for byte.
 
 Both paths run on the same host's BLAS, so the comparison does not depend on
 the CPU.  Inputs are sparse and binary so that many pooling windows tie.
+The reference runs on the calling thread alone, so the same comparison pins
+the work ``nn`` hands to its helper thread.
 """
+
+import multiprocessing
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from fedprune import nn
-from fedprune.pruning import euclidean_project
+from fedprune import federation, nn
+from fedprune.pruning import SparsityConfig, euclidean_project
 
 # Keep table of configs/mnist_iid_cr87.cfg (CR~87).
 CR87_KEEP = {"conv1": 0.5, "conv2": 0.06, "fc1": 0.0055025, "fc2": 0.2}
@@ -225,6 +232,10 @@ class TestInferenceBytes:
         (45, 512),        # example count not a multiple of the tile
         (45, 7),          # eval batch smaller than the tile
         (nn._TILE, 512),  # exactly one tile
+        (1, 512),         # one tile: the helper gets none
+        (11, 512),        # a full tile on the helper, one example on the caller
+        (19, 512),        # two tiles, the caller's one short
+        (20, 512),        # two full tiles
     ])
     def test_chunking_edge_cases(self, n, batch_size):
         arch = nn.lenet5()
@@ -245,3 +256,136 @@ class TestInferenceBytes:
         y = np.arange(40) % arch.num_classes
         assert same_bytes(nn._logits(arch, params, x), ref_logits(arch, params, x))
         assert nn.evaluate(arch, params, x, y, 16) == ref_evaluate(arch, params, x, y, 16)
+
+
+# -- the helper thread ---------------------------------------------------------
+
+TIMEOUT_S = 60.0
+
+
+def finishes(fn):
+    """fn() on a daemon thread; fails, rather than hangs, if it deadlocks."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:          # re-raised on the test's thread
+            out.append((False, exc))
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(TIMEOUT_S)
+    assert not t.is_alive(), f"not finished within {TIMEOUT_S} s"
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def lenet_case(batch_size, seed):
+    arch = nn.lenet5()
+    params = cr87(nn.init_model(arch, seed=seed))
+    x, y = tied_inputs(arch, batch_size, seed=seed)
+    return arch, params, nn.Batch(x, y)
+
+
+def same_grads(got, want):
+    return all(same_bytes(e.weight, gw) and same_bytes(e.bias, gb)
+               for e, (gw, gb) in zip(got.entries, want))
+
+
+class TestHelperThread:
+    def test_one_helper_thread_off_the_caller(self):
+        idents = {nn._offload(True, threading.get_ident)() for _ in range(5)}
+        assert len(idents) == 1
+        assert threading.get_ident() not in idents
+        assert nn._helper[0] == os.getpid()
+
+    def test_call_on_the_helper_runs_inline(self):
+        helper = nn._offload(True, threading.get_ident)()
+        nested = finishes(lambda: nn._offload(True, nn._offload, True, threading.get_ident)()())
+        assert nested == helper
+        arch, params, batch = lenet_case(10, seed=3)
+        got = finishes(lambda: nn._offload(True, nn.backward, arch, params, batch)())
+        assert same_grads(got, ref_backward(arch, params, batch))
+        x = batch.inputs
+        logits = finishes(lambda: nn._offload(True, nn._logits, arch, params, x)())
+        assert same_bytes(logits, ref_logits(arch, params, x))
+
+    def test_exception_reaches_the_caller_and_the_helper_lives_on(self):
+        def boom():
+            raise ZeroDivisionError("raised on the helper")
+        wait = nn._offload(True, boom)
+        with pytest.raises(ZeroDivisionError, match="raised on the helper"):
+            finishes(wait)
+        assert finishes(nn._offload(True, lambda: 7)) == 7
+        arch, params, batch = lenet_case(10, seed=5)
+        got = finishes(lambda: nn.backward(arch, params, batch))
+        assert same_grads(got, ref_backward(arch, params, batch))
+
+    def test_two_threads_at_once_get_reference_bytes(self):
+        cases = [lenet_case(b, seed=s) for b, s in ((10, 1), (2, 2), (10, 3), (1, 4))]
+        wants = [(ref_backward(*c), ref_logits(c[0], c[1], c[2].inputs),
+                  ref_evaluate(c[0], c[1], c[2].inputs, c[2].labels, 7)) for c in cases]
+        errors = []
+
+        def worker(order):
+            for _ in range(3):
+                for i in order:
+                    arch, params, batch = cases[i]
+                    grads_want, logits_want, acc_want = wants[i]
+                    if not same_grads(nn.backward(arch, params, batch), grads_want):
+                        errors.append(f"backward of case {i}")
+                    if not same_bytes(nn._logits(arch, params, batch.inputs), logits_want):
+                        errors.append(f"logits of case {i}")
+                    if nn.evaluate(arch, params, batch.inputs, batch.labels, 7) != acc_want:
+                        errors.append(f"evaluate of case {i}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(order,), daemon=True)
+                       for order in ((0, 1, 2, 3), (3, 2, 1, 0))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(TIMEOUT_S)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_child_forked_after_first_use_gets_a_live_helper(self):
+        arch, params, batch = lenet_case(10, seed=6)
+        want = ref_backward(arch, params, batch)
+        assert same_grads(nn.backward(arch, params, batch), want)   # the helper is up
+        parent_helper = nn._helper
+
+        def child():
+            ok = same_grads(nn.backward(arch, params, batch), want) and \
+                nn._helper is not parent_helper and nn._helper[0] == os.getpid()
+            sys.exit(0 if ok else 3)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(TIMEOUT_S)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail(f"forked child did not finish backward within {TIMEOUT_S} s")
+        assert proc.exitcode == 0
+        assert nn._helper is parent_helper
+
+    def test_runs_add_at_most_one_thread(self):
+        cfg = federation.ExperimentConfig(
+            arch="small_convnet", arch_params={"in_ch": 1, "side": 16, "num_classes": 3},
+            dataset="synthetic-images",
+            dataset_params={"num_train": 60, "num_test": 25, "channels": 1, "side": 16,
+                            "num_classes": 3},
+            num_clients=3, clients_per_round=2, local_epochs=1, batch_size=10,
+            warmup_rounds=1, pruning_rounds=1, admm_stage_rounds=1,
+            sparsity=SparsityConfig(keep={"fc1": 0.5}), seed=2)
+        before = threading.active_count()
+        federation.run_experiment(cfg)
+        federation.run_experiment(cfg)
+        assert threading.active_count() <= before + 1
