@@ -275,20 +275,23 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     """Local epochs of momentum SGD; returns the upload-ready update and the
     client's advanced ADMM state (when in the ADMM phase).
 
-    Each minibatch is one pass over the layers.  In admm_prune rounds a
-    constrained layer's weight gradient g gains rho*(W - Z + U).  The
-    velocity is g on the first step and momentum*v + g after; the step is
-    W - lr*v.  Biases get the momentum and the step only.  A layer under a
-    given mask (the shared mask of fine-tune rounds) steps only on the
-    mask's support: off it the masked gradient is +0.0, so v stays +0.0 and
-    W - lr*0.0 is W bit for bit, and a non-finite gradient there never
-    reaches the weights.
+    Each minibatch is one nn.backward pass, and each layer steps inside it:
+    the step is the pass's ``then`` hook, which nn runs on its helper thread
+    as soon as the pass is done with that layer's weight, while this thread
+    goes on to the layers below.  In admm_prune rounds a constrained layer's
+    weight gradient g gains rho*(W - Z + U).  The velocity is g on the first
+    step and momentum*v + g after; the step is W - lr*v.  Biases get the
+    momentum and the step only.  A layer under a given mask (the shared mask
+    of fine-tune rounds) steps only on the mask's support: off it the masked
+    gradient is +0.0, so v stays +0.0 and W - lr*0.0 is W bit for bit, and a
+    non-finite gradient there never reaches the weights.
 
     The weights and velocities live in buffers (see client_buffers): the
-    received model is copied into them and updated in place; no array passed
-    in or returned by nn.backward is written to.  A dense round's update is
-    those buffers' own arrays, valid until the next client_round call with
-    the same buffers; encode it before then.
+    received model is copied into them and updated in place; no gradient
+    array is written to.  The hooks run one at a time, so the step's block
+    scratch has one user.  A dense round's update is those buffers' own
+    arrays, valid until the next client_round call with the same buffers;
+    encode it before then.
 
     admm_prune rounds end with one Z/U update.  Every sparse upload, that is
     every round with a plan.stage_cfg, is projected to that config's
@@ -310,10 +313,10 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     masked = mask.layers if mask is not None else {}
 
     params, velocities, scratch = buffers
-    # one slot per weight and bias tensor, in gradient order: (flat tensor,
+    # per layer, one slot for its weight and one for its bias: (flat tensor,
     # mask support or None, then the stepped entries: the tensor or its
     # support, their velocity, Z or None, U or None)
-    slots, vs = [], iter(velocities)
+    slots, vs = {}, iter(velocities)
     for e, got in zip(params.entries, global_params.entries):
         np.copyto(e.weight, got.weight)
         np.copyto(e.bias, got.bias)
@@ -325,20 +328,21 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
             stepped, v = w[on], v[:on.size]
             if z is not None:
                 z, u = pruning.KeptEntries.of(z.dense().reshape(-1)[on]), u[on]
-        slots.append((w, on, stepped, v, z, u))
-        slots.append((b, None, b, next(vs), None, None))
+        slots[lid] = ((w, on, stepped, v, z, u), (b, None, b, next(vs), None, None))
+
+    def step(lid: str, dw: np.ndarray, db: np.ndarray) -> None:
+        # on nn's helper thread, one layer at a time, once backward is done with lid
+        for (w, on, *slot), g in zip(slots[lid], (dw.reshape(-1), db)):
+            _step(slot, g if on is None else g[on], first, rho, cfg, scratch)
+            if on is not None:
+                w[on] = slot[0]
 
     first = True
     for _ in range(cfg.local_epochs if cfg.lr > 0 else 0):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             ix = perm[lo:lo + cfg.batch_size]
-            grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
-            grads = (a.reshape(-1) for g in grad.entries for a in (g.weight, g.bias))
-            for (w, on, *slot), g in zip(slots, grads):
-                _step(slot, g if on is None else g[on], first, rho, cfg, scratch)
-                if on is not None:
-                    w[on] = slot[0]
+            nn.backward(arch, params, nn.Batch(x[ix], y[ix]), then=step)
             first = False
 
     if plan.phase == PHASE_ADMM:

@@ -7,14 +7,17 @@ the caller passes is mutated, so any number of threads may call it at once.
 Each process has one helper thread, started on first use, that shares the
 work of a single call.  In ``backward`` it runs the weight-gradient GEMM of
 every parameterized layer above the first while the calling thread computes
-that layer's input gradient; in ``_logits`` it runs the first half of the
-conv/pool tiles.  It runs the same BLAS calls and ``_forward`` tiles on the
-same operands as a one-thread pass would, writes the results into arrays
-the caller allocated, and the caller waits for it before returning, so
-logits and gradients are the same bytes.  Only private helpers and numpy run there, never a public
-function: a tracer that wraps the public names sees each call as one span
-on its caller's thread, and a public call started on the helper would run
-inline (see ``_offload``) rather than queue behind itself.
+that layer's input gradient, and then the caller's per-layer ``then`` hook;
+in ``_logits`` it runs the first half of the conv/pool tiles.  It runs the
+same BLAS calls and ``_forward`` tiles on the same operands as a one-thread
+pass would, writes the results into arrays the caller allocated, and the
+caller waits for it before returning, so logits and gradients are the same
+bytes.  Only private helpers and numpy run there, plus the caller's ``then``
+hook; the calling thread calls no public fedprune function until
+``backward`` returns.  So a tracer that wraps the public names sees each
+call as one span, and the public calls of a hook as spans nested under
+``backward``; a public call started on the helper would run inline (see
+``_offload``) rather than queue behind itself.
 
 Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
 ``(out_ch, in_ch, k, k)``.  Inside the passes, activations are channels-last,
@@ -434,8 +437,18 @@ def forward_loss(arch: ModelArch, params: ParameterSet, batch: Batch):
     return float(loss), logits
 
 
-def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> ParameterSet:
-    """Analytic gradient of forward_loss w.r.t. every parameter."""
+def backward(arch: ModelArch, params: ParameterSet, batch: Batch,
+             then: Callable[[str, np.ndarray, np.ndarray], None] | None = None,
+             ) -> ParameterSet:
+    """Analytic gradient of forward_loss w.r.t. every parameter.
+
+    With ``then``, each parameterized layer's then(layer_id, dw, db) is queued
+    on the helper thread, behind that layer's weight-gradient GEMM, once the
+    pass has made its last read of that layer's weight: after ``dout @ W.T``
+    or ``dmat @ W``.  The hooks run one at a time, from the last layer to the
+    first, and may write that layer's parameters; dw and db are the returned
+    gradient's arrays.  ``backward`` returns, or raises the first hook's
+    exception, only when every hook has finished."""
     bound, x = _start(arch, params, batch.inputs)
     caches: list = []
     logits = _forward(bound, x, caches)
@@ -450,42 +463,60 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch) -> ParameterSe
     first = next((n for n, (_, e) in enumerate(bound) if e is not None), len(bound))
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     waits = []
-    for n in range(len(bound) - 1, first - 1, -1):
-        (layer, e), cache = bound[n], caches[n]
-        if isinstance(layer, Dense):
-            dw = np.empty(e.weight.shape)
-            waits.append(_offload(n > first, np.matmul, cache.T, dout, out=dw))
-            grads[e.layer_id] = (dw, dout.sum(axis=0))
-            if n > first:
-                dout = dout @ e.weight.T
-        elif isinstance(layer, Conv2d):
-            x_shape, cols, ho, wo = cache
-            dmat = dout.reshape(-1, layer.out_ch)
-            dwt = np.empty((cols.shape[1], layer.out_ch))          # (C*k*k, out_ch)
-            waits.append(_offload(n > first, np.matmul, cols.T, dmat, out=dwt))
-            # At one example the channels-first gradient reshaped to a
-            # column-major (H*W, C) view; keep its order of summation.
-            db = dmat.sum(axis=0) if b > 1 else np.ascontiguousarray(dmat.T).sum(axis=1)
-            grads[e.layer_id] = (dwt.T, db)
-            if n > first:
-                dcols = dmat @ e.weight.reshape(layer.out_ch, -1)
-                dout = _col2im(dcols, x_shape, layer.kernel, layer.stride, ho, wo)
-        elif isinstance(layer, ReLU):
-            dout = dout * cache
-        elif isinstance(layer, MaxPool):
-            dout = _maxpool_backward(dout, *cache, layer.k)
-        elif isinstance(layer, Flatten):
-            if len(cache) == 4:
-                bb, h, w, c = cache
-                dout = dout.reshape(bb, c, h, w).transpose(0, 2, 3, 1)
-            else:
-                dout = dout.reshape(cache)
-    for wait in waits:          # never return while the helper still writes
-        wait()
 
-    entries = tuple(LayerParams(e.layer_id, grads[e.layer_id][0].reshape(e.weight.shape),
-                                grads[e.layer_id][1]) for e in params.entries)
-    return ParameterSet(entries)
+    def release(e: LayerParams) -> None:    # the pass has made its last read of e.weight
+        if then is not None:
+            waits.append(_offload(True, then, e.layer_id, *grads[e.layer_id]))
+    try:
+        for n in range(len(bound) - 1, first - 1, -1):
+            (layer, e), cache = bound[n], caches[n]
+            if isinstance(layer, Dense):
+                dw = np.empty(e.weight.shape)
+                waits.append(_offload(n > first, np.matmul, cache.T, dout, out=dw))
+                grads[e.layer_id] = (dw, dout.sum(axis=0))
+                if n > first:
+                    dout = dout @ e.weight.T
+                release(e)
+            elif isinstance(layer, Conv2d):
+                x_shape, cols, ho, wo = cache
+                dmat = dout.reshape(-1, layer.out_ch)
+                dwt = np.empty((cols.shape[1], layer.out_ch))          # (C*k*k, out_ch)
+                waits.append(_offload(n > first, np.matmul, cols.T, dmat, out=dwt))
+                # At one example the channels-first gradient reshaped to a
+                # column-major (H*W, C) view; keep its order of summation.
+                db = dmat.sum(axis=0) if b > 1 else np.ascontiguousarray(dmat.T).sum(axis=1)
+                grads[e.layer_id] = (dwt.T.reshape(e.weight.shape), db)
+                dcols = dmat @ e.weight.reshape(layer.out_ch, -1) if n > first else None
+                release(e)
+                if dcols is not None:
+                    dout = _col2im(dcols, x_shape, layer.kernel, layer.stride, ho, wo)
+            elif isinstance(layer, ReLU):
+                dout = dout * cache
+            elif isinstance(layer, MaxPool):
+                dout = _maxpool_backward(dout, *cache, layer.k)
+            elif isinstance(layer, Flatten):
+                if len(cache) == 4:
+                    bb, h, w, c = cache
+                    dout = dout.reshape(bb, c, h, w).transpose(0, 2, 3, 1)
+                else:
+                    dout = dout.reshape(cache)
+    finally:
+        _wait_all(waits)        # never return while the helper still runs
+
+    return ParameterSet(tuple(LayerParams(e.layer_id, *grads[e.layer_id])
+                              for e in params.entries))
+
+
+def _wait_all(waits: list) -> None:
+    """Call every wait, then raise the first exception one of them raised."""
+    error = None
+    for wait in waits:
+        try:
+            wait()
+        except BaseException as exc:
+            error = error or exc
+    if error is not None:
+        raise error
 
 
 def _forward_tiles(bound, x: np.ndarray, out: np.ndarray) -> None:

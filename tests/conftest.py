@@ -6,7 +6,22 @@ from fedprune.federation import ExperimentConfig, client_buffers, client_round
 
 
 @pytest.fixture
-def fixed_grad_round(monkeypatch):
+def fake_backward(monkeypatch):
+    """Replace nn.backward by grad_of(arch, params, batch).  Like nn, the
+    fake hands each layer's gradient to its ``then`` hook, from the last
+    layer to the first, before it returns the gradient."""
+    def install(grad_of):
+        def backward(arch, params, batch, then=None):
+            grad = grad_of(arch, params, batch)
+            for g in reversed(grad.entries if then is not None else ()):
+                then(g.layer_id, g.weight, g.bias)
+            return grad
+        monkeypatch.setattr(nn, "backward", backward)
+    return install
+
+
+@pytest.fixture
+def fixed_grad_round(fake_backward):
     """client_round with nn.backward replaced by the given loss gradients:
     one local epoch of one minibatch per gradient.  The same gradient arrays
     are handed out at every step they are listed for, and must come back
@@ -14,7 +29,7 @@ def fixed_grad_round(monkeypatch):
     def run(params, grads, plan, state=None, mask=None, lr=0.1, momentum=0.0):
         before = [[(e.weight.tobytes(), e.bias.tobytes()) for e in g.entries] for g in grads]
         queue = iter(grads)
-        monkeypatch.setattr(nn, "backward", lambda arch, p, batch: next(queue))
+        fake_backward(lambda arch, p, batch: next(queue))
         cfg = ExperimentConfig(mode="dense", num_clients=1, clients_per_round=1,
                                local_epochs=len(grads), batch_size=1, lr=lr,
                                momentum=momentum)

@@ -167,7 +167,7 @@ class TestClientRound:
         on_mask = upd.map(lambda lid, w, b: (np.where(mask.layers[lid], w, 0.0), b))
         assert codec.csr_encode(upd) == codec.csr_encode(on_mask)
 
-    def test_masked_nan_gradient_stays_budget_sized(self, monkeypatch):
+    def test_masked_nan_gradient_stays_budget_sized(self, fake_backward):
         # NaN * 0 is NaN: a mask applied by multiplication would let a NaN
         # off the mask into the weights, and from there into every weight
         ds = synthetic_blobs(80, 10, 10, 3, seed=1)
@@ -180,7 +180,7 @@ class TestClientRound:
             return real_backward(arch_, params, batch).map(
                 lambda lid, w, b: (np.where(mask.layers[lid], w, np.nan), b))
 
-        monkeypatch.setattr(nn, "backward", nan_off_mask)
+        fake_backward(nan_off_mask)
         upd, _ = client_round(arch, g, ds.train_x, ds.train_y, cfg,
                               RoundPlan("masked_finetune", cfg.sparsity, False),
                               None, mask, seed=5, buffers=client_buffers(g))
@@ -438,6 +438,23 @@ class TestLocalStep:
         upd, _ = client_round(arch, g, x, y, cfg, plan, None, mask, seed=5,
                               buffers=client_buffers(g))
         ref_upd, _ = reference_client_round(arch, g, x, y, cfg, plan, None, mask, seed=5)
+        assert param_bytes(upd) == param_bytes(ref_upd)
+
+    @pytest.mark.parametrize("phase", ["dense", "warmup"])
+    def test_lenet_unconstrained_round(self, phase):
+        # six minibatches: every layer's step overlaps the rest of its pass,
+        # and the momentum carries over from one pass's steps to the next
+        arch = nn.lenet5()
+        cfg = tiny_cfg(arch="lenet5", arch_params={}, local_epochs=2, batch_size=5,
+                       lr=0.05, momentum=0.9)
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
+        g = nn.init_model(arch, 0)
+        plan = RoundPlan(phase, None, False)
+        upd, out = client_round(arch, g, x, y, cfg, plan, None, None, seed=5,
+                                buffers=client_buffers(g))
+        ref_upd, _ = reference_client_round(arch, g, x, y, cfg, plan, None, None, seed=5)
+        assert out is None
         assert param_bytes(upd) == param_bytes(ref_upd)
 
     @pytest.mark.parametrize("case", ["dense", "admm_returning", "finetune",

@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -389,3 +390,95 @@ class TestHelperThread:
         federation.run_experiment(cfg)
         federation.run_experiment(cfg)
         assert threading.active_count() <= before + 1
+
+
+# -- the per-layer hook of backward --------------------------------------------
+
+HOOK_MODELS = {"lenet5": nn.lenet5, "mlp": nn.mlp}
+
+
+def hook_case(model, batch_size, seed):
+    arch = HOOK_MODELS[model]()
+    params = nn.init_model(arch, seed=seed)
+    x, y = tied_inputs(arch, batch_size, seed=seed)
+    return arch, params, nn.Batch(x, y)
+
+
+class TestBackwardHook:
+    @pytest.mark.parametrize("model", sorted(HOOK_MODELS))
+    def test_once_per_layer_last_first_on_the_helper(self, model):
+        arch, params, batch = hook_case(model, 10, seed=1)
+        helper = nn._offload(True, threading.get_ident)()
+        calls = []
+
+        def then(lid, dw, db):
+            calls.append((lid, dw.copy(), db.copy(), threading.get_ident()))
+
+        got = finishes(lambda: nn.backward(arch, params, batch, then=then))
+        assert [c[0] for c in calls] == [l.name for l in reversed(arch.param_layers())]
+        for lid, dw, db, ident in calls:
+            assert same_bytes(dw, got[lid].weight) and same_bytes(db, got[lid].bias), lid
+            assert ident == helper, lid
+        assert same_grads(got, ref_backward(arch, params, batch))
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 10])
+    @pytest.mark.parametrize("model", sorted(HOOK_MODELS))
+    def test_hook_writing_its_layer_leaves_every_gradient(self, model, batch_size):
+        # each hook poisons the weights it was handed over; a hook queued
+        # before the pass's last read of them would poison the gradients below
+        arch, params, batch = hook_case(model, batch_size, seed=batch_size)
+        want = ref_backward(arch, params, batch)
+        for _ in range(5):
+            work = params.map(lambda lid, w, b: (w.copy(), b.copy()))
+
+            def then(lid, dw, db):
+                work[lid].weight.fill(np.nan)
+                work[lid].bias.fill(np.nan)
+
+            got = finishes(lambda: nn.backward(arch, work, batch, then=then))
+            assert same_grads(got, want)
+            assert all(np.isnan(e.weight).all() for e in work.entries)
+
+    @pytest.mark.parametrize("model", sorted(HOOK_MODELS))
+    def test_hook_exception_reaches_the_caller(self, model):
+        arch, params, batch = hook_case(model, 10, seed=2)
+        layers = [l.name for l in arch.param_layers()]
+        ran = []
+
+        def then(lid, dw, db):
+            ran.append(lid)
+            if lid == layers[-1]:
+                raise ZeroDivisionError(f"raised in the hook of {lid}")
+
+        with pytest.raises(ZeroDivisionError, match=layers[-1]):
+            finishes(lambda: nn.backward(arch, params, batch, then=then))
+        assert ran == layers[::-1]          # the hooks queued behind it still ran
+        want = ref_backward(arch, params, batch)
+        assert same_grads(finishes(lambda: nn.backward(arch, params, batch)), want)
+        ran.clear()
+        got = finishes(lambda: nn.backward(arch, params, batch,
+                                           then=lambda lid, dw, db: ran.append(lid)))
+        assert same_grads(got, want) and ran == layers[::-1]
+
+    @pytest.mark.parametrize("fail", [False, True])
+    @pytest.mark.parametrize("model", sorted(HOOK_MODELS))
+    def test_never_returns_while_a_hook_runs(self, model, fail):
+        arch, params, batch = hook_case(model, 10, seed=3)
+        layers = [l.name for l in arch.param_layers()]
+        running, done = [], []
+
+        def then(lid, dw, db):
+            running.append(lid)
+            if fail and lid == layers[-1]:
+                raise ZeroDivisionError("the first hook fails")
+            time.sleep(0.02)
+            done.append(lid)
+            running.remove(lid)
+
+        if fail:
+            with pytest.raises(ZeroDivisionError):
+                finishes(lambda: nn.backward(arch, params, batch, then=then))
+        else:
+            finishes(lambda: nn.backward(arch, params, batch, then=then))
+        assert running == ([layers[-1]] if fail else [])
+        assert done == layers[::-1][1 if fail else 0:]
