@@ -5,19 +5,32 @@ parameter sets go in, new parameter sets / gradients come out, and nothing
 the caller passes is mutated, so any number of threads may call it at once.
 
 Each process has one helper thread, started on first use, that shares the
-work of a single call.  In ``backward`` it runs the weight-gradient GEMM of
-every parameterized layer above the first while the calling thread computes
-that layer's input gradient, and then the caller's per-layer ``then`` hook;
-in ``_logits`` it runs the first half of the conv/pool tiles.  It runs the
-same BLAS calls and ``_forward`` tiles on the same operands as a one-thread
-pass would, writes the results into arrays the caller allocated, and the
-caller waits for it before returning, so logits and gradients are the same
-bytes.  Only private helpers and numpy run there, plus the caller's ``then``
-hook; the calling thread calls no public fedprune function until
-``backward`` returns.  So a tracer that wraps the public names sees each
-call as one span, and the public calls of a hook as spans nested under
-``backward``; a public call started on the helper would run inline (see
-``_offload``) rather than queue behind itself.
+work of a single call.  Every pass runs the layers up to the first Flatten
+(the conv/pool stack) on two parts of its examples, the first part on the
+helper and the rest on the caller (``_conv_stack``).  In ``backward`` both
+parts write straight into the full-batch arrays that the backward half
+reads; outside it (``_logits``, ``forward_loss``) each part runs tiles of
+``_TILE`` examples through one buffer set.  In ``backward`` the helper also
+runs the weight-gradient GEMM of every parameterized layer above the first
+while the calling thread computes that layer's input gradient, and then the
+caller's per-layer ``then`` hook.
+
+Splitting a conv GEMM's rows by example keeps its bytes on some BLAS kernels
+and not on others, so the stack splits only where ``_blocks_keep_bytes``,
+run once per shape, finds the same bytes for each conv GEMM of the pass on
+seeded random operands of its exact shapes, weight layout and row offsets,
+both whole and in the planned blocks; otherwise the stack runs whole on the
+caller.  A pass too large to check (``_CHECK_BYTES``) runs whole in
+``backward`` and in unchecked tiles outside it.  Everything else the helper
+runs is the BLAS call or numpy operation a one-thread pass would make, on
+the same operands, writing into arrays the caller allocated, and the caller
+waits for it before returning, so logits and gradients are the same bytes.
+Only private helpers and numpy run there, plus the caller's ``then`` hook;
+the calling thread calls no public fedprune function until ``backward``
+returns.  So a tracer that wraps the public names sees each call as one
+span, and the public calls of a hook as spans nested under ``backward``; a
+public call started on the helper would run inline (see ``_offload``)
+rather than queue behind itself.
 
 Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
 ``(out_ch, in_ch, k, k)``.  Inside the passes, activations are channels-last,
@@ -25,10 +38,9 @@ Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
 next activation without a transpose, max pooling takes the max of the k*k
 strided views, and ``Flatten`` puts features back in (c, h, w) order.
 ``backward`` computes no gradient for the first parameterized layer's input,
-which nothing uses.  ``predict`` keeps no backprop caches and runs the conv
-and pool layers in tiles of ``_TILE`` examples, the dense layers on the whole
-chunk.  Every GEMM sees the operands of the channels-first formulation, so
-logits and gradients are the same bytes.
+which nothing uses.  The dense layers run on the whole batch or chunk.
+Every GEMM sees the operands of the channels-first formulation, so logits
+and gradients are the same bytes.
 """
 
 from __future__ import annotations
@@ -276,13 +288,22 @@ def init_model(arch: ModelArch, seed: int) -> ParameterSet:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-# Examples per conv/pool tile in ``predict``.  It bounds the im2col matrices:
-# LeNet-5's conv2 needs 2.5 MB for 10 examples, 77 MB for 300.  Splitting a
-# conv GEMM's rows by example keeps its bytes (tests/test_nn_reference.py);
-# splitting a dense GEMM's rows changes the last bit, so dense layers run on
-# the whole chunk.  On 300 LeNet-5 examples (one BLAS thread, 2-core host)
-# tiles of 10 took 61/78 ms min/median against 70/86 ms for tiles of 32.
+# Examples per conv/pool tile outside ``backward``.  It bounds the im2col
+# matrices: LeNet-5's conv2 needs 2.5 MB for 10 examples, 77 MB for 300.
+# Splitting a dense GEMM's rows changes the last bit, so dense layers run on
+# the whole chunk; whether a conv GEMM's row split keeps its bytes depends on
+# the BLAS kernel, so ``_blocks_keep_bytes`` checks it.  On 300 LeNet-5
+# examples (one BLAS thread, 2-core host) tiles of 10 took 61/78 ms
+# min/median against 70/86 ms for tiles of 32.
 _TILE = 10
+
+# Bytes of the conv/pool arrays of a pass over all of its examples at once,
+# above which no split is checked: the check builds about that much, and so
+# does the untiled pass an evaluation falls back on.  Above it, ``backward``
+# runs the conv/pool layers on the calling thread alone and ``_logits`` runs
+# its tiles unchecked.  LeNet-5 takes 0.52 MB per example, so an evaluation
+# of 300 examples is above it.
+_CHECK_BYTES = 64 << 20
 
 # (pid, executor) of this process's helper thread.  A child forked after the
 # helper started inherits the tuple but not the thread, so the pid check
@@ -307,7 +328,10 @@ def _offload(on_helper: bool, fn, *args, **kwargs) -> Callable[[], object]:
             if _helper is None or _helper[0] != pid:
                 _helper = (pid, ThreadPoolExecutor(
                     1, "fedprune-nn", lambda: setattr(_thread, "on_helper", True)))
-    return _helper[1].submit(fn, *args, **kwargs).result
+    # fn's arguments are dropped on the helper before the caller wakes, so the
+    # caller frees them at the same point of every pass
+    call = [functools.partial(fn, *args, **kwargs)]
+    return _helper[1].submit(lambda: call.pop()()).result
 
 
 def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):
@@ -326,6 +350,9 @@ def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):
                                  f"shapes {got}, arch wants {want}")
         bound.append((layer, e))
     x = np.asarray(inputs, dtype=np.float64)
+    if x.shape[1:] != tuple(arch.input_shape):
+        raise ShapeError(f"inputs have per-example shape {x.shape[1:]}, "
+                         f"arch wants {tuple(arch.input_shape)}")
     return bound, (x.transpose(0, 2, 3, 1) if x.ndim == 4 else x)
 
 
@@ -340,14 +367,6 @@ def _im2col_index(h: int, w: int, c: int, k: int, stride: int):
     return idx, ho, wo
 
 
-def _im2col(x: np.ndarray, k: int, stride: int):
-    # x: (B, H, W, C) -> cols: (B*Ho*Wo, C*k*k), columns ordered (c, ki, kj),
-    # gathered per example through the cached index
-    b, h, w, c = x.shape
-    idx, ho, wo = _im2col_index(h, w, c, k, stride)
-    return np.take(x.reshape(b, h * w * c), idx, axis=1).reshape(b * ho * wo, c * k * k), ho, wo
-
-
 def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int):
     b, h, w, c = x_shape
     dx = np.zeros(x_shape)
@@ -358,12 +377,12 @@ def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int):
     return dx
 
 
-def _maxpool(x: np.ndarray, k: int) -> np.ndarray:
+def _maxpool(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     # Max over the k*k strided views of x: (B, H, W, C).  A +0/-0 tie may keep
     # either zero; activations are only compared or fed to GEMMs, which
     # accumulate from +0, so the sign never reaches logits or gradients.
     views = [x[:, i::k, j::k] for i in range(k) for j in range(k)]
-    m = np.maximum(views[0], views[-1])
+    m = np.maximum(views[0], views[-1], out=out)
     for v in views[1:-1]:
         np.maximum(m, v, out=m)
     return m
@@ -390,34 +409,187 @@ def _maxpool_backward(dout: np.ndarray, x: np.ndarray, m: np.ndarray, k: int):
     return dx
 
 
+@functools.lru_cache(maxsize=64)
+def _stack_layout(layers: tuple, shape: tuple):
+    """Per layer of a conv/pool stack, the per-example (shape, dtype) of each
+    array its pass writes: a conv's im2col matrix and output, a ReLU's mask
+    and output, a pool's output, all channels-last.  Also the flattened
+    feature count.  ``shape`` is the channels-first input shape."""
+    layout = []
+    for layer in layers:
+        c = shape[0]
+        shape = _infer_shape(layer, shape)
+        out = ((shape[1], shape[2], shape[0]), np.float64)
+        if isinstance(layer, Conv2d):
+            layout.append((((shape[1] * shape[2], c * layer.kernel ** 2), np.float64), out))
+        elif isinstance(layer, ReLU):
+            layout.append(((out[0], np.bool_), out))
+        else:
+            layout.append((out,))
+    return tuple(layout), int(np.prod(shape))
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks_keep_bytes(gemms: tuple, bounds: tuple, in_place: bool) -> bool:
+    """Whether every conv GEMM, given as (rows per example, C*k*k, out_ch,
+    strides of wmat), gives the same bytes on the example blocks between
+    ``bounds`` as on all of them at once, on seeded random operands.  With
+    ``in_place`` a block reads and writes its rows of the whole arrays, as in
+    ``backward``'s caches; without, it runs on a copy at offset 0, as a tile
+    does in its buffers."""
+    rng = np.random.default_rng(0)
+    for rows, k, n_out, strides in gemms:
+        a = rng.standard_normal((bounds[-1] * rows, k))
+        w = rng.standard_normal((n_out, k)).T
+        if w.strides != strides:
+            w = np.ascontiguousarray(w)
+            if w.strides != strides:
+                return False
+        whole = np.matmul(a, w)
+        part = np.empty_like(whole)
+        for s, e in zip(bounds, bounds[1:]):
+            r = slice(s * rows, e * rows)
+            if in_place:
+                np.matmul(a[r], w, out=part[r])
+            else:
+                part[r] = np.matmul(a[r].copy(), w)
+        if part.tobytes() != whole.tobytes():
+            return False
+    return True
+
+
+def _buffer_sets(layout, counts: list, keep: bool) -> list:
+    """One set of the arrays of a ``_stack_layout`` per example count in
+    ``counts``, all carved from one allocation.  As separate arrays, LeNet-5's
+    5.2 MB set for 10 examples was faulted in again on every pass (1,280
+    minor faults), because glibc returned the freed heap top to the system.
+    With ``keep`` every array has its own memory (``backward``'s caches);
+    without, every conv's im2col matrix and ReLU's mask share one scratch
+    array, and the layer outputs take turns in two more."""
+    places, at = [], 0
+    for rows in counts:
+        start, place = {}, []
+        for i, spec in enumerate(layout):
+            for j, (s, d) in enumerate(spec):
+                key = (i, j) if keep else (0 if j < len(spec) - 1 else 1 + i % 2)
+                size = -(-rows * int(np.prod(s)) * np.dtype(d).itemsize // 64) * 64
+                start[key] = max(start.get(key, 0), size)
+                place.append(key)
+        for key, size in start.items():
+            start[key], at = at, at + size
+        places.append([start[key] for key in place])
+    block = np.empty(at, np.uint8)
+    sets = []
+    for rows, place in zip(counts, places):
+        offsets = iter(place)
+        sets.append([tuple(block[next(offsets):].view(d)[:rows * int(np.prod(s))].reshape(rows, *s)
+                           for s, d in spec) for spec in layout])
+    return sets
+
+
+def _stack_part(stack, x: np.ndarray, arrays: list, flat: np.ndarray, tile: int) -> None:
+    """Run the (layer, params, wmat) triples of a conv/pool stack on x,
+    ``tile`` examples at a time, each tile through the first rows of
+    ``arrays`` (laid out as ``_stack_layout`` says), and write the flattened
+    (c, h, w) features into flat."""
+    for i in range(0, len(x), tile):
+        h = x[i:i + tile]
+        n = len(h)
+        for (layer, e, wmat), outs in zip(stack, arrays):
+            out = outs[-1][:n]
+            if isinstance(layer, Conv2d):
+                cols = outs[0][:n]
+                idx, _, _ = _im2col_index(*h.shape[1:], layer.kernel, layer.stride)
+                np.take(h.reshape(n, -1), idx, axis=1, out=cols.reshape(n, -1), mode="wrap")
+                o = out.reshape(-1, layer.out_ch)
+                np.matmul(cols.reshape(-1, cols.shape[2]), wmat, out=o)
+                o += e.bias
+            elif isinstance(layer, ReLU):
+                mask = outs[0][:n]
+                np.greater(h, 0, out=mask)
+                np.multiply(h, mask, out=out)
+            else:
+                _maxpool(h, layer.k, out)
+            h = out
+        b, hh, ww, c = h.shape
+        np.copyto(flat[i:i + n].reshape(b, c, hh, ww), h.transpose(0, 3, 1, 2))
+
+
+def _conv_stack(bound, x: np.ndarray, caches: list | None):
+    """Run the layers up to the first Flatten on x: (B, H, W, C); return the
+    flattened features and the number of layers run.
+
+    With ``caches`` (``backward``), the layers write full-batch arrays, which
+    are appended to caches as ``backward`` reads them; without, the examples
+    run in tiles of ``_TILE`` through one buffer set per part.  The first
+    part of the examples (half of them, or half of the tiles) runs on the
+    helper thread and the rest on the caller, where ``_blocks_keep_bytes``
+    finds that the conv GEMMs give the bytes of one whole-batch GEMM on
+    those blocks; otherwise all of x runs as one block on the caller."""
+    cut = next(n for n, (layer, _) in enumerate(bound) if isinstance(layer, Flatten))
+    stack = [(layer, e, None if e is None else e.weight.reshape(layer.out_ch, -1).T)
+             for layer, e in bound[:cut]]
+    layout, features = _stack_layout(tuple(layer for layer, _ in bound[:cut]),
+                                     (x.shape[3], x.shape[1], x.shape[2]))
+    n = len(x)
+    bounds = (0, n // 2, n) if caches is not None else (*range(0, n, _TILE), n)
+    mid = bounds[(len(bounds) - 1) // 2]
+    gemms = tuple((*spec[0][0], layer.out_ch, wmat.strides)
+                  for (layer, _, wmat), spec in zip(stack, layout) if wmat is not None)
+    nbytes = n * sum(int(np.prod(s)) * np.dtype(d).itemsize for spec in layout for s, d in spec)
+    if nbytes <= _CHECK_BYTES:
+        split = mid > 0 and _blocks_keep_bytes(gemms, bounds, caches is not None)
+    else:
+        split = mid > 0 and caches is None
+    spans = [(0, mid), (mid, n)] if split else [(0, n)]
+    tile = _TILE if split and caches is None else max(n, 1)
+
+    if caches is None:
+        sets = _buffer_sets(layout, [min(tile, e - s) for s, e in spans], keep=False)
+    else:
+        full, = _buffer_sets(layout, [n], keep=True)
+        sets = [[tuple(a[s:e] for a in outs) for outs in full] for s, e in spans]
+    flat = np.empty((n, features))
+    runs = [functools.partial(_stack_part, stack, x[s:e], arrays, flat[s:e], tile)
+            for (s, e), arrays in zip(spans, sets)]
+    _wait_all([runs[1], _offload(True, runs[0])] if split else runs)
+
+    if caches is not None:
+        h = x
+        for (layer, _, _), outs in zip(stack, full):
+            if isinstance(layer, Conv2d):
+                caches.append((h.shape, outs[0].reshape(-1, outs[0].shape[2]),
+                               *outs[1].shape[1:3]))
+            elif isinstance(layer, ReLU):
+                caches.append(outs[0])
+            else:
+                caches.append((h, outs[0]))
+            h = outs[-1]
+        caches.append(h.shape)
+    return flat, cut + 1
+
+
 def _forward(bound, x: np.ndarray, caches: list | None = None) -> np.ndarray:
     """Run (layer, params) pairs on x; append what backward needs to ``caches``
-    when given.  Activations with spatial axes are (B, H, W, C)."""
-    for layer, e in bound:
+    when given.  The layers up to the first Flatten of a (B, H, W, C) input
+    run through ``_conv_stack``, the rest on the whole batch."""
+    done = 0
+    if x.ndim == 4:
+        x, done = _conv_stack(bound, x, caches)
+    for layer, e in bound[done:]:
         if isinstance(layer, Dense):
             cache = x
             x = x @ e.weight
             x += e.bias
-        elif isinstance(layer, Conv2d):
-            cols, ho, wo = _im2col(x, layer.kernel, layer.stride)
-            cache = (x.shape, cols, ho, wo)
-            wmat = e.weight.reshape(layer.out_ch, -1).T         # (C*k*k, out_ch)
-            out = cols @ wmat
-            out += e.bias
-            x = out.reshape(x.shape[0], ho, wo, layer.out_ch)
-            del cols, out
         elif isinstance(layer, ReLU):
             cache = x > 0
             x = x * cache
-        elif isinstance(layer, MaxPool):
-            cache = (x, _maxpool(x, layer.k))
-            x = cache[1]
-        elif isinstance(layer, Flatten):
+        else:               # a Flatten of features that are already flat
             cache = x.shape
-            x = (x.transpose(0, 3, 1, 2) if x.ndim == 4 else x).reshape(x.shape[0], -1)
+            x = x.reshape(x.shape[0], -1)
         if caches is not None:
             caches.append(cache)
-        del cache       # without caches, a layer's input and im2col die with the layer
+        del cache       # without caches, a layer's input dies with the layer
     return x
 
 
@@ -519,31 +691,10 @@ def _wait_all(waits: list) -> None:
         raise error
 
 
-def _forward_tiles(bound, x: np.ndarray, out: np.ndarray) -> None:
-    """Write the layers' output on x into out, ``_TILE`` examples at a time."""
-    for i in range(0, len(x), _TILE):
-        out[i:i + _TILE] = _forward(bound, x[i:i + _TILE])
-
-
 def _logits(arch: ModelArch, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:
-    """Logits without backprop caches: the layers up to the first Flatten run
-    in tiles of ``_TILE`` examples, the first half of the tiles on the helper
-    thread, and the dense layers on all of ``inputs``."""
-    bound, x = _start(arch, params, inputs)
-    cut = 0
-    if x.ndim == 4:         # the spatial layers: up to the first Flatten
-        cut = 1 + next((n for n, (layer, _) in enumerate(bound) if isinstance(layer, Flatten)), -1)
-    if cut:
-        shape = arch.input_shape
-        for layer in arch.layers[:cut]:
-            shape = _infer_shape(layer, shape)
-        out = np.empty((len(x), *shape))
-        mid = _TILE * (-(-len(x) // _TILE) // 2)     # half of the tiles, rounded down
-        wait = _offload(True, _forward_tiles, bound[:cut], x[:mid], out[:mid])
-        _forward_tiles(bound[:cut], x[mid:], out[mid:])
-        wait()
-        x = out
-    return _forward(bound[cut:], x)
+    """Logits without backprop caches; the conv/pool layers run in tiles (see
+    ``_conv_stack``), the dense layers on all of ``inputs``."""
+    return _forward(*_start(arch, params, inputs))
 
 
 def predict(arch: ModelArch, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:

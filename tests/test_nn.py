@@ -114,6 +114,17 @@ class TestForwardLoss:
         with pytest.raises(nn.ShapeError):
             nn.forward_loss(arch, params, nn.Batch(np.ones((1, 3)), np.array([0])))
 
+    @pytest.mark.parametrize("shape", [(1, 784), (1, 1, 28, 27), (1, 2, 28, 28)])
+    def test_input_shape_mismatch_raises(self, shape):
+        arch = nn.lenet5()
+        params = nn.init_model(arch, 0)
+        batch = nn.Batch(np.ones(shape), np.array([0]))
+        for call in (lambda: nn.forward_loss(arch, params, batch),
+                     lambda: nn.backward(arch, params, batch),
+                     lambda: nn.predict(arch, params, batch.inputs)):
+            with pytest.raises(nn.ShapeError, match="per-example shape"):
+                call()
+
     @pytest.mark.parametrize("weight_shape", [
         (3, 2 * 3 * 3),     # flattened (out_ch, in_ch*k*k)
         (3, 1, 3, 3),       # wrong in_ch

@@ -166,7 +166,7 @@ def same_bytes(a, b):
 
 class TestGradientBytes:
     @pytest.mark.parametrize("biased", [False, True])
-    @pytest.mark.parametrize("batch_size", [1, 2, 7, 10])
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 7, 10, 11])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_backward_matches_reference(self, model, batch_size, biased):
         make, prune = MODELS[model]
@@ -247,6 +247,18 @@ class TestInferenceBytes:
             assert same_bytes(nn._logits(arch, params, chunk), ref_logits(arch, params, chunk))
         assert nn.evaluate(arch, params, x, y, batch_size) == \
             ref_evaluate(arch, params, x, y, batch_size)
+
+    @pytest.mark.parametrize("n", [1, nn._TILE, 11, 20, 45])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_tile_edges_on_every_model(self, model, n):
+        # a row split of stride2_stack's c2 GEMM (9 rows per example) changes
+        # bytes on some BLAS kernels, and small_convnet's conv1 split on others
+        make, prune = MODELS[model]
+        arch = make()
+        params = prune(nn.init_model(arch, seed=2))
+        x, y = tied_inputs(arch, n, seed=n)
+        assert same_bytes(nn._logits(arch, params, x), ref_logits(arch, params, x))
+        assert nn.evaluate(arch, params, x, y, 512) == ref_evaluate(arch, params, x, y, 512)
 
     @pytest.mark.parametrize("model", ["lenet5", "small_convnet"])
     def test_all_zero_input_ties_everywhere(self, model):
@@ -390,6 +402,114 @@ class TestHelperThread:
         federation.run_experiment(cfg)
         federation.run_experiment(cfg)
         assert threading.active_count() <= before + 1
+
+
+# -- the conv/pool stack split across the helper ------------------------------
+
+@pytest.fixture
+def fresh_check():
+    """An empty cache of the split check before and after the test."""
+    check = nn._blocks_keep_bytes
+    check.cache_clear()
+    yield check
+    check.cache_clear()
+
+
+def record_parts(monkeypatch, before=None):
+    """Record (thread ident, examples) of every ``_stack_part`` call, after
+    calling before(thread ident) when given."""
+    calls = []
+    real = nn._stack_part
+
+    def part(stack, x, *rest):
+        if before is not None:
+            before(threading.get_ident())
+        real(stack, x, *rest)
+        calls.append((threading.get_ident(), len(x)))
+    monkeypatch.setattr(nn, "_stack_part", part)
+    return calls
+
+
+class TestConvStackSplit:
+    @pytest.mark.parametrize("batch_size,parts", [(10, (5, 5)), (3, (1, 2)), (11, (5, 6))])
+    def test_first_part_on_the_helper(self, monkeypatch, batch_size, parts):
+        arch, params, batch = lenet_case(batch_size, seed=7)
+        helper = nn._offload(True, threading.get_ident)()
+        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: True)
+        calls = record_parts(monkeypatch)
+        nn.backward(arch, params, batch)
+        assert sorted(calls) == sorted([(helper, parts[0]), (threading.get_ident(), parts[1])])
+
+    def test_batch_of_one_runs_unsplit_on_the_caller(self, monkeypatch):
+        arch, params, batch = lenet_case(1, seed=7)
+        asked = []
+        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: asked.append(key) or True)
+        calls = record_parts(monkeypatch)
+        got = nn.backward(arch, params, batch)
+        assert calls == [(threading.get_ident(), 1)] and asked == []
+        assert same_grads(got, ref_backward(arch, params, batch))
+
+    def test_refused_split_runs_whole_on_the_caller(self, monkeypatch):
+        arch, params, batch = lenet_case(10, seed=7)
+        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: False)
+        calls = record_parts(monkeypatch)
+        got = nn.backward(arch, params, batch)
+        assert calls == [(threading.get_ident(), 10)]
+        assert same_grads(got, ref_backward(arch, params, batch))
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_never_returns_while_the_helpers_part_runs(self, monkeypatch, fail):
+        arch, params, batch = lenet_case(10, seed=8)
+        helper = nn._offload(True, threading.get_ident)()
+
+        def before(ident):
+            if ident == helper:
+                time.sleep(0.05)
+            elif fail:
+                raise ZeroDivisionError("the caller's part fails")
+        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: True)
+        calls = record_parts(monkeypatch, before)
+        if fail:
+            with pytest.raises(ZeroDivisionError):
+                finishes(lambda: nn.backward(arch, params, batch))
+        else:
+            finishes(lambda: nn.backward(arch, params, batch))
+        assert calls[-1] == (helper, 5)         # the helper's part finished last
+        assert len(calls) == (1 if fail else 2)
+
+    def test_check_runs_once_per_shape(self, fresh_check):
+        for batch_size in (10, 10, 7, 10, 7):
+            arch, params, batch = lenet_case(batch_size, seed=batch_size)
+            assert same_grads(nn.backward(arch, params, batch), ref_backward(arch, params, batch))
+        assert fresh_check.cache_info().misses == 2
+        for _ in range(2):
+            assert same_bytes(nn._logits(arch, params, batch.inputs[:4].repeat(5, axis=0)),
+                              ref_logits(arch, params, batch.inputs[:4].repeat(5, axis=0)))
+        assert fresh_check.cache_info().misses == 3
+
+    def test_check_refuses_a_split_that_changes_bytes(self, monkeypatch, fresh_check):
+        # a fake BLAS that flips the last bit of the second row block of an
+        # 11-example split (examples 5 to 10) of every LeNet-5 conv GEMM
+        arch, params, batch = lenet_case(11, seed=9)
+        want = ref_backward(arch, params, batch)
+        late_rows = {6 * 24 * 24, 6 * 8 * 8}
+        matmul = np.matmul
+
+        def flipping(a, b, *args, **kwargs):
+            out = matmul(a, b, *args, **kwargs)
+            if a.shape[0] in late_rows:
+                out.view(np.uint64)[...] ^= 1
+            return out
+        monkeypatch.setattr(np, "matmul", flipping)
+        answers = []
+        monkeypatch.setattr(nn, "_blocks_keep_bytes",
+                            lambda *key: answers.append(fresh_check(*key)) or answers[-1])
+        calls = record_parts(monkeypatch)
+        assert same_grads(nn.backward(arch, params, batch), want)
+        assert answers == [False] and calls == [(threading.get_ident(), 11)]
+        # the fake does change the bytes of a split that is not checked
+        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: True)
+        assert not same_grads(nn.backward(arch, params, batch), want)
 
 
 # -- the per-layer hook of backward --------------------------------------------
