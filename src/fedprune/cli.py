@@ -38,9 +38,7 @@ def _load(args) -> ExperimentConfig:
     overrides = dict(mode=args.mode, seed=args.seed, pruning_rounds=args.rounds,
                      num_clients=args.clients, clients_per_round=args.clients_per_round,
                      data_dir=args.data_dir) if args.command == "run" else {}
-    if args.config:
-        return config_mod.load_config(args.config, **overrides)
-    return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
+    return config_mod.load_config(args.config, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

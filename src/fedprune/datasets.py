@@ -9,6 +9,7 @@ image shape so the full pipeline can run without any external files.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ def read_idx(path: str | Path) -> np.ndarray:
     opener = gzip.open if path.suffix == ".gz" else open
     with opener(path, "rb") as f:
         raw = f.read()
-    if len(raw) < 4:
+    if len(raw) < 4 or len(raw) < 4 + 4 * raw[3]:
         raise IdxFormatError(f"{path}: truncated header")
     zero, dtype_code, ndim = struct.unpack(">HBB", raw[:4])
     if zero != 0:
@@ -49,10 +50,10 @@ def read_idx(path: str | Path) -> np.ndarray:
     if dtype_code not in dtypes:
         raise IdxFormatError(f"{path}: unknown dtype code 0x{dtype_code:02x}")
     dims = struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
-    data = np.frombuffer(raw[4 + 4 * ndim:], dtype=dtypes[dtype_code])
-    if data.size != int(np.prod(dims)):
+    dtype = np.dtype(dtypes[dtype_code])
+    if len(raw) - 4 - 4 * ndim != math.prod(dims) * dtype.itemsize:
         raise IdxFormatError(f"{path}: payload size does not match dims {dims}")
-    return data.reshape(dims)
+    return np.frombuffer(raw[4 + 4 * ndim:], dtype=dtype).reshape(dims)
 
 
 _MNIST_FILES = {

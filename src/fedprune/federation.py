@@ -221,11 +221,10 @@ class RoundPlan:
     finalize_after: bool                       # hard-prune the global model after
 
 
-def stage_keep_config(cfg: pruning.SparsityConfig, stage: int,
-                      n_stages: int = N_PRUNE_STAGES) -> pruning.SparsityConfig:
-    """Geometric keep-fraction ramp: stage j uses f^((j+1)/n) per layer, so the
-    last stage lands exactly on the configured fractions."""
-    power = (stage + 1) / n_stages
+def stage_keep_config(cfg: pruning.SparsityConfig, stage: int) -> pruning.SparsityConfig:
+    """Geometric keep-fraction ramp: stage j uses f^((j+1)/N_PRUNE_STAGES) per
+    layer, so the last stage lands exactly on the configured fractions."""
+    power = (stage + 1) / N_PRUNE_STAGES
     return replace(cfg, keep={lid: f ** power for lid, f in cfg.keep.items()})
 
 
@@ -282,7 +281,8 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     weight gradient g gains rho*(W - Z + U).  The velocity is g on the first
     step and momentum*v + g after; the step is W - lr*v.  Biases get the
     momentum and the step only.  A layer under a given mask (the shared mask
-    of fine-tune rounds) steps only on the mask's support: off it the masked
+    of fine-tune rounds; an admm_prune round takes none and raises
+    ValueError) steps only on the mask's support: off it the masked
     gradient is +0.0, so v stays +0.0 and W - lr*0.0 is W bit for bit, and a
     non-finite gradient there never reaches the weights.
 
@@ -307,6 +307,8 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     penalized: dict[str, pruning.KeptEntries] = {}    # constrained layer -> Z
     rho = None
     if plan.phase == PHASE_ADMM:
+        if mask is not None:    # the shared mask is set only after the last ADMM round
+            raise ValueError("an admm_prune round takes no mask")
         if admm_state is None:
             admm_state = pruning.admm_init(global_params, plan.stage_cfg)
         penalized, rho = admm_state.z, plan.stage_cfg.rho
@@ -326,8 +328,6 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
         if lid in masked:
             on = np.flatnonzero(masked[lid])
             stepped, v = w[on], v[:on.size]
-            if z is not None:
-                z, u = pruning.KeptEntries.of(z.dense().reshape(-1)[on]), u[on]
         slots[lid] = ((w, on, stepped, v, z, u), (b, None, b, next(vs), None, None))
 
     def step(lid: str, dw: np.ndarray, db: np.ndarray) -> None:

@@ -5,7 +5,7 @@ parameter sets go in, new parameter sets / gradients come out, and nothing
 the caller passes is mutated, so any number of threads may call it at once.
 
 Each process has one helper thread, started on first use, that shares the
-work of a single call.  Every pass runs the layers up to the first Flatten
+work of a single call.  Every pass runs the layers up to the Flatten
 (the conv/pool stack) on two parts of its examples, the first part on the
 helper and the rest on the caller (``_conv_stack``).  In ``backward`` both
 parts write straight into the full-batch arrays that the backward half
@@ -142,6 +142,8 @@ def _infer_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ShapeError(f"maxpool k={layer.k} does not divide {shape}")
         return (shape[0], shape[1] // layer.k, shape[2] // layer.k)
     if isinstance(layer, Flatten):
+        if len(shape) != 3:
+            raise ShapeError(f"flatten expects (C, H, W), got {shape}")
         return (int(np.prod(shape)),)
     if isinstance(layer, ReLU):
         return shape
@@ -516,7 +518,7 @@ def _stack_part(stack, x: np.ndarray, arrays: list, flat: np.ndarray, tile: int)
 
 
 def _conv_stack(bound, x: np.ndarray, caches: list | None):
-    """Run the layers up to the first Flatten on x: (B, H, W, C); return the
+    """Run the layers up to the Flatten on x: (B, H, W, C); return the
     flattened features and the number of layers run.
 
     With ``caches`` (``backward``), the layers write full-batch arrays, which
@@ -571,7 +573,7 @@ def _conv_stack(bound, x: np.ndarray, caches: list | None):
 
 def _forward(bound, x: np.ndarray, caches: list | None = None) -> np.ndarray:
     """Run (layer, params) pairs on x; append what backward needs to ``caches``
-    when given.  The layers up to the first Flatten of a (B, H, W, C) input
+    when given.  The layers up to the Flatten of a (B, H, W, C) input
     run through ``_conv_stack``, the rest on the whole batch."""
     done = 0
     if x.ndim == 4:
@@ -581,12 +583,9 @@ def _forward(bound, x: np.ndarray, caches: list | None = None) -> np.ndarray:
             cache = x
             x = x @ e.weight
             x += e.bias
-        elif isinstance(layer, ReLU):
+        else:               # a ReLU: every Flatten ran in _conv_stack
             cache = x > 0
             x = x * cache
-        else:               # a Flatten of features that are already flat
-            cache = x.shape
-            x = x.reshape(x.shape[0], -1)
         if caches is not None:
             caches.append(cache)
         del cache       # without caches, a layer's input dies with the layer
@@ -667,11 +666,8 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch,
             elif isinstance(layer, MaxPool):
                 dout = _maxpool_backward(dout, *cache, layer.k)
             elif isinstance(layer, Flatten):
-                if len(cache) == 4:
-                    bb, h, w, c = cache
-                    dout = dout.reshape(bb, c, h, w).transpose(0, 2, 3, 1)
-                else:
-                    dout = dout.reshape(cache)
+                bb, h, w, c = cache
+                dout = dout.reshape(bb, c, h, w).transpose(0, 2, 3, 1)
     finally:
         _wait_all(waits)        # never return while the helper still runs
 

@@ -1,12 +1,19 @@
+import configparser
 import csv
+import io
+import typing
+from pathlib import Path
 
 import pytest
 
 from fedprune import report
 from fedprune.cli import main
 from fedprune.config import ConfigError, load_config, validate_config
-from fedprune.federation import (PRUNING_PHASES, pruning_phase_bytes, run_experiment,
-                                 saving_percent)
+from fedprune.federation import (PRUNING_PHASES, ExperimentConfig, pruning_phase_bytes,
+                                 run_experiment, saving_percent)
+from fedprune.pruning import SparsityConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CFG_TEXT = """\
 [model]
@@ -36,6 +43,86 @@ rho = 0.001
 fc1 = 0.25
 fc2 = 0.5
 """
+
+
+# small_convnet on 16x16 single-channel images; validates as it is
+CONVNET_TEXT = """\
+[model]
+arch = small_convnet
+in_ch = 1
+side = 16
+num_classes = 3
+
+[data]
+dataset = synthetic-images
+num_train = 60
+num_test = 20
+channels = 1
+side = 16
+num_classes = 3
+spread = 1
+
+[federation]
+num_clients = 3
+clients_per_round = 3
+mode = dense
+warmup_rounds = 0
+pruning_rounds = 1
+"""
+
+# What each shipped config and CFG_TEXT loaded to before their values took
+# their types from the signatures they feed; the same configs load the same.
+_LENET_MNIST = dict(arch="lenet5", dataset="mnist", data_dir="data", num_clients=100,
+                    clients_per_round=10, local_epochs=5, batch_size=10, lr=0.01,
+                    momentum=0.9, warmup_rounds=10, pruning_rounds=50,
+                    admm_stage_rounds=3, mode="admm", seed=0)
+LOADED = {
+    "demo_synthetic.cfg": ExperimentConfig(
+        arch="mlp", arch_params={"dims": (20, 16, 4)}, dataset="synthetic",
+        dataset_params={"num_train": 2000, "num_test": 500, "num_features": 20,
+                        "num_classes": 4},
+        num_clients=10, clients_per_round=5, local_epochs=1, batch_size=10,
+        warmup_rounds=3, pruning_rounds=9, admm_stage_rounds=1, mode="admm", seed=0,
+        sparsity=SparsityConfig(keep={"fc1": 0.2, "fc2": 0.5}, rho=0.001)),
+    "mnist_iid_cr10.cfg": ExperimentConfig(
+        **_LENET_MNIST, sparsity=SparsityConfig(
+            keep={"conv1": 0.8, "conv2": 0.4, "fc1": 0.0754825, "fc2": 0.5}, rho=0.001)),
+    "mnist_iid_cr87.cfg": ExperimentConfig(
+        **_LENET_MNIST, sparsity=SparsityConfig(
+            keep={"conv1": 0.5, "conv2": 0.06, "fc1": 0.0055025, "fc2": 0.2}, rho=0.001)),
+    "CFG_TEXT": ExperimentConfig(
+        arch="mlp", arch_params={"dims": (10, 8, 3)}, dataset="synthetic",
+        dataset_params={"num_train": 300, "num_test": 90, "num_features": 10,
+                        "num_classes": 3},
+        num_clients=6, clients_per_round=3, local_epochs=1, batch_size=10,
+        warmup_rounds=2, pruning_rounds=6, admm_stage_rounds=1, mode="admm", seed=3,
+        sparsity=SparsityConfig(keep={"fc1": 0.25, "fc2": 0.5}, rho=0.001)),
+}
+
+
+HINTS = typing.get_type_hints(ExperimentConfig)
+
+
+def _value_type(tp):
+    """int, float or str for a field of that type or an optional one, else None."""
+    types = set(typing.get_args(tp) or [tp]) - {type(None)}
+    return types.pop() if len(types) == 1 and types <= {int, float, str} else None
+
+
+SCALAR_FIELDS = {name: _value_type(tp) for name, tp in HINTS.items() if _value_type(tp)}
+OPTIONAL_FIELDS = [name for name in SCALAR_FIELDS if type(None) in typing.get_args(HINTS[name])]
+# the section of the fields that [federation] does not hold
+SECTION = {"arch": "model", "dataset": "data", "data_dir": "data"}
+
+
+def _with(text: str, section: str, key: str, value: str) -> str:
+    """Config text with section's key set to value."""
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    cp[section][key] = value
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
 
 
 @pytest.fixture
@@ -156,6 +243,52 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=match):
             load_config(p)
 
+    @pytest.mark.parametrize("name", sorted(LOADED))
+    def test_shipped_configs_load_as_before(self, tmp_path, name):
+        path = tmp_path / "exp.cfg" if name == "CFG_TEXT" else CONFIGS / name
+        if name == "CFG_TEXT":
+            path.write_text(CFG_TEXT)
+        cfg = load_config(path)
+        assert cfg == LOADED[name]
+        assert repr(cfg) == repr(LOADED[name])      # same types: 300, not 300.0
+
+    def test_every_shipped_config_is_recorded(self):
+        assert {p.name for p in CONFIGS.glob("*.cfg")} == set(LOADED) - {"CFG_TEXT"}
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_FIELDS))
+    def test_every_scalar_field_is_a_key(self, tmp_path, name):
+        # a file sets exactly ExperimentConfig's scalar fields, each read as
+        # its field's type; a str field keeps its value where no other is valid
+        tp, old = SCALAR_FIELDS[name], getattr(LOADED["CFG_TEXT"], name)
+        if tp is str:
+            value = {"mode": "masked", "partition": "noniid"}.get(name, old or "elsewhere")
+        else:
+            value = (old or 0) + 1 if tp is int else (old or 1.0) / 2
+        p = tmp_path / "exp.cfg"
+        p.write_text(_with(CFG_TEXT, SECTION.get(name, "federation"), name, str(value)))
+        got = getattr(load_config(p), name)
+        assert (got, type(got)) == (value, tp)
+
+    @pytest.mark.parametrize("name", OPTIONAL_FIELDS)
+    def test_optional_field_reads_empty_as_none(self, tmp_path, name):
+        p = tmp_path / "exp.cfg"
+        p.write_text(_with(CFG_TEXT, SECTION.get(name, "federation"), name, ""))
+        assert getattr(load_config(p), name) is None
+
+    def test_builder_arguments_take_their_types(self, tmp_path):
+        p = tmp_path / "convnet.cfg"
+        p.write_text(CONVNET_TEXT)
+        cfg = load_config(p)
+        assert repr(cfg.arch_params) == "{'in_ch': 1, 'side': 16, 'num_classes': 3}"
+        assert repr(cfg.dataset_params) == ("{'num_train': 60, 'num_test': 20, "
+                                            "'channels': 1, 'side': 16, 'num_classes': 3, "
+                                            "'spread': 1.0}")
+
+    def test_no_file_gives_the_defaults(self):
+        assert load_config(None, mode="dense", seed=None) == ExperimentConfig(mode="dense")
+        with pytest.raises(ConfigError, match="clients_per_round exceeds num_clients"):
+            load_config(None, clients_per_round=500)
+
     def test_validate_notes(self, cfg_file):
         notes = validate_config(load_config(cfg_file))
         assert any("parameters" in n for n in notes)
@@ -188,6 +321,40 @@ class TestCli:
         p.write_text(CFG_TEXT.replace(old, new))
         assert main(["validate", "--config", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [
+        (CFG_TEXT.replace("num_train = 300", "num_train = 3e2"),
+         "bad value for num_train: '3e2'"),
+        (CONVNET_TEXT.replace("side = 16", "side = 16.0", 1), "bad value for side: '16.0'"),
+        (CFG_TEXT.replace("num_clients = 6", "num_clients ="), "bad value for num_clients: ''"),
+        (CFG_TEXT.replace("dims = 10, 8, 3", "dims = 10, 8.0, 3"),
+         "bad value for dims: '10, 8.0, 3'"),
+    ], ids=["float_for_int_data_key", "float_for_int_model_key", "empty_int",
+            "float_in_dims"])
+    def test_bad_value_named_before_anything_runs(self, tmp_path, capsys, text, error):
+        # num_train = 3e2 used to validate, then abort the run; side = 16.0
+        # used to end validate with a TypeError traceback
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_eval_batch_size_is_a_federation_key(self, tmp_path, capsys):
+        # it was refused as an unknown [federation] key
+        p = tmp_path / "exp.cfg"
+        p.write_text(CFG_TEXT.replace("seed = 3", "seed = 3\neval_batch_size = 64"))
+        assert main(["validate", "--config", str(p)]) == 0
+        assert load_config(p).eval_batch_size == 64
+
+    def test_convnet_config_validates(self, tmp_path, capsys):
+        p = tmp_path / "convnet.cfg"
+        p.write_text(CONVNET_TEXT)
+        assert main(["validate", "--config", str(p)]) == 0
+        assert "config ok" in capsys.readouterr().out
+
+    def test_run_without_config_checks_the_defaults_first(self, tmp_path, capsys):
+        assert main(["run", "--clients-per-round", "500", "--out", str(tmp_path)]) == 2
+        assert "clients_per_round exceeds num_clients" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "abc"])
     def test_validate_bad_rho(self, tmp_path, capsys, value):

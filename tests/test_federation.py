@@ -313,7 +313,7 @@ def state_bytes(state):
 
 
 STEP_CASES = ["warmup", "admm_first", "admm_returning", "masked_prune", "finetune", "dense",
-              "finetune_off_mask_weights", "admm_under_mask"]
+              "finetune_off_mask_weights"]
 
 
 def step_case(case, momentum):
@@ -345,7 +345,7 @@ def step_case(case, momentum):
         mask = pruning.final_hard_prune(nn.init_model(arch, 1), sparsity)[1]
     else:
         plan = RoundPlan("admm_prune", stage_keep_config(sparsity, 2), False)
-        if case in ("admm_returning", "admm_under_mask"):
+        if case == "admm_returning":
             # Z on the budget and a dense U, so both are non-zero together
             rng = np.random.default_rng(7)
             budgets = plan.stage_cfg.budgets(g)
@@ -355,10 +355,6 @@ def step_case(case, momentum):
                    for lid, n in budgets.items()},
                 u={lid: rng.normal(0, 0.1, g[lid].weight.shape) for lid in budgets},
                 step=3)
-        if case == "admm_under_mask":
-            # the penalty off the mask is dropped; on it, Z's entries and
-            # its zeros both occur
-            mask = pruning.final_hard_prune(nn.init_model(arch, 1), sparsity)[1]
     return arch, ds, cfg, plan, g, state, mask
 
 
@@ -457,8 +453,7 @@ class TestLocalStep:
         assert out is None
         assert param_bytes(upd) == param_bytes(ref_upd)
 
-    @pytest.mark.parametrize("case", ["dense", "admm_returning", "finetune",
-                                      "admm_under_mask"])
+    @pytest.mark.parametrize("case", ["dense", "admm_returning", "finetune"])
     def test_reused_buffers(self, case):
         # client B on the buffers that client A trained in last gives the
         # bytes B gets on fresh buffers, whatever kind of round A's was
@@ -474,6 +469,15 @@ class TestLocalStep:
             upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
                                     mask, seed=5, buffers=buffers)
             assert (param_bytes(upd), state_bytes(out)) == want, other
+
+    @pytest.mark.parametrize("case", ["admm_first", "admm_returning"])
+    def test_admm_round_under_a_mask_rejected(self, case):
+        # plan_round sets the shared mask only after the last ADMM round
+        arch, ds, cfg, plan, g, state, _ = step_case(case, 0.9)
+        mask = step_case("finetune", 0.9)[-1]
+        with pytest.raises(ValueError, match="admm_prune round takes no mask"):
+            client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask,
+                         seed=5, buffers=client_buffers(g))
 
     def test_buffers_poisoned_with_nan(self):
         # every entry the round reads is one it wrote first
@@ -519,9 +523,9 @@ class TestLocalStep:
 
     @pytest.mark.parametrize("phase", ["admm_prune", "masked_finetune"])
     def test_reused_gradient_arrays(self, fixed_grad_round, phase):
-        # one gradient object for all three steps of a round with a mask, with
-        # and without the ADMM penalty: were any step to write into it, the
-        # later steps would see it
+        # one gradient object for all three steps of a round with the ADMM
+        # penalty or with a mask: were any step to write into it, the later
+        # steps would see it
         def layers(a, b):
             return nn.ParameterSet((nn.LayerParams("a", np.array(a[0]), np.array(a[1])),
                                     nn.LayerParams("b", np.array(b[0]), np.array(b[1]))))
@@ -529,22 +533,24 @@ class TestLocalStep:
         grad = layers(([0.5, -1.0, 2.0], [0.25]), ([1.0], [-1.0]))
         z, u = np.array([1.0, 0.0, 3.0]), np.array([0.1, -0.2, 0.3])
         m = np.array([True, False, True])
-        state = None
+        state = mask = None
         if phase == "admm_prune":
             state = pruning.ADMMState(z={"a": pruning.KeptEntries.of(z)}, u={"a": u})
+        else:
+            mask = pruning.PruneMask({"a": m})
         plan = RoundPlan(phase, SparsityConfig(keep={"a": 1.0}, rho=2.0), False)
         upd, _ = fixed_grad_round(params, [grad] * 3, plan, state=state,
-                                  mask=pruning.PruneMask({"a": m}), lr=0.1, momentum=0.5)
+                                  mask=mask, lr=0.1, momentum=0.5)
         want = []
         for e, g in zip(params.entries, grad.entries):
-            for t, gt, masked in ((e.weight, g.weight, e.layer_id == "a"),
-                                  (e.bias, g.bias, False)):
+            for t, gt, constrained in ((e.weight, g.weight, e.layer_id == "a"),
+                                       (e.bias, g.bias, False)):
                 v = None
                 for _ in range(3):
                     step = gt
-                    if masked and state is not None:
+                    if constrained and state is not None:
                         step = step + 2.0 * (t - z + u)
-                    if masked:
+                    if constrained and mask is not None:
                         step = np.where(m, step, 0.0)
                     v = step if v is None else 0.5 * v + step
                     t = t - 0.1 * v

@@ -72,6 +72,18 @@ class TestInit:
         with pytest.raises(nn.ShapeError):
             nn.ModelArch((nn.Dense("a", 4, 2), nn.Dense("a", 2, 2)), (4,), 2)
 
+    @pytest.mark.parametrize("layers, input_shape", [
+        ((nn.Flatten(), nn.Dense("a", 4, 2)), (4,)),
+        ((nn.Dense("a", 4, 3), nn.Flatten(), nn.Dense("b", 3, 2)), (4,)),
+        ((nn.Conv2d("c", 1, 2, 3), nn.Flatten(), nn.Flatten(), nn.Dense("a", 8, 2)),
+         (1, 4, 4)),
+        ((nn.Flatten(), nn.Dense("a", 6, 2)), (2, 3)),
+    ], ids=["flat_input", "after_dense", "second_flatten", "2d_input"])
+    def test_flatten_needs_an_image(self, layers, input_shape):
+        # the passes flatten only (C, H, W) features, in _conv_stack
+        with pytest.raises(nn.ShapeError, match="flatten expects"):
+            nn.ModelArch(layers, input_shape, 2)
+
 
 class TestForwardLoss:
     def test_uniform_logits_ln10(self):
