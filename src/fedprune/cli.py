@@ -19,7 +19,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment and write reports")
-    run.add_argument("--config", help="experiment config file")
+    run.add_argument("--config", required=True, help="experiment config file")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--mode", choices=["admm", "masked", "dense"])
     run.add_argument("--seed", type=int)

@@ -6,9 +6,10 @@ ExperimentConfig field of that name; any other [model] or [data] key from
 that argument of the chosen arch builder or dataset generator
 (``federation._ARCHES``, ``federation._DATASETS``), with a ``Sequence[int]``
 written ``dims = 20, 16, 4``.  An optional type reads an empty value as None.
-[pruning] holds ``rho`` plus ``layer_id = keep_fraction`` entries.  A bad
-value, an unknown key or section, or a config that ExperimentConfig rejects
-raises ConfigError before anything runs.
+[pruning] holds ``layer_id = keep_fraction`` entries, and ``rho`` only
+beside at least one of them.  A bad value, an unknown key or section, or a
+config that ExperimentConfig rejects raises ConfigError before anything
+runs.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig
 
     keep = items("pruning")
     rho = {"rho": _parse("rho", float, keep.pop("rho"))} if "rho" in keep else {}
+    if rho and not keep:
+        raise ConfigError("[pruning] sets rho but no keep fraction")
     for key, raw in keep.items():
         try:
             keep[key] = float(raw)

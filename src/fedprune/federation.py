@@ -109,7 +109,15 @@ class ExperimentConfig:
     eval_examples: int | None = None       # None: full test set each round
     eval_batch_size: int = 512
 
+    # least values of the integer fields that have one (eval_examples may be None)
+    _FLOORS = {"num_clients": 1, "clients_per_round": 1, "local_epochs": 0, "batch_size": 1,
+               "warmup_rounds": 0, "pruning_rounds": 0, "admm_stage_rounds": 1,
+               "eval_batch_size": 1}
+
     def __post_init__(self):
+        for key, floor in self._FLOORS.items():
+            if getattr(self, key) < floor:
+                raise ValueError(f"{key} must be >= {floor}, not {getattr(self, key)}")
         if self.clients_per_round > self.num_clients:
             raise ValueError("clients_per_round exceeds num_clients")
         if self.warmup_rounds + self.pruning_rounds < 1:
@@ -136,22 +144,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown partition {self.partition!r}")
         if self.mode != "dense" and self.pruning_rounds > 0 and self.sparsity is None:
             raise ValueError(f"mode {self.mode!r} needs a sparsity config")
-        if self.admm_stage_rounds < 1:
-            raise ValueError("admm_stage_rounds must be at least 1")
         if self.bandwidth_mbps is not None and not 0 < self.bandwidth_mbps < float("inf"):
             raise ValueError(f"bandwidth_mbps must be finite and > 0, not {self.bandwidth_mbps}")
         if not 0 <= self.lr < float("inf"):
             raise ValueError(f"lr must be finite and >= 0, not {self.lr}")
         if not 0 <= self.momentum < float("inf"):
             raise ValueError(f"momentum must be finite and >= 0, not {self.momentum}")
-        if self.local_epochs < 0:
-            raise ValueError(f"local_epochs must be >= 0, not {self.local_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, not {self.batch_size}")
         if self.eval_examples is not None and self.eval_examples < 1:
             raise ValueError(f"eval_examples must be >= 1, not {self.eval_examples}")
-        if self.eval_batch_size < 1:
-            raise ValueError(f"eval_batch_size must be >= 1, not {self.eval_batch_size}")
 
     def total_rounds(self) -> int:
         return self.warmup_rounds + self.pruning_rounds
@@ -257,13 +257,14 @@ _BLOCK = 1 << 15
 
 def client_buffers(model: nn.ParameterSet) -> tuple:
     """client_round's working set for models shaped like model: the trained
-    weights and biases, their flat velocities in gradient order and the
-    step's block scratch.  Allocated once per run and reused by every
-    client_round, so no large buffer is freed and faulted in again."""
+    weights and biases, their flat velocities in gradient order, the step's
+    block scratch and a dict of flat per-layer Z buffers, which client_round
+    fills in a layer's first ADMM round.  Allocated once per run and reused
+    by every client_round, so no large buffer is freed and faulted in again."""
     work = model.map(lambda lid, w, b: (np.empty_like(w), np.empty_like(b)))
     flat = [a.reshape(-1) for e in work.entries for a in (e.weight, e.bias)]
     return (work, [np.empty_like(a) for a in flat],
-            np.empty(min(_BLOCK, max(a.size for a in flat))))
+            np.empty(min(_BLOCK, max(a.size for a in flat))), {})
 
 
 def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
@@ -277,21 +278,23 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     Each minibatch is one nn.backward pass, and each layer steps inside it:
     the step is the pass's ``then`` hook, which nn runs on its helper thread
     as soon as the pass is done with that layer's weight, while this thread
-    goes on to the layers below.  In admm_prune rounds a constrained layer's
-    weight gradient g gains rho*(W - Z + U).  The velocity is g on the first
-    step and momentum*v + g after; the step is W - lr*v.  Biases get the
-    momentum and the step only.  A layer under a given mask (the shared mask
-    of fine-tune rounds; an admm_prune round takes none and raises
+    goes on to the layers below.  The hook calls numpy only, so no public
+    fedprune function runs on the helper.  In admm_prune rounds a
+    constrained layer's weight gradient g gains rho*((W - Z) + U), against
+    Z written out densely before the first pass.  The velocity is g on the
+    first step and momentum*v + g after; the step is W - lr*v.  Biases get
+    the momentum and the step only.  A layer under a given mask (the shared
+    mask of fine-tune rounds; an admm_prune round takes none and raises
     ValueError) steps only on the mask's support: off it the masked
     gradient is +0.0, so v stays +0.0 and W - lr*0.0 is W bit for bit, and a
     non-finite gradient there never reaches the weights.
 
-    The weights and velocities live in buffers (see client_buffers): the
-    received model is copied into them and updated in place; no gradient
-    array is written to.  The hooks run one at a time, so the step's block
-    scratch has one user.  A dense round's update is those buffers' own
-    arrays, valid until the next client_round call with the same buffers;
-    encode it before then.
+    The weights, velocities and dense Zs live in buffers (see
+    client_buffers): the received model is copied into them and updated in
+    place; no gradient array is written to.  The hooks run one at a time, so
+    the step's block scratch has one user.  A dense round's update is those
+    buffers' own arrays, valid until the next client_round call with the
+    same buffers; encode it before then.
 
     admm_prune rounds end with one Z/U update.  Every sparse upload, that is
     every round with a plan.stage_cfg, is projected to that config's
@@ -304,20 +307,22 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     """
     rng = np.random.default_rng(seed)
     n = len(y)
-    penalized: dict[str, pruning.KeptEntries] = {}    # constrained layer -> Z
+    params, velocities, scratch, z_buffers = buffers
+    penalized: dict[str, np.ndarray] = {}    # constrained layer -> flat dense Z
     rho = None
     if plan.phase == PHASE_ADMM:
         if mask is not None:    # the shared mask is set only after the last ADMM round
             raise ValueError("an admm_prune round takes no mask")
         if admm_state is None:
             admm_state = pruning.admm_init(global_params, plan.stage_cfg)
-        penalized, rho = admm_state.z, plan.stage_cfg.rho
+        rho = plan.stage_cfg.rho
+        for lid, z in admm_state.z.items():    # dense allocates on a layer's first use
+            penalized[lid] = z_buffers[lid] = z.dense(out=z_buffers.get(lid)).reshape(-1)
     masked = mask.layers if mask is not None else {}
 
-    params, velocities, scratch = buffers
     # per layer, one slot for its weight and one for its bias: (flat tensor,
     # mask support or None, then the stepped entries: the tensor or its
-    # support, their velocity, Z or None, U or None)
+    # support, their velocity, dense Z or None, U or None)
     slots, vs = {}, iter(velocities)
     for e, got in zip(params.entries, global_params.entries):
         np.copyto(e.weight, got.weight)
@@ -364,7 +369,8 @@ def _step(slot, g: np.ndarray, first: bool, rho: float | None,
         wb, vb, gb, s = w[lo:hi], v[lo:hi], g[lo:hi], scratch[:hi - lo]
         acc = vb if first else s      # the first step's velocity is the gradient
         if z is not None:
-            pruning.admm_residual(wb, z, u[lo:hi], acc, lo)
+            np.subtract(wb, z[lo:hi], out=acc)
+            np.add(acc, u[lo:hi], out=acc)
             np.multiply(acc, rho, out=acc)
             np.add(gb, acc, out=acc)
         elif first:

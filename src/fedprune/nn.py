@@ -25,12 +25,10 @@ caller.  A pass too large to check (``_CHECK_BYTES``) runs whole in
 runs is the BLAS call or numpy operation a one-thread pass would make, on
 the same operands, writing into arrays the caller allocated, and the caller
 waits for it before returning, so logits and gradients are the same bytes.
-Only private helpers and numpy run there, plus the caller's ``then`` hook;
-the calling thread calls no public fedprune function until ``backward``
-returns.  So a tracer that wraps the public names sees each call as one
-span, and the public calls of a hook as spans nested under ``backward``; a
-public call started on the helper would run inline (see ``_offload``)
-rather than queue behind itself.
+Only private helpers and numpy run there, plus the caller's ``then`` hook,
+and fedprune's one hook (``federation.client_round``'s step) calls numpy
+only.  So no public fedprune function starts on the helper, and a tracer
+that wraps the public names sees every call on the calling thread.
 
 Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
 ``(out_ch, in_ch, k, k)``.  Inside the passes, activations are channels-last,

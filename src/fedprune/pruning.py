@@ -2,10 +2,11 @@
 
 The training-time loss is augmented with (rho/2)||W - Z + U||^2 per layer;
 the local step (federation.client_round) adds its gradient rho*(W - Z + U),
-with the residual from admm_residual.  Here, alternating updates keep Z on
-the cardinality set via Euclidean projection (top-k by magnitude) and
-accumulate the constraint violation into the dual tensors U.  Z is held as
-the kept entries of its projection (KeptEntries), never as a dense tensor.
+against Z written out densely once per round (KeptEntries.dense).  Here,
+alternating updates keep Z on the cardinality set via Euclidean projection
+(top-k by magnitude) and accumulate the constraint violation into the dual
+tensors U.  Between rounds Z is held as the kept entries of its projection
+(KeptEntries).
 A magnitude-masked per-round projection of local updates serves as the
 baseline method.  Biases are never pruned.
 """
@@ -62,8 +63,10 @@ class KeptEntries:
         index = np.flatnonzero((flat != 0.0) | np.signbit(flat))
         return cls(t.shape, index, flat[index])
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.value.dtype)
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The tensor, written into out (contiguous, of its size) if given."""
+        out = np.empty(self.shape, self.value.dtype) if out is None else out
+        out.fill(0.0)
         out.reshape(-1)[self.index] = self.value
         return out
 
@@ -150,19 +153,6 @@ def admm_u_step(params: ParameterSet, state: ADMMState) -> ADMMState:
         u[lid] = state.u[lid] + params[lid].weight
         u[lid].reshape(-1)[z.index] -= z.value
     return replace(state, u=u, step=state.step + 1)
-
-
-def admm_residual(w: np.ndarray, z: KeptEntries, u: np.ndarray,
-                  out: np.ndarray, start: int) -> None:
-    """Write W - Z + U into out, bit for bit as the dense (W - Z) + U.
-
-    w, u and out are 1-D and cover the flat entries [start, start + out.size)
-    of a layer whose Z is z.  Off Z's stored entries (W - 0.0) + U is W + U,
-    so out gets W + U and then (W - z) + U on the stored entries."""
-    np.add(w, u, out=out)
-    lo, hi = np.searchsorted(z.index, (start, start + out.size))
-    at = z.index[lo:hi] - start
-    out[at] = (w[at] - z.value[lo:hi]) + u[at]
 
 
 def final_hard_prune(params: ParameterSet,

@@ -234,13 +234,27 @@ class TestLoadConfig:
         ("batch_size = 10", "batch_size = 0", "batch_size"),
         ("seed = 3", "seed = 3\neval_examples = 0", "eval_examples"),
         ("local_epochs = 1", "local_epochs = -1", "local_epochs"),
+        ("num_clients = 6", "num_clients = 0", "num_clients must be >= 1, not 0"),
+        ("clients_per_round = 3", "clients_per_round = 0",
+         "clients_per_round must be >= 1, not 0"),
+        ("warmup_rounds = 2", "warmup_rounds = -1", "warmup_rounds must be >= 0, not -1"),
+        ("pruning_rounds = 6", "pruning_rounds = -1", "pruning_rounds must be >= 0, not -1"),
     ], ids=["dataset", "partition", "partition_in_data", "unknown_data_key",
-            "mnist_data_key", "batch_size", "eval_examples", "local_epochs"])
+            "mnist_data_key", "batch_size", "eval_examples", "local_epochs",
+            "num_clients", "clients_per_round", "warmup_rounds", "pruning_rounds"])
     def test_rejected_at_load_not_mid_run(self, tmp_path, old, new, match):
         # each of these used to load, then abort the run, or be ignored
         p = tmp_path / "bad.cfg"
         p.write_text(CFG_TEXT.replace(old, new))
         with pytest.raises(ConfigError, match=match):
+            load_config(p)
+
+    def test_rho_without_keep_fraction_rejected(self, tmp_path):
+        # in dense mode this loaded, and rho was dropped unread
+        p = tmp_path / "bad.cfg"
+        p.write_text(CFG_TEXT.replace("mode = admm", "mode = dense")
+                     .replace("fc1 = 0.25\nfc2 = 0.5\n", ""))
+        with pytest.raises(ConfigError, match="rho but no keep fraction"):
             load_config(p)
 
     @pytest.mark.parametrize("name", sorted(LOADED))
@@ -352,9 +366,17 @@ class TestCli:
         assert main(["validate", "--config", str(p)]) == 0
         assert "config ok" in capsys.readouterr().out
 
-    def test_run_without_config_checks_the_defaults_first(self, tmp_path, capsys):
-        assert main(["run", "--clients-per-round", "500", "--out", str(tmp_path)]) == 2
+    def test_run_checks_overrides_before_anything_runs(self, cfg_file, tmp_path, capsys):
+        # --config is required: the defaults (admm with no sparsity, an
+        # MNIST-sized mlp on 20-feature blobs) can only fail
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--out", str(out)])
+        assert exc.value.code == 2
+        assert main(["run", "--config", str(cfg_file), "--clients-per-round", "500",
+                     "--out", str(out)]) == 2
         assert "clients_per_round exceeds num_clients" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "abc"])
     def test_validate_bad_rho(self, tmp_path, capsys, value):

@@ -1,4 +1,6 @@
+import inspect
 import struct
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -453,6 +455,48 @@ class TestLocalStep:
         assert out is None
         assert param_bytes(upd) == param_bytes(ref_upd)
 
+    def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
+        # every public fedprune function wrapped, as perfbench's tracer
+        # wraps them: its one span stack holds only while the step hooks on
+        # nn's helper thread make no public call
+        calls = []
+
+        def on_thread(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapped
+        for mod in (codec, enclave, federation, nn, pruning, secure):
+            for attr, fn in list(vars(mod).items()):
+                if (inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                        and not attr.startswith("_")):
+                    monkeypatch.setattr(mod, attr, on_thread(f"{mod.__name__}.{attr}", fn))
+        arch = nn.lenet5()
+        sparsity = SparsityConfig(keep={"conv2": 0.06, "fc1": 0.0055}, rho=1.0)
+        cfg = tiny_cfg(arch="lenet5", arch_params={}, sparsity=sparsity,
+                       local_epochs=1, batch_size=5, lr=0.05, momentum=0.9)
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
+        g = nn.init_model(arch, 0)
+        pruned, mask = pruning.final_hard_prune(g, sparsity)
+        buffers = federation.client_buffers(g)
+        state = None
+        for phase, stage, model, m in (("warmup", None, g, None),
+                                       ("admm_prune", 0, g, None),    # a first client
+                                       ("admm_prune", 1, g, None),    # and a returning one
+                                       ("masked_prune", 0, g, None),
+                                       ("masked_finetune", 3, pruned, mask)):
+            calls.clear()
+            plan = RoundPlan(phase, stage_keep_config(sparsity, stage)
+                             if stage is not None else None, False)
+            _, out = federation.client_round(arch, model, x, y, cfg, plan, state, m,
+                                             seed=5, buffers=buffers)
+            state = out or state
+            off = sorted({name for name, t in calls if t != threading.get_ident()})
+            assert not off, (phase, stage, off)
+            assert sum(name == "fedprune.nn.backward" for name, _ in calls) == 3
+        assert state.step == 2
+
     @pytest.mark.parametrize("case", ["dense", "admm_returning", "finetune"])
     def test_reused_buffers(self, case):
         # client B on the buffers that client A trained in last gives the
@@ -484,8 +528,10 @@ class TestLocalStep:
         for case in STEP_CASES:
             arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9)
             buffers = client_buffers(g)
-            work, velocities, scratch = buffers
-            for a in [t for e in work.entries for t in (e.weight, e.bias)] + velocities:
+            work, velocities, scratch, z_buffers = buffers
+            z_buffers.update((lid, np.empty(g[lid].weight.size)) for lid in cfg.sparsity.keep)
+            for a in ([t for e in work.entries for t in (e.weight, e.bias)] + velocities
+                      + list(z_buffers.values())):
                 a.fill(np.nan)
             scratch.fill(np.nan)
             upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedprune import nn, pruning
 from fedprune.federation import RoundPlan, stage_keep_config
 from fedprune.pruning import (ADMMState, KeptEntries, SparsityConfig, admm_init,
-                              admm_residual, admm_u_step, admm_z_step,
+                              admm_u_step, admm_z_step,
                               compression_rate, euclidean_project, final_hard_prune)
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
@@ -321,19 +321,22 @@ class TestAdmm:
 
 
 def assert_sparse_z_is_dense_arithmetic(w, zd, u):
-    """admm_u_step and admm_residual (whole, and in ragged blocks of 3) with Z
-    stored as KeptEntries.of(zd), against the dense formulas (U + W) - Z and
+    """admm_u_step, and the local step's penalty residual against
+    KeptEntries.dense(out=) (whole, and in ragged blocks of 3), with Z stored
+    as KeptEntries.of(zd), against the dense formulas (U + W) - Z and
     (W - Z) + U, byte for byte."""
     z = KeptEntries.of(zd)
     assert z.dense().tobytes() == zd.tobytes()
     stepped = admm_u_step(two_layer_params(w), ADMMState(z={"a": z}, u={"a": u}))
     assert stepped.u["a"].tobytes() == (u + w - zd).tobytes()
     want = (w - zd + u).reshape(-1)
+    zb = z.dense(out=np.full(w.size, np.nan))    # as in client_round's Z buffers
     for block in (w.size, 3):
         out = np.empty(w.size)
         for lo in range(0, w.size, block):
             hi = min(lo + block, w.size)
-            admm_residual(w.reshape(-1)[lo:hi], z, u.reshape(-1)[lo:hi], out[lo:hi], lo)
+            np.subtract(w.reshape(-1)[lo:hi], zb[lo:hi], out=out[lo:hi])
+            np.add(out[lo:hi], u.reshape(-1)[lo:hi], out=out[lo:hi])
         assert out.tobytes() == want.tobytes()
 
 
