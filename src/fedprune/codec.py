@@ -35,7 +35,7 @@ MAGIC = b"ESMB"
 VERSION = 1
 FORMAT_DENSE = 0
 FORMAT_CSR = 1
-_FORMAT_NAMES = {FORMAT_DENSE: "dense", FORMAT_CSR: "csr"}
+FORMAT_NAMES = {FORMAT_DENSE: "dense", FORMAT_CSR: "csr"}
 
 
 class CodecError(ValueError):
@@ -136,7 +136,7 @@ def decode_layers(blob: bytes, expect: tuple) -> tuple[tuple[WireLayer, ...], st
     version, fmt, n_layers = r.unpack("<BBH")
     if version != VERSION:
         raise CodecError(f"unsupported version {version}")
-    if fmt not in _FORMAT_NAMES:
+    if fmt not in FORMAT_NAMES:
         raise CodecError(f"unknown format byte {fmt}")
     if n_layers != len(expect):
         raise CodecError(f"{n_layers} layers, the published model has {len(expect)}")
@@ -163,7 +163,7 @@ def decode_layers(blob: bytes, expect: tuple) -> tuple[tuple[WireLayer, ...], st
         layers.append(WireLayer(lid, shape, flat, values, r.array("<f4", bias_shape[0])))
     if r.off != len(blob):
         raise CodecError(f"{len(blob) - r.off} trailing bytes")
-    return tuple(layers), _FORMAT_NAMES[fmt]
+    return tuple(layers), FORMAT_NAMES[fmt]
 
 
 def decode_params(blob: bytes, expect: tuple) -> tuple[ParameterSet, str]:

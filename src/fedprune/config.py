@@ -53,17 +53,16 @@ def _parse(key: str, tp, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
-def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig:
-    """Parse a config file (None: every key at its default); keyword
-    overrides (CLI flags) win over the file."""
+def load_config(path: str | Path, **overrides) -> ExperimentConfig:
+    """Parse a config file; a key it leaves out takes its default, and
+    keyword overrides (CLI flags) win over the file."""
     cp = configparser.ConfigParser()
-    if path is not None:
-        try:
-            read = cp.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(str(exc)) from exc
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
+    if not read:
+        raise ConfigError(f"config file not found: {path}")
     stray = set(cp.sections()) - {*_SECTION_FIELDS, "pruning"}
     if stray:
         raise ConfigError(f"unknown config sections: {sorted(stray)}")

@@ -32,7 +32,8 @@ class EnclaveMemoryError(RuntimeError):
 
 
 class InvalidUpdateError(ValueError):
-    """An update with no published model to check it against, not finite, or
+    """An update with no published model to check it against, whose sealed
+    header names another payload format than its blob's, not finite, or
     with more non-zeros in a layer than the round's budget."""
 
 
@@ -91,7 +92,8 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
 
     Each record is one ecall.  A failed decryption (bad tag, replay, unknown
     client), a payload that does not decode against the last published
-    model's layer table, that holds a non-finite value, that has more
+    model's layer table, whose format byte differs from the sealed header's
+    payload_format, that holds a non-finite value, that has more
     non-zeros in a layer than ctx.budgets allows (a stored 0.0 is not one),
     or that would take the trusted bytes past ctx.scratch_limit drops that
     client's contribution for the round and is reported; the rest proceed.
@@ -111,8 +113,11 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
             _hold(ctx, ctx.held_bytes + max(opening, accumulator))
             if ctx.schema is None:
                 raise InvalidUpdateError("no model published")
-            layers, _fmt = codec.decode_layers(ctx.key_manager.decrypt_update(enc),
-                                               ctx.schema)
+            layers, fmt = codec.decode_layers(ctx.key_manager.decrypt_update(enc),
+                                              ctx.schema)
+            said = codec.FORMAT_NAMES.get(enc.payload_format, f"unknown ({enc.payload_format})")
+            if said != fmt:
+                raise InvalidUpdateError(f"header format {said} differs from the payload's {fmt}")
             if not all(np.isfinite(a).all() for x in layers for a in (x.values, x.bias)):
                 raise InvalidUpdateError("update holds non-finite values")
             for x in layers:

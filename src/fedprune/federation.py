@@ -296,8 +296,9 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     buffers' own arrays, valid until the next client_round call with the
     same buffers; encode it before then.
 
-    admm_prune rounds end with one Z/U update.  Every sparse upload, that is
-    every round with a plan.stage_cfg, is projected to that config's
+    admm_prune rounds end with one pruning.admm_update of the trained
+    weights: Z <- project(W + U), then U <- U + W - Z.  Every sparse upload,
+    that is every round with a plan.stage_cfg, is projected to that config's
     per-layer budgets into new arrays; the rest (warmup, dense) upload the
     trained model as it is.
 
@@ -351,8 +352,7 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
             first = False
 
     if plan.phase == PHASE_ADMM:
-        admm_state = pruning.admm_z_step(params, admm_state, plan.stage_cfg)
-        admm_state = pruning.admm_u_step(params, admm_state)
+        admm_state = pruning.admm_update(params, admm_state, plan.stage_cfg)
     if plan.stage_cfg is not None:
         params = pruning.hard_prune(params, plan.stage_cfg)
     return params, admm_state

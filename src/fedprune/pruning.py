@@ -2,18 +2,18 @@
 
 The training-time loss is augmented with (rho/2)||W - Z + U||^2 per layer;
 the local step (federation.client_round) adds its gradient rho*(W - Z + U),
-against Z written out densely once per round (KeptEntries.dense).  Here,
-alternating updates keep Z on the cardinality set via Euclidean projection
-(top-k by magnitude) and accumulate the constraint violation into the dual
-tensors U.  Between rounds Z is held as the kept entries of its projection
-(KeptEntries).
+against Z written out densely once per round (KeptEntries.dense).  Here, one
+update per round (admm_update) puts Z back on the cardinality set via
+Euclidean projection (top-k by magnitude) and accumulates the constraint
+violation into the dual tensors U.  Between rounds Z is held as the kept
+entries of its projection (KeptEntries).
 A magnitude-masked per-round projection of local updates serves as the
 baseline method.  Biases are never pruned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,26 +133,21 @@ def admm_init(params: ParameterSet, cfg: SparsityConfig) -> ADMMState:
     return ADMMState(z=z, u=u)
 
 
-def admm_z_step(params: ParameterSet, state: ADMMState,
+def admm_update(params: ParameterSet, state: ADMMState,
                 cfg: SparsityConfig) -> ADMMState:
-    """Z <- project(W + U) onto each layer's cardinality set."""
+    """One ADMM round's Z and U updates; advances the iteration counter.
+
+    Z <- project(W + U) onto each layer's cardinality set, then
+    U <- U + W - Z.  Off Z's stored entries Z is +0.0, and (U + W) - 0.0 is
+    U + W bit for bit, so only the stored entries are redone as (U + W) - z."""
     budgets = cfg.budgets(params)
-    z = {lid: KeptEntries.of(euclidean_project(params[lid].weight + state.u[lid],
-                                               budgets[lid]))
-         for lid in state.z}
-    return replace(state, z=z)
-
-
-def admm_u_step(params: ParameterSet, state: ADMMState) -> ADMMState:
-    """U <- U + W - Z; advances the iteration counter.
-
-    Off Z's stored entries Z is +0.0, and (U + W) - 0.0 is U + W bit for
-    bit, so only the stored entries are redone as (U + W) - z."""
-    u = {}
-    for lid, z in state.z.items():
-        u[lid] = state.u[lid] + params[lid].weight
-        u[lid].reshape(-1)[z.index] -= z.value
-    return replace(state, u=u, step=state.step + 1)
+    z, u = {}, {}
+    for lid in state.z:
+        w = params[lid].weight
+        z[lid] = KeptEntries.of(euclidean_project(w + state.u[lid], budgets[lid]))
+        u[lid] = state.u[lid] + w
+        u[lid].reshape(-1)[z[lid].index] -= z[lid].value
+    return ADMMState(z=z, u=u, step=state.step + 1)
 
 
 def final_hard_prune(params: ParameterSet,

@@ -17,18 +17,6 @@ CSV_COLUMNS = (
 )
 
 
-def rows_from_result(metrics: list[RoundMetrics]) -> list[dict]:
-    return [{
-        "round": m.round_index, "phase": m.phase,
-        "accuracy": f"{m.accuracy:.6f}",
-        "keep_fraction": f"{m.keep_fraction:.6f}",
-        "bytes_up": m.bytes_up, "bytes_down": m.bytes_down,
-        "dense_bytes_up": m.dense_bytes_up, "dense_bytes_down": m.bytes_down,
-        "trusted_peak_bytes": m.trusted_peak_bytes,
-        **{c: f"{getattr(m, c):.6f}" for c in _TIMING_COLUMNS},
-    } for m in metrics]
-
-
 def write_report(result: ExperimentResult, out_dir: str | Path,
                  partial: bool = False) -> dict[str, Path]:
     """Write rounds.csv and summary.txt."""
@@ -36,13 +24,19 @@ def write_report(result: ExperimentResult, out_dir: str | Path,
         raise ValueError("no metrics to report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = rows_from_result(result.metrics)
-
     csv_path = out / "rounds.csv"
     with open(csv_path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
         w.writeheader()
-        w.writerows(rows)
+        w.writerows({
+            "round": m.round_index, "phase": m.phase,
+            "accuracy": f"{m.accuracy:.6f}",
+            "keep_fraction": f"{m.keep_fraction:.6f}",
+            "bytes_up": m.bytes_up, "bytes_down": m.bytes_down,
+            "dense_bytes_up": m.dense_bytes_up, "dense_bytes_down": m.bytes_down,
+            "trusted_peak_bytes": m.trusted_peak_bytes,
+            **{c: f"{getattr(m, c):.6f}" for c in _TIMING_COLUMNS},
+        } for m in result.metrics)
 
     cfg = result.config
     total_elapsed = sum(m.total_s for m in result.metrics)

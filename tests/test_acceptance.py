@@ -211,8 +211,7 @@ def test_criterion_06_admm_residual():
     for _ in range(50):
         w = (a + cfg.rho * (state.z["a"].dense() - state.u["a"])) / (1.0 + cfg.rho)
         params = nn.ParameterSet((nn.LayerParams("a", w, np.zeros(1)),))
-        state = pruning.admm_z_step(params, state, cfg)
-        state = pruning.admm_u_step(params, state)
+        state = pruning.admm_update(params, state, cfg)
         residuals.append(float(np.linalg.norm(w - state.z["a"].dense())))
     tail = residuals[-10:]
     ok = all(b <= a_ + 1e-12 for a_, b in zip(tail, tail[1:]))

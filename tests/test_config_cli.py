@@ -298,11 +298,6 @@ class TestLoadConfig:
                                             "'channels': 1, 'side': 16, 'num_classes': 3, "
                                             "'spread': 1.0}")
 
-    def test_no_file_gives_the_defaults(self):
-        assert load_config(None, mode="dense", seed=None) == ExperimentConfig(mode="dense")
-        with pytest.raises(ConfigError, match="clients_per_round exceeds num_clients"):
-            load_config(None, clients_per_round=500)
-
     def test_validate_notes(self, cfg_file):
         notes = validate_config(load_config(cfg_file))
         assert any("parameters" in n for n in notes)

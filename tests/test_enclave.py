@@ -140,6 +140,30 @@ class TestEnclaveLoad:
         assert len(agg.records) == 1 and not rej
 
 
+    def test_payload_format_must_match_the_header(self, setup):
+        # a CSR blob sealed as dense, a dense blob sealed as CSR and an unknown
+        # header format are each rejected; the honest uploads average as alone
+        manager, channels, ctx = setup
+        publish_model(make_params([[0.0, 0.0, 0.0]]), ctx)
+        blobs = {cid: (codec.dense_encode if cid % 2 else codec.csr_encode)(
+            make_params([[cid + 0.1, 0.0, -cid / 3]])) for cid in range(6)}
+        sealed_as = {0: codec.FORMAT_CSR, 1: codec.FORMAT_CSR, 2: codec.FORMAT_DENSE,
+                     3: codec.FORMAT_DENSE, 4: 7, 5: codec.FORMAT_DENSE}
+        encs = [channels[cid].encrypt_update(blobs[cid], 0, sealed_as[cid]) for cid in range(6)]
+        counts = {cid: 3 + cid for cid in range(6)}
+        agg, rej = enclave_load(encs, ctx, counts)
+        assert [(r.client_id, r.reason) for r in rej] == [
+            (1, "header format csr differs from the payload's dense"),
+            (2, "header format dense differs from the payload's csr"),
+            (4, "header format unknown (7) differs from the payload's csr")]
+        assert [r.client_id for r in agg.records] == [0, 3, 5]
+        want = dense_fedavg([(cid, codec.decode_params(blobs[cid], ctx.schema)[0], counts[cid])
+                             for cid in (0, 3, 5)])
+        for g, w in zip(fedavg(agg).entries, want.entries):
+            assert g.weight.tobytes() == w.weight.tobytes()
+            assert g.bias.tobytes() == w.bias.tobytes()
+
+
 class TestFedavg:
     def _record(self, cid, params, n):
         # build through the real trusted path

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fedprune import nn, pruning
 from fedprune.federation import RoundPlan, stage_keep_config
 from fedprune.pruning import (ADMMState, KeptEntries, SparsityConfig, admm_init,
-                              admm_u_step, admm_z_step,
-                              compression_rate, euclidean_project, final_hard_prune)
+                              admm_update, compression_rate, euclidean_project,
+                              final_hard_prune)
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
 LENET_KEEP_CR10 = {"conv1": 0.8, "conv2": 0.4, "fc1": 30193 / 400000, "fc2": 0.5}
@@ -267,24 +267,31 @@ class TestAdmm:
         assert np.all(upd["a"].bias == 0.0)
 
     def test_z_step_examples(self):
+        # Z is the projection of W + U; the Z held before the update is unused
         params = two_layer_params([1.0, -3.0, 2.0, 0.0])
         cfg = SparsityConfig(keep={"a": 0.5})
-        st_ = dense_state(z={"a": np.zeros(4)}, u={"a": np.zeros(4)})
-        st2 = admm_z_step(params, st_, cfg)
-        assert np.array_equal(st2.z["a"].dense(), [0.0, -3.0, 2.0, 0.0])
+        st_ = dense_state(z={"a": [9.0, 0.0, 0.0, 9.0]}, u={"a": [0.0, 0.0, 0.0, 2.5]})
+        st2 = admm_update(params, st_, cfg)
+        assert np.array_equal(st2.z["a"].dense(), [0.0, -3.0, 0.0, 2.5])
         assert np.count_nonzero(st2.z["a"].dense()) <= 2
 
     def test_u_step_arithmetic(self):
-        params = two_layer_params([2.0])
-        st_ = dense_state(z={"a": [0.0]}, u={"a": [1.0]})
-        st2 = admm_u_step(params, st_)
-        assert np.allclose(st2.u["a"], [3.0])
+        # W + U = [3, 0.75] projects to Z = [3, 0], so U + W - Z = [0, 0.75]
+        params = two_layer_params([2.0, 0.5])
+        st_ = dense_state(z={"a": [0.0, 0.0]}, u={"a": [1.0, 0.25]})
+        st2 = admm_update(params, st_, SparsityConfig(keep={"a": 0.5}))
+        assert np.array_equal(st2.z["a"].dense(), [3.0, 0.0])
+        assert np.array_equal(st2.u["a"], [0.0, 0.75])
         assert st2.step == 1
+        assert np.array_equal(st_.u["a"], [1.0, 0.25])    # the input state is kept
 
     def test_u_fixed_point_at_consensus(self):
+        # W on the cardinality set and U = 0: Z = W, and U stays 0
         params = two_layer_params([5.0, 0.0])
         st_ = dense_state(z={"a": [5.0, 0.0]}, u={"a": np.zeros(2)})
-        assert np.all(admm_u_step(params, st_).u["a"] == 0.0)
+        st2 = admm_update(params, st_, SparsityConfig(keep={"a": 0.5}))
+        assert np.array_equal(st2.z["a"].dense(), [5.0, 0.0])
+        assert np.all(st2.u["a"] == 0.0)
 
     def test_frozen_w_linear_dual_growth(self):
         # closed-form recurrence: with W frozen and a stable projection
@@ -294,8 +301,7 @@ class TestAdmm:
         st_ = admm_init(params, cfg)
         z = st_.z["a"].dense()         # [9, 0]
         for k in range(1, 6):
-            st_ = admm_z_step(params, st_, cfg)
-            st_ = admm_u_step(params, st_)
+            st_ = admm_update(params, st_, cfg)
             assert np.array_equal(st_.z["a"].dense(), z)
             assert np.allclose(st_.u["a"], k * (params["a"].weight - z))
 
@@ -313,22 +319,18 @@ class TestAdmm:
         for _ in range(50):
             w = (a + cfg.rho * (state.z["a"].dense() - state.u["a"])) / (1 + cfg.rho)
             params = two_layer_params(w)
-            state = admm_z_step(params, state, cfg)
-            state = admm_u_step(params, state)
+            state = admm_update(params, state, cfg)
             residuals.append(float(np.linalg.norm(w - state.z["a"].dense())))
         tail = residuals[-10:]
         assert all(b <= a_ + 1e-12 for a_, b in zip(tail, tail[1:]))
 
 
 def assert_sparse_z_is_dense_arithmetic(w, zd, u):
-    """admm_u_step, and the local step's penalty residual against
-    KeptEntries.dense(out=) (whole, and in ragged blocks of 3), with Z stored
-    as KeptEntries.of(zd), against the dense formulas (U + W) - Z and
-    (W - Z) + U, byte for byte."""
+    """The local step's penalty residual against KeptEntries.dense(out=)
+    (whole, and in ragged blocks of 3), with Z stored as KeptEntries.of(zd),
+    against the dense formula (W - Z) + U, byte for byte."""
     z = KeptEntries.of(zd)
     assert z.dense().tobytes() == zd.tobytes()
-    stepped = admm_u_step(two_layer_params(w), ADMMState(z={"a": z}, u={"a": u}))
-    assert stepped.u["a"].tobytes() == (u + w - zd).tobytes()
     want = (w - zd + u).reshape(-1)
     zb = z.dense(out=np.full(w.size, np.nan))    # as in client_round's Z buffers
     for block in (w.size, 3):
@@ -338,6 +340,94 @@ def assert_sparse_z_is_dense_arithmetic(w, zd, u):
             np.subtract(w.reshape(-1)[lo:hi], zb[lo:hi], out=out[lo:hi])
             np.add(out[lo:hi], u.reshape(-1)[lo:hi], out=out[lo:hi])
         assert out.tobytes() == want.tobytes()
+
+
+def two_step_reference(params, state, cfg):
+    """The Z step, then the U step as a second pass over the new Z:
+    Z <- project(W + U); U <- U + W with Z's stored entries redone as
+    (U + W) - z; the counter advances."""
+    budgets = cfg.budgets(params)
+    z = {lid: KeptEntries.of(euclidean_project(params[lid].weight + state.u[lid],
+                                               budgets[lid]))
+         for lid in state.z}
+    u = {}
+    for lid, zl in z.items():
+        u[lid] = state.u[lid] + params[lid].weight
+        u[lid].reshape(-1)[zl.index] -= zl.value
+    return ADMMState(z=z, u=u, step=state.step + 1)
+
+
+def nan_with_payload(bits):
+    return np.array(0x7FF8_0000_0000_0000 | bits, dtype=np.uint64).view(np.float64)
+
+
+def admm_update_case(name):
+    """(params, state, cfg) for one admm_update case."""
+    rng = np.random.default_rng(8)
+    if name == "kept_negative_zero":
+        # W + U is W, and the budget of 5 keeps the +0.0 at 0 and the -0.0 at 1
+        w = [0.0, -0.0, 3.0, -0.0, 0.0, 1.0, -0.0, 2.0]
+        return (two_layer_params(w), dense_state({"a": np.zeros(8)}, {"a": np.full(8, -0.0)}),
+                SparsityConfig(keep={"a": 5 / 8}))
+    if name.startswith("nan"):
+        # NaNs in W, in U and in both, with payloads that tell them apart;
+        # at 11 of 12 the NaNs at 2 and 7 are kept
+        w, u = rng.normal(size=12), rng.normal(size=12)
+        w[[2, 7]], u[[7, 9]] = nan_with_payload(1), nan_with_payload(2)
+        return (two_layer_params(w), dense_state({"a": np.zeros(12)}, {"a": u}),
+                SparsityConfig(keep={"a": int(name[3:]) / 12}))
+    if name == "inf":
+        # +inf in W, -inf in U, and both at 8 (a NaN in W + U); two layers
+        w, u = rng.normal(size=10), rng.normal(size=10)
+        w[[0, 8]], u[[5, 8]] = np.inf, -np.inf
+        wb = np.array([-np.inf, 1.0, np.inf, -2.0])
+        params = two_layer_params(w, wb)
+        state = dense_state({"a": np.zeros(10), "b": np.zeros(4)},
+                            {"a": u, "b": np.full(4, 0.5)})
+        return params, state, SparsityConfig(keep={"a": 0.3, "b": 0.5})
+    if name == "ties":
+        # W and U on a coarse grid: the budget of 12 ends inside a run of ties
+        w = np.round(rng.normal(size=(6, 5)), 1)
+        u = np.round(rng.normal(scale=0.5, size=(6, 5)), 1) - w / 2
+        mag = np.sort(np.abs(w + u).reshape(-1))
+        assert mag[-12] == mag[-13]     # the 12th largest magnitude is also the 13th
+        return (two_layer_params(w), dense_state({"a": np.zeros((6, 5))}, {"a": u}),
+                SparsityConfig(keep={"a": 0.4}))
+    assert name == "returning_from_a_looser_stage"
+    # a client's state from a stage-0 round meets the last stage's budget
+    cfg = SparsityConfig(keep={"a": 0.05}, rho=1.0)
+    loose = stage_keep_config(cfg, 0)
+    w0 = two_layer_params(rng.normal(size=(20, 30)))
+    state = two_step_reference(w0, admm_init(w0, loose), loose)
+    assert state.z["a"].index.size > 4 * cfg.budgets(w0)["a"]
+    return two_layer_params(rng.normal(size=(20, 30))), state, cfg
+
+
+class TestAdmmUpdate:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")   # inf - inf
+    @pytest.mark.parametrize("name", ["kept_negative_zero", "nan3", "nan11", "inf",
+                                      "ties", "returning_from_a_looser_stage"])
+    def test_bytes_of_the_two_step_reference(self, name):
+        params, state, cfg = admm_update_case(name)
+        before = {lid: u.tobytes() for lid, u in state.u.items()}
+        got, want = admm_update(params, state, cfg), two_step_reference(params, state, cfg)
+        assert got.step == want.step == state.step + 1
+        assert list(got.z) == list(want.z) == list(got.u) == list(state.z)
+        for lid, z in want.z.items():
+            assert got.z[lid].shape == z.shape
+            assert got.z[lid].index.tobytes() == z.index.tobytes()
+            assert got.z[lid].value.tobytes() == z.value.tobytes()
+            assert got.u[lid].tobytes() == want.u[lid].tobytes()
+            # and the dense formula (U + W) - Z, Z's +0.0 included
+            w = params[lid].weight
+            assert got.u[lid].tobytes() == (state.u[lid] + w - z.dense()).tobytes()
+            assert state.u[lid].tobytes() == before[lid]
+
+    def test_kept_negative_zero_is_stored(self):
+        params, state, cfg = admm_update_case("kept_negative_zero")
+        z = admm_update(params, state, cfg).z["a"]
+        assert z.index.tolist() == [1, 2, 5, 7]
+        assert np.signbit(z.value[0])
 
 
 class TestSparseZ:
@@ -350,7 +440,7 @@ class TestSparseZ:
     def test_kept_negative_zero(self):
         # a budget above the non-zero count keeps the lowest-index zeros,
         # here +0.0 at 0 and -0.0 at 1; with W = U = -0.0 there the dense
-        # formulas give +0.0 where W + U would give -0.0
+        # formula gives +0.0 where W + U would give -0.0
         w = np.array([0.0, -0.0, 3.0, -0.0, 0.0, 1.0, -0.0, 2.0])
         zd = euclidean_project(w, 5)
         assert 1 in KeptEntries.of(zd).index.tolist()
@@ -363,7 +453,7 @@ class TestSparseZ:
         w, u = rng.normal(size=12), rng.normal(size=12)
         w[[2, 7]], u[[7, 9]] = np.nan, np.nan
         cfg = SparsityConfig(keep={"a": n_keep / 12})
-        z = admm_z_step(two_layer_params(w), dense_state({"a": np.zeros(12)}, {"a": u}),
+        z = admm_update(two_layer_params(w), dense_state({"a": np.zeros(12)}, {"a": u}),
                         cfg).z["a"]
         assert z.index.size <= n_keep
         assert_sparse_z_is_dense_arithmetic(w, z.dense(), u)
