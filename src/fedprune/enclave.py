@@ -1,8 +1,8 @@
 """Emulated trusted enclave on the aggregation server.
 
-Boundary crossings are counted: every encrypted update loaded is one ecall
-and every model publication one ocall.  The orchestrator times the crossings
-from outside.  Decrypted updates only ever exist wrapped in PlaintextUpdate,
+Each model publication starts the next round, from 0, and a client's upload
+loads once, in the round it was sealed for; the orchestrator times the
+crossings.  Decrypted updates only ever exist wrapped in PlaintextUpdate,
 which cannot be constructed outside this module's trusted section; it keeps
 the layers as the wire carried them (codec.WireLayer), so a sparse upload
 costs its non-zeros, and fedavg widens one record at a time.  The trusted
@@ -32,9 +32,9 @@ class EnclaveMemoryError(RuntimeError):
 
 
 class InvalidUpdateError(ValueError):
-    """An update with no published model to check it against, whose sealed
-    header names another payload format than its blob's, not finite, or
-    with more non-zeros in a layer than the round's budget."""
+    """An update with no published model to check it against, sealed for
+    another round, whose sealed header names another payload format than its
+    blob's, not finite, or with more non-zeros in a layer than its budget."""
 
 
 class PlaintextUpdate:
@@ -61,8 +61,7 @@ class EnclaveContext:
     scratch_limit: int = 256 * 1024 * 1024   # trusted memory budget, bytes
     held_bytes: int = 0                      # bytes of the records kept this round
     peak_bytes: int = 0                      # most trusted bytes held at once this round
-    ecall_count: int = 0
-    ocall_count: int = 0
+    round: int = -1                          # publish_model's count; -1 before the first
     schema: tuple | None = None              # codec.schema of the last published model
     budgets: dict[str, int] | None = None    # per-layer non-zero caps of this round's uploads
 
@@ -90,13 +89,15 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
                  ) -> tuple[AggregationInput, list[Rejection]]:
     """Decrypt and decode updates inside the trusted section.
 
-    Each record is one ecall.  A failed decryption (bad tag, replay, unknown
-    client), a payload that does not decode against the last published
-    model's layer table, whose format byte differs from the sealed header's
-    payload_format, that holds a non-finite value, that has more
-    non-zeros in a layer than ctx.budgets allows (a stored 0.0 is not one),
-    or that would take the trusted bytes past ctx.scratch_limit drops that
-    client's contribution for the round and is reported; the rest proceed.
+    Each record is one ecall.  A record sealed for another round than
+    ctx.round (so it never reaches the replay mark), a failed decryption (bad
+    tag, nonce not the header's, replay, unknown client), a payload that does
+    not decode against the last published model's layer table, whose format
+    byte differs from the sealed header's payload_format, that holds a
+    non-finite value, that has more non-zeros in a layer than ctx.budgets
+    allows (a stored 0.0 is not one), or that would take the trusted bytes
+    past ctx.scratch_limit is dropped alone, and reported; a second upload
+    from a client in a round is a replay, and the first stays.
     Before any model is published every update is rejected.  Trusted bytes
     are the records kept this round, by this call and earlier ones since the
     last publish_model (ctx.held_bytes), plus the larger of the record being
@@ -107,12 +108,13 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
     records, rejections = [], []
     accumulator = 8 * sum(math.prod(w) + math.prod(b) for _lid, w, b in ctx.schema or ())
     for enc in encs:
-        ctx.ecall_count += 1
         try:
             opening = HEADER.size + 2 * len(enc.ciphertext) - TAG_SIZE   # record + plaintext
             _hold(ctx, ctx.held_bytes + max(opening, accumulator))
             if ctx.schema is None:
                 raise InvalidUpdateError("no model published")
+            if enc.round != ctx.round:
+                raise InvalidUpdateError(f"sealed for round {enc.round}, not {ctx.round}")
             layers, fmt = codec.decode_layers(ctx.key_manager.decrypt_update(enc),
                                               ctx.schema)
             said = codec.FORMAT_NAMES.get(enc.payload_format, f"unknown ({enc.payload_format})")
@@ -177,11 +179,11 @@ def fedavg(agg: AggregationInput) -> ParameterSet:
 def publish_model(params: ParameterSet, ctx: EnclaveContext) -> bytes:
     """Serialize the global model dense and export it across the boundary;
     one ocall.  Its layer table (codec.schema) is what uploads decode against.
-    A publication starts a round: the held and peak trusted bytes restart at 0."""
-    ctx.ocall_count += 1
-    ctx.held_bytes = ctx.peak_bytes = 0
+    It starts the next round, ctx.round: the held and peak trusted bytes restart at 0."""
     blob = codec.dense_encode(params)
     if len(blob) > ctx.scratch_limit:
         raise EnclaveMemoryError("published model exceeds trusted buffer")
+    ctx.round += 1
+    ctx.held_bytes = ctx.peak_bytes = 0
     ctx.schema = codec.schema(params)
     return blob

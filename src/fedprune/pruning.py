@@ -104,7 +104,12 @@ def euclidean_project(t: np.ndarray, n_keep: int) -> np.ndarray:
     flat = t.reshape(-1)
     mag = np.abs(flat)
     mag[np.isnan(mag)] = -1.0
-    threshold = np.partition(mag, t.size - n_keep)[t.size - n_keep]
+    positive = mag > 0
+    n_pos = np.count_nonzero(positive)
+    if n_keep <= n_pos < t.size / 2:    # a partition of mostly tied zeros is slow
+        threshold = np.partition(mag[positive], n_pos - n_keep)[n_pos - n_keep]
+    else:
+        threshold = np.partition(mag, t.size - n_keep)[t.size - n_keep]
     keep = mag > threshold
     ties = np.flatnonzero(mag == threshold)
     keep[ties[:n_keep - np.count_nonzero(keep)]] = True

@@ -12,9 +12,10 @@ Update framing (little-endian):
     magic "ESMF" | version u8 | client_id u32 | round u32 | payload_format u8
     | nonce 12B | ciphertext_len u64 | ciphertext||tag
 
-The whole header is authenticated as associated data, nonces are
-counter-derived (client_id, round, sub-counter), and the receiver rejects as
-a replay any record not past the client's last accepted (round, sub-counter).
+The whole header is authenticated as associated data.  A client seals one
+update per round, so the nonce is (client_id, round, four zero bytes); the
+receiver requires it to match the header and rejects as a replay any round
+not past the client's last accepted one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ MAGIC = b"ESMF"
 VERSION = 1
 TAG_SIZE = 16
 HEADER = struct.Struct("<4sBIIB12sQ")  # magic, ver, client, round, fmt, nonce, ct_len
-NONCE = struct.Struct("<III")           # client, round, sub-counter
+NONCE = struct.Struct("<II4x")          # client, round, four zero bytes
 
 # Stand-in for an SGX MRENCLAVE value; constant for the whole emulation.
 ENCLAVE_MEASUREMENT = hashlib.sha256(b"fedprune-enclave-v1").digest()
@@ -55,10 +56,6 @@ class DuplicateClientError(SecureChannelError):
 
 
 class ReplayError(SecureChannelError):
-    pass
-
-
-class NonceExhaustionError(SecureChannelError):
     pass
 
 
@@ -134,14 +131,14 @@ class EncryptedUpdate:
 
 class KeyManager:
     """Enclave-side key registry: one symmetric key per client per experiment,
-    and per client the (round, sub-counter) of its last accepted update."""
+    and per client the round of its last accepted update."""
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
         self.signing_key = Ed25519PrivateKey.from_private_bytes(self._rng.bytes(32))
         self.verify_key_bytes = self.signing_key.public_key().public_bytes_raw()
         self.keys: dict[int, bytes] = {}     # client id -> 256-bit AES key
-        self._accepted: dict[int, tuple[int, int]] = {}
+        self._accepted: dict[int, int] = {}  # client id -> last accepted round
 
     # -- attestation / key agreement ------------------------------------
 
@@ -166,44 +163,39 @@ class KeyManager:
 
     def decrypt_update(self, enc: EncryptedUpdate) -> bytes:
         """Plaintext iff the tag verifies with the header as associated data;
-        rejects unknown clients and records not past the last accepted one."""
+        rejects unknown clients, a nonce other than the header's client and
+        round, and a round not past the client's last accepted one."""
         sk = self.keys.get(enc.client_id)
         if sk is None:
             raise SecureChannelError(f"unknown client {enc.client_id}")
-        if len(enc.nonce) != NONCE.size:
-            raise SecureChannelError(f"nonce of {len(enc.nonce)} bytes")
-        _, rnd, sub = NONCE.unpack(enc.nonce)
-        if (rnd, sub) <= self._accepted.get(enc.client_id, (-1, -1)):
+        if enc.nonce != NONCE.pack(enc.client_id, enc.round):
+            raise SecureChannelError("nonce differs from the header's client and round")
+        if enc.round <= self._accepted.get(enc.client_id, -1):
             raise ReplayError(f"replayed record from client {enc.client_id}")
         try:
             plaintext = AESGCM(sk).decrypt(enc.nonce, enc.ciphertext, enc.header())
         except InvalidTag as exc:
             raise SecureChannelError("authentication tag mismatch") from exc
-        # the nonce is the GCM IV, so a verified tag authenticates the counter
-        self._accepted[enc.client_id] = (rnd, sub)
+        self._accepted[enc.client_id] = enc.round
         return plaintext
 
 
 class ClientChannel:
-    """Client-side keying material and nonce bookkeeping."""
+    """Client-side keying material and the last round sealed for."""
 
     def __init__(self, client_id: int, sk: bytes,
                  transcript: AttestationTranscript):
         self.client_id = client_id
         self.sk = sk                    # 256-bit AES key
         self.transcript = transcript
-        self._last_sealed = (0, -1)     # (round, sub-counter); next is (0, 0)
+        self._last_round = -1
 
     def encrypt_update(self, update_bytes: bytes, round_index: int,
                        payload_format: int) -> EncryptedUpdate:
-        last_round, last_sub = self._last_sealed
-        if round_index < last_round:     # its sub-counter would restart: nonce reuse
-            raise ValueError(f"cannot seal for round {round_index} after round {last_round}")
-        sub = last_sub + 1 if round_index == last_round else 0
-        if sub > 0xFFFFFFFF:
-            raise NonceExhaustionError("nonce sub-counter exhausted")
-        nonce = NONCE.pack(self.client_id, round_index, sub)
-        self._last_sealed = (round_index, sub)
+        if round_index <= self._last_round:     # the nonce would repeat
+            raise ValueError(f"cannot seal for round {round_index} after round {self._last_round}")
+        nonce = NONCE.pack(self.client_id, round_index)
+        self._last_round = round_index
         ct = AESGCM(self.sk).encrypt(nonce, update_bytes, _record_header(
             self.client_id, round_index, payload_format, nonce,
             len(update_bytes) + TAG_SIZE))

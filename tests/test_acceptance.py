@@ -97,9 +97,9 @@ def test_criterion_03_encrypted_path_equivalence():
                 for cid in range(8)}
     ctx = enclave.EnclaveContext(key_manager=manager)
     arch = nn.mlp((5, 4, 2))
-    enclave.publish_model(nn.init_model(arch, 0), ctx)
 
-    for trial in range(50):
+    for trial in range(50):     # one round each: a client seals once per round
+        enclave.publish_model(nn.init_model(arch, 0), ctx)
         cids = sorted(rng.choice(8, size=int(rng.integers(1, 6)),
                                  replace=False).tolist())
         updates, counts, encs = {}, {}, []
@@ -129,8 +129,9 @@ def test_criterion_03_encrypted_path_equivalence():
 
     # single-bit tamper sweep over one full wire message
     p = nn.init_model(arch, 999)
+    enclave.publish_model(nn.init_model(arch, 0), ctx)
     wire = channels[0].encrypt_update(
-        codec.dense_encode(p), 60, codec.FORMAT_DENSE).to_bytes()
+        codec.dense_encode(p), ctx.round, codec.FORMAT_DENSE).to_bytes()
     rejected = 0
     for pos in range(len(wire)):
         for bit in range(8):

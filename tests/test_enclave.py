@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from fedprune import codec, enclave, nn, pruning, secure
 from fedprune.enclave import (AggregationInput, EnclaveContext, PlaintextUpdate,
@@ -79,7 +80,7 @@ class TestEnclaveLoad:
         encs = [encrypt(channels, cid, make_params([[float(cid)]]), rnd=0)
                 for cid in range(5)]
         agg, rej = enclave_load(encs, ctx, {cid: 10 for cid in range(5)})
-        assert ctx.ecall_count == 5
+        assert ctx.round == 0
         assert len(agg.records) == 5 and not rej
 
     def test_one_tampered_among_ten(self, setup):
@@ -87,7 +88,7 @@ class TestEnclaveLoad:
         publish_model(make_params([[0.0, 0.0]]), ctx)
         encs = []
         for cid in range(10):
-            enc = encrypt(channels, cid, make_params([[1.0, 2.0]]), rnd=1)
+            enc = encrypt(channels, cid, make_params([[1.0, 2.0]]), rnd=0)
             if cid == 4:
                 raw = bytearray(enc.ciphertext)
                 raw[0] ^= 0xFF
@@ -133,6 +134,7 @@ class TestEnclaveLoad:
         assert [(r.client_id, r.reason) for r in rej] == [
             (1, "layer a has 3 non-zeros, above its budget of 2"),
             (2, "layer a has 4 non-zeros, above its budget of 2")]
+        publish_model(make_params([np.zeros(4), np.zeros(3)], ids=("a", "b")), ctx)
         ctx.budgets = None
         encs = [encrypt(channels, 1, make_params([[1.0] * 4, [1.0] * 3], ids=("a", "b")),
                         rnd=1)]
@@ -162,6 +164,77 @@ class TestEnclaveLoad:
         for g, w in zip(fedavg(agg).entries, want.entries):
             assert g.weight.tobytes() == w.weight.tobytes()
             assert g.bias.tobytes() == w.bias.tobytes()
+
+
+def seal_by_hand(channel, blob, rnd, nonce=None):
+    """A CSR record sealed with the client's key outside its ClientChannel,
+    which refuses a second seal in a round or an earlier round; the nonce
+    defaults to the one the channel would use."""
+    cid, fmt = channel.client_id, codec.FORMAT_CSR
+    nonce = secure.NONCE.pack(cid, rnd) if nonce is None else nonce
+    unsealed = secure.EncryptedUpdate(cid, rnd, fmt, nonce, bytes(len(blob) + secure.TAG_SIZE))
+    return secure.EncryptedUpdate(cid, rnd, fmt, nonce,
+                                  AESGCM(channel.sk).encrypt(nonce, blob, unsealed.header()))
+
+
+class TestOneUploadPerClientPerRound:
+    """Each upload is named by (client, round): the enclave loads one per
+    client, sealed for the round it published, and the honest uploads of
+    the same load average bit for bit as fedavg of them alone."""
+
+    ONES, ZEROS = make_params([[1.0, 1.0, 1.0]]), make_params([[0.0, 0.0, 0.0]])
+
+    def _assert_average_alone(self, agg, ctx, honest):
+        # honest: client id -> (params, example count)
+        want = dense_fedavg([(cid, codec.decode_params(codec.csr_encode(p), ctx.schema)[0], n)
+                             for cid, (p, n) in honest.items()])
+        assert sorted(r.client_id for r in agg.records) == sorted(honest)
+        for g, w in zip(fedavg(agg).entries, want.entries):
+            assert g.weight.tobytes() == w.weight.tobytes()
+            assert g.bias.tobytes() == w.bias.tobytes()
+
+    def test_double_vote_drops_only_the_second_upload(self, setup):
+        manager, channels, ctx = setup
+        publish_model(self.ZEROS, ctx)
+        encs = [encrypt(channels, 0, self.ONES),
+                seal_by_hand(channels[0], codec.csr_encode(self.ONES), 0),
+                encrypt(channels, 1, self.ZEROS)]
+        agg, rej = enclave_load(encs, ctx, {0: 10, 1: 10})
+        assert [(r.client_id, r.reason) for r in rej] == [(0, "replayed record from client 0")]
+        assert np.array_equal(fedavg(agg)["a"].weight, [0.5, 0.5, 0.5])
+        self._assert_average_alone(agg, ctx, {0: (self.ONES, 10), 1: (self.ZEROS, 10)})
+
+    def test_record_for_another_round_rejected_before_decryption(self, setup):
+        # a future round in round 0, then a stale one in round 1; neither
+        # moves the replay mark, so the client's honest upload still loads
+        manager, channels, ctx = setup
+        publish_model(self.ZEROS, ctx)
+        agg, rej = enclave_load([seal_by_hand(channels[0], codec.csr_encode(self.ONES), 7),
+                                 encrypt(channels, 1, self.ZEROS)], ctx, {0: 3, 1: 5})
+        assert [(r.client_id, r.reason) for r in rej] == [(0, "sealed for round 7, not 0")]
+        self._assert_average_alone(agg, ctx, {1: (self.ZEROS, 5)})
+        honest = encrypt(channels, 0, self.ONES)
+        agg, rej = enclave_load([honest], ctx, {0: 3, 1: 5})
+        assert not rej
+        self._assert_average_alone(agg, ctx, {0: (self.ONES, 3)})
+        publish_model(self.ZEROS, ctx)
+        agg, rej = enclave_load([honest, encrypt(channels, 1, self.ONES, rnd=1)],
+                                ctx, {0: 3, 1: 5})
+        assert [(r.client_id, r.reason) for r in rej] == [(0, "sealed for round 0, not 1")]
+        self._assert_average_alone(agg, ctx, {1: (self.ONES, 5)})
+
+    @pytest.mark.parametrize("nonce_client, nonce_round", [(1, 0), (0, 1)])
+    def test_nonce_naming_another_client_or_round_rejected(self, setup, nonce_client,
+                                                           nonce_round):
+        # the tag verifies under client 0's key; the nonce names another record
+        manager, channels, ctx = setup
+        publish_model(self.ZEROS, ctx)
+        forged = seal_by_hand(channels[0], codec.csr_encode(self.ONES), 0,
+                              secure.NONCE.pack(nonce_client, nonce_round))
+        agg, rej = enclave_load([forged, encrypt(channels, 1, self.ONES)], ctx, {0: 2, 1: 7})
+        assert [(r.client_id, r.reason) for r in rej] == [
+            (0, "nonce differs from the header's client and round")]
+        self._assert_average_alone(agg, ctx, {1: (self.ONES, 7)})
 
 
 class TestFedavg:
@@ -422,8 +495,9 @@ class TestPublish:
     def test_publish_and_decode(self, setup):
         _, _, ctx = setup
         params = make_params([np.arange(6.0).reshape(2, 3)])
+        assert ctx.round == -1
         blob = publish_model(params, ctx)
-        assert ctx.ocall_count == 1
+        assert ctx.round == 0
         assert ctx.schema == codec.schema(params)
         decoded, fmt = codec.decode_params(blob, ctx.schema)
         assert fmt == "dense"

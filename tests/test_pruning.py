@@ -138,6 +138,25 @@ class TestProjectionOracle:
                            max(1, round(0.06 * size)), round(0.8 * size)}:
                 assert_matches_reference(t, n_keep)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape, n_pos", [((1000,), 40), ((800, 500), 2201), ((2, 4, 5), 19)])
+    def test_mostly_zero_bit_identical(self, dtype, shape, n_pos):
+        # fewer than half the magnitudes positive, as in a projected upload:
+        # tied values, +-inf, and NaN and -0.0 among the rest; n_keep below,
+        # at and above the positive count
+        rng = np.random.default_rng(n_pos)
+        t = np.zeros(shape, dtype)
+        flat = t.reshape(-1)
+        at = rng.permutation(flat.size)
+        tied = np.round(rng.normal(size=n_pos), 1)
+        flat[at[:n_pos]] = np.where(tied == 0, 0.5, tied)     # every one positive
+        flat[at[:2]] = np.inf, -np.inf
+        flat[at[n_pos:n_pos + 3]] = np.nan
+        flat[at[n_pos + 3:n_pos + 6]] = -0.0
+        assert np.count_nonzero(np.abs(flat) > 0) == n_pos
+        for n_keep in {1, n_pos // 2, n_pos - 1, n_pos, n_pos + 1, n_pos + 4, flat.size - 1}:
+            assert_matches_reference(t, n_keep)
+
     def test_all_nan_and_all_tied(self):
         for t in (np.full(7, np.nan), np.full((2, 3), -2.0), np.zeros(5)):
             for n_keep in range(t.size + 1):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -81,13 +82,13 @@ class TestEncryptDecrypt:
         assert manager.decrypt_update(enc) == b"hello update"
 
     def test_ciphertext_length_contract(self, channel):
-        for n in (0, 1, 100, 4096):
-            enc = channel.encrypt_update(b"x" * n, 0, 0)
+        for rnd, n in enumerate((0, 1, 100, 4096)):
+            enc = channel.encrypt_update(b"x" * n, rnd, 0)
             assert len(enc.ciphertext) == n + secure.TAG_SIZE
 
     def test_same_plaintext_distinct_ciphertexts(self, channel):
         a = channel.encrypt_update(b"same", 0, 0)
-        b = channel.encrypt_update(b"same", 0, 0)
+        b = channel.encrypt_update(b"same", 1, 0)
         assert a.nonce != b.nonce
         assert a.ciphertext != b.ciphertext
 
@@ -120,11 +121,12 @@ class TestEncryptDecrypt:
             manager.decrypt_update(forged)
 
     def test_nonce_uniqueness_over_many_encryptions(self, channel):
+        # the nonce is the client id and the round, then four zero bytes
         seen = set()
-        for rnd in range(100):
-            for _ in range(100):
-                enc = channel.encrypt_update(b"", rnd, 0)
-                seen.add(enc.nonce)
+        for rnd in range(10_000):
+            enc = channel.encrypt_update(b"", rnd, 0)
+            assert enc.nonce == struct.pack("<II", 1, rnd) + bytes(4)
+            seen.add(enc.nonce)
         assert len(seen) == 10_000
 
     def test_negative_round_rejected(self, channel):
@@ -132,9 +134,12 @@ class TestEncryptDecrypt:
             channel.encrypt_update(b"p", -1, 0)
 
     def test_sealing_for_earlier_round_rejected(self, channel):
+        # one seal per round, so (client, round) never names two records
         channel.encrypt_update(b"p", 5, 0)
-        with pytest.raises(ValueError):
-            channel.encrypt_update(b"p", 4, 0)
+        for rnd in (4, 5):
+            with pytest.raises(ValueError, match=f"cannot seal for round {rnd} after round 5"):
+                channel.encrypt_update(b"p", rnd, 0)
+        assert channel.encrypt_update(b"p", 6, 0).round == 6
 
     def test_wire_roundtrip(self, channel):
         enc = channel.encrypt_update(b"abc", 1, 1)
@@ -151,7 +156,7 @@ class TestReplayMark:
             manager.decrypt_update(older)
 
     def test_bad_tag_does_not_advance_mark(self, manager, channel):
-        forged = EncryptedUpdate(1, 2**32 - 1, 0, secure.NONCE.pack(1, 2**32 - 1, 0),
+        forged = EncryptedUpdate(1, 2**32 - 1, 0, secure.NONCE.pack(1, 2**32 - 1),
                                  bytes(1 + secure.TAG_SIZE))
         with pytest.raises(SecureChannelError) as ei:
             manager.decrypt_update(forged)
@@ -164,7 +169,6 @@ class TestReplayMark:
         channels = [attest_and_exchange(cid, manager, rng) for cid in range(10)]
         for rnd in range(100):
             for ch in channels:
-                for _ in range(3):
-                    manager.decrypt_update(ch.encrypt_update(b"", rnd, 0))
-        assert manager._accepted == {cid: (99, 2) for cid in range(10)}
-        assert all(ch._last_sealed == (99, 2) for ch in channels)
+                manager.decrypt_update(ch.encrypt_update(b"", rnd, 0))
+        assert manager._accepted == {cid: 99 for cid in range(10)}
+        assert all(ch._last_round == 99 for ch in channels)
