@@ -163,11 +163,14 @@ class KeyManager:
 
     def decrypt_update(self, enc: EncryptedUpdate) -> bytes:
         """Plaintext iff the tag verifies with the header as associated data;
-        rejects unknown clients, a nonce other than the header's client and
-        round, and a round not past the client's last accepted one."""
+        rejects unknown clients, a round or format the header cannot hold, a
+        nonce other than the header's client and round, and a round not past
+        the client's last accepted one."""
         sk = self.keys.get(enc.client_id)
         if sk is None:
             raise SecureChannelError(f"unknown client {enc.client_id}")
+        if not (0 <= enc.round < 1 << 32 and 0 <= enc.payload_format < 1 << 8):
+            raise SecureChannelError("round or payload format outside its header field")
         if enc.nonce != NONCE.pack(enc.client_id, enc.round):
             raise SecureChannelError("nonce differs from the header's client and round")
         if enc.round <= self._accepted.get(enc.client_id, -1):

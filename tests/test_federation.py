@@ -33,6 +33,33 @@ def tiny_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def run_logging_calls(monkeypatch, cfg):
+    """run_experiment(cfg), and per round its ("attest", client) and
+    ("train", client) calls in call order."""
+    who = {federation._client_seed(cfg.seed, rnd, cid): cid
+           for rnd in range(cfg.total_rounds()) for cid in range(cfg.num_clients)}
+    real_publish, real_attest = enclave.publish_model, secure.attest_and_exchange
+    real_round = federation.client_round
+    calls = []
+
+    def publish_model(params, ctx):
+        calls.append([])
+        return real_publish(params, ctx)
+
+    def attest_and_exchange(cid, manager, rng):
+        calls[-1].append(("attest", cid))
+        return real_attest(cid, manager, rng)
+
+    def client_round(*args):
+        calls[-1].append(("train", who[args[8]]))
+        return real_round(*args)
+
+    monkeypatch.setattr(enclave, "publish_model", publish_model)
+    monkeypatch.setattr(secure, "attest_and_exchange", attest_and_exchange)
+    monkeypatch.setattr(federation, "client_round", client_round)
+    return run_experiment(cfg), calls
+
+
 class TestPartitionIid:
     def test_mnist_scale(self):
         p = partition_iid(60000, 100, seed=0)
@@ -688,15 +715,16 @@ class TestRunExperiment:
         for lid, n in budgets.items():
             assert np.count_nonzero(res.global_params[lid].weight) == n
 
-    def test_timing_fields_consistent(self):
+    def test_timing_fields_consistent(self, monkeypatch):
         cfg = tiny_cfg(warmup_rounds=1, pruning_rounds=2)
-        res = run_experiment(cfg)
+        res, calls = run_logging_calls(monkeypatch, cfg)
         for m in res.metrics:
             for f in m.TIME_FIELDS:
                 assert getattr(m, f) >= 0.0
                 assert m.total_s >= getattr(m, f) * 0.95
-        assert res.metrics[0].attestation_s > 0.0
-        assert all(m.attestation_s == 0.0 for m in res.metrics[1:])
+        # a round is charged attestation exactly when it attests a client
+        assert [m.attestation_s > 0.0 for m in res.metrics] == \
+            [any(kind == "attest" for kind, _cid in rnd) for rnd in calls]
 
     def test_evaluation_counted_in_round_time(self, monkeypatch):
         import fedprune.federation as fed
@@ -890,6 +918,28 @@ class TestStreamedRound:
 
 
 DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo_synthetic.cfg"
+
+
+class TestAttestationInFirstSampledRound:
+    @pytest.mark.parametrize("mode", ["admm", "masked", "dense"])
+    def test_each_client_attests_once_right_before_its_first_round(self, monkeypatch, mode):
+        cfg = load_config(DEMO_CFG, mode=mode, num_clients=40)   # 5 a round for 12 rounds
+        res, calls = run_logging_calls(monkeypatch, cfg)
+        assert len(calls) == len(res.metrics) == cfg.total_rounds()
+        seen = set()
+        for rnd, (log, m) in enumerate(zip(calls, res.metrics)):
+            trained = [cid for kind, cid in log if kind == "train"]
+            new = [cid for cid in trained if cid not in seen]
+            # each new client attests just before it trains, and no other does
+            assert log == [call for cid in trained for call in
+                           ((("attest", cid), ("train", cid)) if cid in new
+                            else (("train", cid),))], rnd
+            assert (m.attestation_s > 0.0) == bool(new), rnd
+            seen.update(trained)
+        # the case bites: the last round samples no new client, and 9 clients
+        # are never sampled, so never attested
+        assert res.metrics[-1].attestation_s == 0.0
+        assert len(seen) == cfg.num_clients - 9
 
 
 def run_with_one_bad_payload(monkeypatch, replace, **overrides):

@@ -1,5 +1,6 @@
-"""The channels-last kernels of ``nn`` against a reference copy of the
-channels-first ones they replaced, compared byte for byte.
+"""The channels-last kernels of ``nn`` against the channels-first reference
+passes of reference.py (a copy of the kernels they replaced), compared byte
+for byte.
 
 Both paths run on the same host's BLAS, so the comparison does not depend on
 the CPU.  Inputs are sparse and binary so that many pooling windows tie.
@@ -18,114 +19,10 @@ import pytest
 
 from fedprune import federation, nn
 from fedprune.pruning import SparsityConfig, euclidean_project
+from reference import ref_backward, ref_evaluate, ref_logits, same_bytes
 
 # Keep table of configs/mnist_iid_cr87.cfg (CR~87).
 CR87_KEEP = {"conv1": 0.5, "conv2": 0.06, "fc1": 0.0055025, "fc2": 0.2}
-
-
-# -- reference: channels-first im2col + GEMM with argmax pooling -------------
-
-def ref_im2col(x, k, stride):
-    b, c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), ho, wo
-
-
-def ref_col2im(dcols, x_shape, k, stride, ho, wo):
-    b, c, h, w = x_shape
-    dx = np.zeros(x_shape)
-    dcols = dcols.reshape(b, ho, wo, c, k, k)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return dx
-
-
-def ref_forward(arch, params, x):
-    caches = []
-    pidx = 0
-    pl = params.entries
-    for layer in arch.layers:
-        if isinstance(layer, nn.Dense):
-            e = pl[pidx]; pidx += 1
-            caches.append(("dense", x, e))
-            x = x @ e.weight + e.bias
-        elif isinstance(layer, nn.Conv2d):
-            e = pl[pidx]; pidx += 1
-            cols, ho, wo = ref_im2col(x, layer.kernel, layer.stride)
-            wmat = e.weight.reshape(layer.out_ch, -1).T
-            out = cols @ wmat + e.bias
-            caches.append(("conv", x.shape, cols, e, layer, ho, wo))
-            x = out.reshape(x.shape[0], ho, wo, layer.out_ch).transpose(0, 3, 1, 2)
-        elif isinstance(layer, nn.ReLU):
-            mask = x > 0
-            caches.append(("relu", mask))
-            x = x * mask
-        elif isinstance(layer, nn.MaxPool):
-            k = layer.k
-            b, c, h, w = x.shape
-            xr = x.reshape(b, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-            xr = xr.reshape(b, c, h // k, w // k, k * k)
-            idx = np.argmax(xr, axis=-1)
-            caches.append(("pool", x.shape, idx, k))
-            x = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-        elif isinstance(layer, nn.Flatten):
-            caches.append(("flatten", x.shape))
-            x = x.reshape(x.shape[0], -1)
-    return x, caches
-
-
-def ref_backward(arch, params, batch):
-    x = np.asarray(batch.inputs, dtype=np.float64)
-    logits, caches = ref_forward(arch, params, x)
-    b = len(batch.labels)
-    dout = nn._softmax(logits)
-    dout[np.arange(b), batch.labels] -= 1.0
-    dout /= b
-    grads = {}
-    for layer, cache in zip(reversed(arch.layers), reversed(caches)):
-        kind = cache[0]
-        if kind == "dense":
-            _, xin, e = cache
-            grads[e.layer_id] = (xin.T @ dout, dout.sum(axis=0))
-            dout = dout @ e.weight.T
-        elif kind == "conv":
-            _, x_shape, cols, e, lyr, ho, wo = cache
-            dmat = dout.transpose(0, 2, 3, 1).reshape(-1, lyr.out_ch)
-            dw = (cols.T @ dmat).T.reshape(e.weight.shape)
-            db = dmat.sum(axis=0)
-            grads[e.layer_id] = (dw, db)
-            dcols = dmat @ e.weight.reshape(lyr.out_ch, -1)
-            dout = ref_col2im(dcols, x_shape, lyr.kernel, lyr.stride, ho, wo)
-        elif kind == "relu":
-            dout = dout * cache[1]
-        elif kind == "pool":
-            _, x_shape, idx, k = cache
-            bb, c, ho, wo = idx.shape
-            dxr = np.zeros((bb, c, ho, wo, k * k))
-            np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-            dout = dxr.reshape(bb, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5) \
-                      .reshape(x_shape)
-        elif kind == "flatten":
-            dout = dout.reshape(cache[1])
-    return [grads[e.layer_id] for e in params.entries]
-
-
-def ref_logits(arch, params, inputs):
-    return ref_forward(arch, params, np.asarray(inputs, dtype=np.float64))[0]
-
-
-def ref_evaluate(arch, params, inputs, labels, batch_size):
-    correct = 0
-    for i in range(0, len(labels), batch_size):
-        pred = np.argmax(ref_logits(arch, params, inputs[i:i + batch_size]), axis=1)
-        correct += int((pred == labels[i:i + batch_size]).sum())
-    return correct / len(labels)
 
 
 # -- models and data ---------------------------------------------------------
@@ -155,11 +52,6 @@ def tied_inputs(arch, n, seed):
     rng = np.random.default_rng(seed)
     x = (rng.random((n, *arch.input_shape)) < 0.3).astype(np.float64)
     return x, rng.integers(0, arch.num_classes, size=n)
-
-
-def same_bytes(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # -- tests -------------------------------------------------------------------

@@ -10,6 +10,7 @@ from fedprune.federation import RoundPlan, stage_keep_config
 from fedprune.pruning import (ADMMState, KeptEntries, SparsityConfig, admm_init,
                               admm_update, compression_rate, euclidean_project,
                               final_hard_prune)
+from reference import reference_project
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
 LENET_KEEP_CR10 = {"conv1": 0.8, "conv2": 0.4, "fc1": 30193 / 400000, "fc2": 0.5}
@@ -70,20 +71,6 @@ class TestEuclideanProject:
         best = min(np.sum((brute_force_project(t, k) - t) ** 2)
                    for k in range(n + 1))
         assert np.sum((got - t) ** 2) <= best + 1e-12
-
-
-def reference_project(t, n_keep):
-    """The original argsort projection, kept as the bit-exact oracle for
-    euclidean_project: a stable sort on -|t| ranks NaN below every magnitude
-    and breaks ties toward the lowest flat index."""
-    if n_keep == t.size:
-        return t.copy()
-    flat = t.reshape(-1)
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    keep = order[:n_keep]
-    out[keep] = flat[keep]
-    return out.reshape(t.shape)
 
 
 SPECIALS = (float("nan"), float("inf"), float("-inf"), -0.0)

@@ -164,6 +164,19 @@ class TestReplayMark:
         enc = channel.encrypt_update(b"genuine", 0, 0)
         assert manager.decrypt_update(enc) == b"genuine"
 
+    @pytest.mark.parametrize("field, value", [("round", -1), ("round", 2**32),
+                                              ("payload_format", -1),
+                                              ("payload_format", 256)])
+    def test_header_field_out_of_range_rejected_before_packing(self, manager, channel,
+                                                               field, value):
+        # a hand-built record, since from_bytes can only parse values that fit
+        assert manager.decrypt_update(channel.encrypt_update(b"r3", 3, 0)) == b"r3"
+        forged = dataclasses.replace(channel.encrypt_update(b"r4", 4, 0), **{field: value})
+        with pytest.raises(SecureChannelError, match="outside its header field"):
+            manager.decrypt_update(forged)
+        assert manager._accepted == {1: 3}
+        assert manager.decrypt_update(channel.encrypt_update(b"r5", 5, 0)) == b"r5"
+
     def test_state_is_one_counter_per_client(self, manager):
         rng = np.random.default_rng(3)
         channels = [attest_and_exchange(cid, manager, rng) for cid in range(10)]
