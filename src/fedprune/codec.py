@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import LayerParams, ParameterSet
+from .params import LayerParams, ParameterSet
 
 MAGIC = b"ESMB"
 VERSION = 1

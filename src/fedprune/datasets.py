@@ -101,39 +101,29 @@ def load_mnist(data_dir: str | Path | None = None) -> Dataset:
     return Dataset("mnist", tx[:, None, :, :], ty, vx[:, None, :, :], vy, 10)
 
 
+def _blobs(name, num_train, num_test, shape, num_classes, scale, spread, seed) -> Dataset:
+    """Class means drawn N(0, scale), then per split labels plus N(0, spread) noise."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, scale, size=(num_classes, *shape))
+    splits = []
+    for n in (num_train, num_test):
+        y = rng.integers(0, num_classes, size=n)
+        splits += [centers[y] + rng.normal(0.0, spread, size=(n, *shape)), y]
+    return Dataset(name, *splits, num_classes)
+
+
 def synthetic_blobs(num_train: int = 2000, num_test: int = 500,
                     num_features: int = 20, num_classes: int = 4,
                     spread: float = 1.0, seed: int = 0) -> Dataset:
     """Gaussian blobs, one cluster per class, flat feature vectors."""
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, 2.0, size=(num_classes, num_features))
-
-    def make(n):
-        y = rng.integers(0, num_classes, size=n)
-        x = centers[y] + rng.normal(0.0, spread, size=(n, num_features))
-        return x, y
-
-    tx, ty = make(num_train)
-    vx, vy = make(num_test)
-    return Dataset("synthetic-blobs", tx, ty, vx, vy, num_classes)
+    return _blobs("synthetic-blobs", num_train, num_test, (num_features,),
+                  num_classes, 2.0, spread, seed)
 
 
 def synthetic_images(num_train: int = 1000, num_test: int = 200,
                      channels: int = 3, side: int = 32, num_classes: int = 10,
                      spread: float = 0.7, seed: int = 0) -> Dataset:
-    """Gaussian-blob classes rendered as (C, side, side) images.
-
-    Stand-in with CIFAR-10 shapes for runs where the real dataset is not on
-    disk; exercises the identical conv pipeline.
-    """
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, 1.0, size=(num_classes, channels, side, side))
-
-    def make(n):
-        y = rng.integers(0, num_classes, size=n)
-        x = centers[y] + rng.normal(0.0, spread, size=(n, channels, side, side))
-        return x, y
-
-    tx, ty = make(num_train)
-    vx, vy = make(num_test)
-    return Dataset("synthetic-images", tx, ty, vx, vy, num_classes)
+    """Gaussian-blob classes as (C, side, side) images: a CIFAR-10-shaped
+    stand-in, where the real dataset is not on disk, for the same conv pipeline."""
+    return _blobs("synthetic-images", num_train, num_test, (channels, side, side),
+                  num_classes, 1.0, spread, seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .nn import LayerParams, ParameterSet
+from .params import LayerParams, ParameterSet
 from .secure import HEADER, TAG_SIZE, EncryptedUpdate, KeyManager, SecureChannelError
 
 _TRUSTED_TOKEN = object()

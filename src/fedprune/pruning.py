@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ParameterSet
+from .params import ParameterSet
 
 
 @dataclass(frozen=True)

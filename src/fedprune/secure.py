@@ -1,7 +1,8 @@
 """Simulated remote attestation, per-client key agreement, and AEAD framing.
 
-The attestation is an emulation: the aggregator side signs a fixed
-"enclave measurement" constant with an experiment-local Ed25519 key, clients
+The attestation is an emulation: the aggregator side signs the enclave
+measurement, SHA-256 over the source of TRUSTED_MODULES taken at import (a
+stand-in for SGX's MRENCLAVE), with an experiment-local Ed25519 key; clients
 verify it against the expected measurement, and both sides run an X25519
 exchange whose HKDF output becomes the per-client AES-256-GCM key.  All
 randomness is drawn from caller-supplied seeded generators so handshakes are
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import os
 import struct
 from dataclasses import dataclass
 
@@ -39,8 +41,21 @@ TAG_SIZE = 16
 HEADER = struct.Struct("<4sBIIB12sQ")  # magic, ver, client, round, fmt, nonce, ct_len
 NONCE = struct.Struct("<II4x")          # client, round, four zero bytes
 
-# Stand-in for an SGX MRENCLAVE value; constant for the whole emulation.
-ENCLAVE_MEASUREMENT = hashlib.sha256(b"fedprune-enclave-v1").digest()
+# The fedprune modules inside the enclave: all that importing enclave loads
+TRUSTED_MODULES = ("__init__", "params", "codec", "secure", "enclave")
+
+
+def _measure(directory) -> bytes:
+    """SHA-256 over each trusted module's name, byte length and source."""
+    h = hashlib.sha256()
+    for name in TRUSTED_MODULES:
+        with open(os.path.join(directory, name + ".py"), "rb") as f:
+            src = f.read()
+        h.update(b"%s\0%d\0%s" % (name.encode(), len(src), src))
+    return h.digest()
+
+
+ENCLAVE_MEASUREMENT = _measure(os.path.dirname(__file__))
 
 
 class SecureChannelError(Exception):

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import os
+import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from fedprune.secure import (AttestationError, AttestationTranscript,
                              EncryptedUpdate, KeyManager, ReplayError,
                              SecureChannelError, attest_and_exchange,
                              verify_transcript)
+
+
+PACKAGE_DIR = os.path.dirname(secure.__file__)
 
 
 @pytest.fixture
@@ -64,8 +71,12 @@ class TestAttestation:
         with pytest.raises(AttestationError):
             verify_transcript(bad_id, manager.verify_key_bytes, channel.sk)
 
-    def test_digests_pinned(self, channel):
-        # keys, transcripts and sealed bytes for fixed seeds must not drift
+    def test_digests_pinned(self, monkeypatch):
+        # keys, transcripts and sealed bytes for fixed seeds must not drift;
+        # the measurement follows the trusted source, so a fixed one stands in
+        monkeypatch.setattr(secure, "ENCLAVE_MEASUREMENT",
+                            hashlib.sha256(b"fedprune-enclave-v1").digest())
+        channel = attest_and_exchange(1, KeyManager(seed=7), np.random.default_rng(99))
         enc = channel.encrypt_update(b"golden payload", 3, 1)
         t = channel.transcript
         assert hashlib.sha256(channel.sk).hexdigest() == \
@@ -74,6 +85,48 @@ class TestAttestation:
             "6aead8d390dbb14303847ff351e1dbb1f5a27b2c2d93c63fd876bcd8ee65c584"
         assert hashlib.sha256(t.signature + t.key_confirm).hexdigest() == \
             "95e226f2dfba7c643adc70cbb03f9d38632e95aad269edc25cb88cddefe29d15"
+
+
+class TestTrustedModules:
+    def test_enclave_loads_only_the_trusted_modules(self):
+        code = ("import sys, fedprune.enclave; "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'fedprune'))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (os.path.dirname(PACKAGE_DIR), os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        # not nn, pruning, federation, datasets, config, report or cli
+        assert sorted(out) == sorted(["fedprune"] + [f"fedprune.{m}" for m in secure.TRUSTED_MODULES
+                                                     if m != "__init__"])
+
+    def test_measurement_is_the_trusted_source_on_disk(self):
+        assert secure._measure(PACKAGE_DIR) == secure.ENCLAVE_MEASUREMENT
+
+    @staticmethod
+    def _copy(tmp_path):
+        for name in secure.TRUSTED_MODULES:
+            shutil.copy(os.path.join(PACKAGE_DIR, name + ".py"), tmp_path)
+        assert secure._measure(tmp_path) == secure.ENCLAVE_MEASUREMENT
+        return {name: tmp_path / f"{name}.py" for name in secure.TRUSTED_MODULES}
+
+    @pytest.mark.parametrize("name", secure.TRUSTED_MODULES)
+    def test_one_byte_edit_changes_measurement(self, tmp_path, name):
+        path = self._copy(tmp_path)[name]
+        src = bytearray(path.read_bytes())
+        src[len(src) // 2] ^= 1
+        path.write_bytes(bytes(src))
+        assert secure._measure(tmp_path) != secure.ENCLAVE_MEASUREMENT
+
+    def test_moved_line_changes_measurement(self, tmp_path):
+        paths = self._copy(tmp_path)
+        before = b"".join(p.read_bytes() for p in paths.values())
+        codec_src = paths["codec"].read_bytes()
+        cut = codec_src.rindex(b"\n", 0, len(codec_src) - 1) + 1
+        paths["codec"].write_bytes(codec_src[:cut])
+        paths["secure"].write_bytes(codec_src[cut:] + paths["secure"].read_bytes())
+        # codec comes just before secure, so the concatenated source is unchanged
+        assert b"".join(p.read_bytes() for p in paths.values()) == before
+        assert secure._measure(tmp_path) != secure.ENCLAVE_MEASUREMENT
 
 
 class TestEncryptDecrypt:
