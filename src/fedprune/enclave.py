@@ -21,6 +21,7 @@ from .params import LayerParams, ParameterSet
 from .secure import HEADER, TAG_SIZE, EncryptedUpdate, KeyManager, SecureChannelError
 
 _TRUSTED_TOKEN = object()
+_FEDAVG_BLOCK = 1 << 14     # fp64 entries fedavg widens at a time
 
 
 class TrustBoundaryError(RuntimeError):
@@ -40,13 +41,12 @@ class InvalidUpdateError(ValueError):
 class PlaintextUpdate:
     """Decrypted client update; constructible only inside the trusted section."""
 
-    __slots__ = ("client_id", "layers")
+    __slots__ = ("layers",)
 
-    def __init__(self, token, client_id: int, layers: tuple[codec.WireLayer, ...]):
+    def __init__(self, token, layers: tuple[codec.WireLayer, ...]):
         if token is not _TRUSTED_TOKEN:
             raise TrustBoundaryError(
                 "PlaintextUpdate can only be created inside the enclave")
-        self.client_id = client_id
         self.layers = layers
 
     @property
@@ -101,16 +101,22 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
     Before any model is published every update is rejected.  Trusted bytes
     are the records kept this round, by this call and earlier ones since the
     last publish_model (ctx.held_bytes), plus the larger of the record being
-    opened with its plaintext and fedavg's fp64 accumulator; ctx.peak_bytes
-    is their peak over the round, so loading a round's uploads one call at a
-    time counts the same bytes as loading them in one call.
+    opened with its plaintext and what fedavg holds beside the records (its
+    fp64 accumulator, block and objects); ctx.peak_bytes is their peak over
+    the round, so loading a round's uploads one call at a time counts the
+    same bytes as loading them in one call.
     """
     records, rejections = [], []
-    accumulator = 8 * sum(math.prod(w) + math.prod(b) for _lid, w, b in ctx.schema or ())
+    # what fedavg holds beside the records: the fp64 accumulator of every
+    # tensor, its fp64 block, and 1 KiB a layer and 16 KiB more for its Python
+    # objects and numpy's buffers (tracemalloc: about 0.4 KiB a layer, 2-7 KiB more)
+    schema = ctx.schema or ()
+    aggregate = 8 * (sum(math.prod(w) + math.prod(b) for _lid, w, b in schema)
+                     + _FEDAVG_BLOCK) + 1024 * (len(schema) + 16)
     for enc in encs:
         try:
             opening = HEADER.size + 2 * len(enc.ciphertext) - TAG_SIZE   # record + plaintext
-            _hold(ctx, ctx.held_bytes + max(opening, accumulator))
+            _hold(ctx, ctx.held_bytes + max(opening, aggregate))
             if ctx.schema is None:
                 raise InvalidUpdateError("no model published")
             if enc.round != ctx.round:
@@ -135,9 +141,9 @@ def enclave_load(encs: list[EncryptedUpdate], ctx: EnclaveContext,
                 raise SecureChannelError(f"no example count for client {enc.client_id}")
             kept = sum(a.nbytes for x in layers for a in (x.flat, x.values, x.bias)
                        if a is not None)
-            _hold(ctx, ctx.held_bytes + kept + max(opening, accumulator))
+            _hold(ctx, ctx.held_bytes + kept + max(opening, aggregate))
             records.append(AggregationRecord(
-                enc.client_id, PlaintextUpdate(_TRUSTED_TOKEN, enc.client_id, layers), n))
+                enc.client_id, PlaintextUpdate(_TRUSTED_TOKEN, layers), n))
             ctx.held_bytes += kept
         except (SecureChannelError, codec.CodecError, EnclaveMemoryError,
                 InvalidUpdateError) as exc:
@@ -159,21 +165,37 @@ def fedavg(agg: AggregationInput) -> ParameterSet:
     regardless of arrival order.  Each layer starts from fp64 +0.0; a record
     adds (count / total) * value, widened to fp64 first, where it sent one.
     That is the dense sum bit for bit: the dense sum's +0.0 elsewhere cannot
-    change an accumulator that never holds -0.0.
+    change an accumulator that never holds -0.0.  Values are widened in
+    blocks, into one reused fp64 buffer, so no temporary is layer-sized.
     """
     if not agg.records:
         raise ValueError("cannot aggregate an empty input")
     recs = sorted(agg.records, key=lambda r: r.client_id)
     total = float(sum(r.example_count for r in recs))
+    scratch = np.empty(_FEDAVG_BLOCK)
     entries = []
     for i, first in enumerate(recs[0].update.layers):
         w, b = np.zeros(math.prod(first.shape)), np.zeros(first.bias.shape)
         for r in recs:
             x, s = r.update.layers[i], r.example_count / total
-            w[slice(None) if x.flat is None else x.flat] += s * x.values.astype(np.float64)
-            b += s * x.bias.astype(np.float64)
+            _add_scaled(w, x.flat, x.values, s, scratch)
+            _add_scaled(b, None, x.bias, s, scratch)
         entries.append(LayerParams(first.layer_id, w.reshape(first.shape), b))
     return ParameterSet(tuple(entries))
+
+
+def _add_scaled(acc: np.ndarray, flat: np.ndarray | None, values: np.ndarray, s: float,
+                scratch: np.ndarray) -> None:
+    """acc[flat] += s * values (acc += s * values where flat is None), each
+    value widened to fp64 first, one block of scratch at a time."""
+    for lo in range(0, values.size, scratch.size):
+        t = scratch[:min(scratch.size, values.size - lo)]
+        t[...] = values[lo:lo + t.size]
+        t *= s
+        if flat is None:
+            acc[lo:lo + t.size] += t
+        else:
+            np.add.at(acc, flat[lo:lo + t.size], t)
 
 
 def publish_model(params: ParameterSet, ctx: EnclaveContext) -> bytes:

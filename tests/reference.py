@@ -3,7 +3,11 @@
 - ``ref_backward`` and ``ref_evaluate``: channels-first im2col passes with
   argmax pooling, on the calling thread alone;
 - ``reference_project``: the argsort projection;
-- ``reference_run``: a whole federated run, dense and out of place.
+- ``ref_client_round``: one client's local round, its ADMM update and its
+  pruned upload, one new dense tensor per term;
+- ``ref_admm_update``: the dense Z step, then the U step;
+- ``ref_fedavg``: dense fp64 FedAvg in client-id order;
+- ``reference_run``: a whole federated run built from the three above.
 """
 
 import numpy as np
@@ -14,6 +18,13 @@ from fedprune import federation, nn
 def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_params(a, b):
+    """Two ParameterSets with the same layer ids, weight bytes and bias bytes."""
+    return [e.layer_id for e in a.entries] == [e.layer_id for e in b.entries] and all(
+        same_bytes(x.weight, y.weight) and same_bytes(x.bias, y.bias)
+        for x, y in zip(a.entries, b.entries))
 
 
 # -- reference: channels-first im2col + GEMM with argmax pooling -------------
@@ -137,7 +148,7 @@ def reference_project(t, n_keep):
     return out.reshape(t.shape)
 
 
-# -- reference: one whole federated run --------------------------------------
+# -- reference: one client's round, the ADMM update, FedAvg, a whole run -----
 
 def _project(w, keep):
     """reference_project to a layer's budget: keep * size, rounded, at least
@@ -188,11 +199,47 @@ def _train(arch, params, x, y, cfg, seed, rho=None, z=None, u=None, mask=None):
     return params
 
 
+def ref_admm_update(params, u, keep):
+    """The Z step, then the U step, of every layer in U: Z = project(W + U)
+    to the layer's keep fraction, then U = (U + W) - Z.  Returns the new
+    (Z, U), both dicts of dense tensors."""
+    z = {lid: _project(params[lid].weight + u[lid], keep[lid]) for lid in u}
+    return z, {lid: (u[lid] + params[lid].weight) - z[lid] for lid in u}
+
+
+def ref_client_round(arch, received, x, y, cfg, plan, seed, zu=None, mask=None):
+    """One client's round on the model it received: (its upload before the
+    wire cast, its (Z, U) after the round, or None outside ADMM rounds).  An
+    ADMM round starts from zu, or in the client's first one from
+    Z = project(W) and U = 0, and ends with ref_admm_update of the trained
+    weights; mask maps a layer to its kept weights.  A round with a stage
+    uploads the trained model projected to it."""
+    stage, rho, z, u = plan.stage_cfg, None, None, None
+    if plan.phase == federation.PHASE_ADMM:
+        rho, (z, u) = stage.rho, zu or (
+            {lid: _project(received[lid].weight, f) for lid, f in stage.keep.items()},
+            {lid: np.zeros_like(received[lid].weight) for lid in stage.keep})
+    trained = _train(arch, received, x, y, cfg, seed, rho, z, u, mask)
+    return (_prune(trained, stage) if stage is not None else trained,
+            ref_admm_update(trained, u, stage.keep) if z is not None else None)
+
+
+def ref_fedavg(uploads):
+    """FedAvg of (client id, params, example count) triples: from fp64
+    zeros, each client's (count / total) * params added in client-id order."""
+    uploads = sorted(uploads, key=lambda r: r[0])
+    total = float(sum(n for _cid, _p, n in uploads))
+    model = uploads[0][1].map(lambda lid, w, b: (np.zeros_like(w), np.zeros_like(b)))
+    for _cid, params, n in uploads:
+        model = _combine(model, params, lambda acc, up: acc + (n / total) * up)
+    return model
+
+
 def reference_run(cfg):
     """(final model, per-round accuracies, final accuracy) of
     federation.run_experiment(cfg), computed without crypto, codec or
-    sparse storage: dense ADMM Z and U, a cast to fp32 at every broadcast
-    and upload, and dense FedAvg in client-id order."""
+    sparse storage: ref_client_round of each sampled client, a cast to fp32
+    at every broadcast and upload, and ref_fedavg of the uploads."""
     dataset, arch = cfg.load_dataset(), cfg.build_arch()
     s_partition, s_init, s_sample, _ = (int(s.generate_state(1)[0])
                                         for s in np.random.SeedSequence(cfg.seed).spawn(4))
@@ -205,27 +252,17 @@ def reference_run(cfg):
     model, mask, admm, accs = nn.init_model(arch, s_init), None, {}, []
     for rnd in range(cfg.total_rounds()):
         plan = federation.plan_round(cfg, rnd)
-        stage = plan.stage_cfg
-        received = _wire(model)
-        selected = np.sort(sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
-                                             replace=False))
-        total = float(sum(len(part[cid]) for cid in selected))
-        model = received.map(lambda lid, w, b: (np.zeros_like(w), np.zeros_like(b)))
-        for cid in map(int, selected):
-            x, y = dataset.train_x[part[cid]], dataset.train_y[part[cid]]
-            seed = federation._client_seed(cfg.seed, rnd, cid)
-            if plan.phase == federation.PHASE_ADMM:
-                z, u = admm.get(cid) or (
-                    {lid: _project(received[lid].weight, f) for lid, f in stage.keep.items()},
-                    {lid: np.zeros_like(received[lid].weight) for lid in stage.keep})
-                trained = _train(arch, received, x, y, cfg, seed, stage.rho, z, u)
-                z2 = {lid: _project(trained[lid].weight + u[lid], stage.keep[lid]) for lid in z}
-                admm[cid] = z2, {lid: (u[lid] + trained[lid].weight) - z2[lid] for lid in z}
-            else:
-                trained = _train(arch, received, x, y, cfg, seed, mask=mask)
-            upload = _wire(_prune(trained, stage) if stage is not None else trained)
-            share = len(part[cid]) / total
-            model = _combine(model, upload, lambda acc, up: acc + share * up)
+        received, uploads = _wire(model), []
+        for cid in map(int, sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
+                                              replace=False)):
+            upload, zu = ref_client_round(arch, received, dataset.train_x[part[cid]],
+                                          dataset.train_y[part[cid]], cfg, plan,
+                                          federation._client_seed(cfg.seed, rnd, cid),
+                                          admm.get(cid), mask)
+            if zu is not None:
+                admm[cid] = zu
+            uploads.append((cid, _wire(upload), len(part[cid])))
+        model = ref_fedavg(uploads)
         if plan.finalize_after:
             model = _prune(model, cfg.sparsity)
             mask = {lid: model[lid].weight != 0.0 for lid in cfg.sparsity.keep}

@@ -19,6 +19,7 @@ from fedprune.federation import (ExperimentConfig, partition_noniid,
                                  run_experiment, saving_percent)
 from fedprune.pruning import SparsityConfig, euclidean_project
 
+from reference import ref_fedavg, same_params
 from test_nn import finite_diff_grad, max_rel_err
 from test_pruning import LENET_KEEP_CR10, LENET_KEEP_CR87
 
@@ -112,20 +113,10 @@ def test_criterion_03_encrypted_path_equivalence():
             encs.append(secure.EncryptedUpdate.from_bytes(wire))
         agg, rej = enclave.enclave_load(encs, ctx, counts)
         assert not rej
-        got = enclave.fedavg(agg)
-
-        # plaintext reference at the fp32 wire precision, same client order
-        quant = {cid: codec.decode_params(codec.dense_encode(p), codec.schema(p))[0]
-                 for cid, p in updates.items()}
-        total = float(sum(counts.values()))
-        for i, entry in enumerate(got.entries):
-            ref_w = np.zeros_like(entry.weight)
-            ref_b = np.zeros_like(entry.bias)
-            for c in cids:
-                ref_w += (counts[c] / total) * quant[c].entries[i].weight
-                ref_b += (counts[c] / total) * quant[c].entries[i].bias
-            assert np.array_equal(entry.weight, ref_w)
-            assert np.array_equal(entry.bias, ref_b)
+        # against the plaintext reference at the fp32 wire precision
+        assert same_params(enclave.fedavg(agg), ref_fedavg(
+            [(cid, codec.decode_params(codec.dense_encode(p), codec.schema(p))[0], counts[cid])
+             for cid, p in updates.items()]))
 
     # single-bit tamper sweep over one full wire message
     p = nn.init_model(arch, 999)

@@ -1,13 +1,15 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from fedprune import codec, enclave, nn, pruning, secure
+from fedprune import codec, nn, pruning, secure
 from fedprune.enclave import (AggregationInput, EnclaveContext, PlaintextUpdate,
                               TrustBoundaryError, enclave_load, fedavg,
                               publish_model)
+from reference import ref_fedavg, same_params
 
 
 def make_params(values, ids=("a",)):
@@ -47,30 +49,12 @@ def csr_upload(layers, bias=(0.0,)):
     return b"".join(parts)
 
 
-def dense_fedavg(decoded):
-    """The dense fp64 FedAvg that fedavg replaced, kept as its reference:
-    (client id, params, example count) triples, each update a dense fp64
-    ParameterSet."""
-    recs = sorted(decoded, key=lambda r: r[0])
-    total = float(sum(n for _cid, _p, n in recs))
-    entries = []
-    for i, e in enumerate(recs[0][1].entries):
-        w = np.zeros_like(e.weight)
-        b = np.zeros_like(e.bias)
-        for _cid, p, n in recs:
-            le = p.entries[i]
-            w += (n / total) * le.weight
-            b += (n / total) * le.bias
-        entries.append(nn.LayerParams(e.layer_id, w, b))
-    return nn.ParameterSet(tuple(entries))
-
-
 class TestContainment:
     def test_plaintext_type_not_constructible_outside(self):
         with pytest.raises(TrustBoundaryError):
-            PlaintextUpdate(object(), 0, make_params([[1.0]]))
+            PlaintextUpdate(object(), make_params([[1.0]]))
         with pytest.raises(TrustBoundaryError):
-            PlaintextUpdate(None, 0, make_params([[1.0]]))
+            PlaintextUpdate(None, make_params([[1.0]]))
 
 
 class TestEnclaveLoad:
@@ -159,11 +143,9 @@ class TestEnclaveLoad:
             (2, "header format dense differs from the payload's csr"),
             (4, "header format unknown (7) differs from the payload's csr")]
         assert [r.client_id for r in agg.records] == [0, 3, 5]
-        want = dense_fedavg([(cid, codec.decode_params(blobs[cid], ctx.schema)[0], counts[cid])
-                             for cid in (0, 3, 5)])
-        for g, w in zip(fedavg(agg).entries, want.entries):
-            assert g.weight.tobytes() == w.weight.tobytes()
-            assert g.bias.tobytes() == w.bias.tobytes()
+        assert same_params(fedavg(agg), ref_fedavg(
+            [(cid, codec.decode_params(blobs[cid], ctx.schema)[0], counts[cid])
+             for cid in (0, 3, 5)]))
 
 
 def seal_by_hand(channel, blob, rnd, nonce=None):
@@ -186,12 +168,10 @@ class TestOneUploadPerClientPerRound:
 
     def _assert_average_alone(self, agg, ctx, honest):
         # honest: client id -> (params, example count)
-        want = dense_fedavg([(cid, codec.decode_params(codec.csr_encode(p), ctx.schema)[0], n)
-                             for cid, (p, n) in honest.items()])
         assert sorted(r.client_id for r in agg.records) == sorted(honest)
-        for g, w in zip(fedavg(agg).entries, want.entries):
-            assert g.weight.tobytes() == w.weight.tobytes()
-            assert g.bias.tobytes() == w.bias.tobytes()
+        assert same_params(fedavg(agg), ref_fedavg(
+            [(cid, codec.decode_params(codec.csr_encode(p), ctx.schema)[0], n)
+             for cid, (p, n) in honest.items()]))
 
     def test_double_vote_drops_only_the_second_upload(self, setup):
         manager, channels, ctx = setup
@@ -326,14 +306,10 @@ class TestFedavgMatchesDense:
             for cid, (_n, blob) in uploads.items()]
         agg, rej = enclave_load(encs, ctx, {cid: n for cid, (n, _b) in uploads.items()})
         assert not rej and len(agg.records) == len(uploads)
-        want = dense_fedavg([(cid, codec.decode_params(blob, ctx.schema)[0], n)
-                             for cid, (n, blob) in uploads.items()])
-        got = fedavg(agg)
-        for g, w in zip(got.entries, want.entries):
-            assert g.layer_id == w.layer_id
-            for have, ref in ((g.weight, w.weight), (g.bias, w.bias)):
-                assert have.dtype == ref.dtype and have.shape == ref.shape
-                assert have.tobytes() == ref.tobytes()      # tells -0.0 from +0.0
+        # byte for byte, which tells -0.0 from +0.0
+        assert same_params(fedavg(agg), ref_fedavg(
+            [(cid, codec.decode_params(blob, ctx.schema)[0], n)
+             for cid, (n, blob) in uploads.items()]))
 
     def test_values_catch_an_fp32_multiply(self):
         for n in (3, 7, 8, 11):
@@ -349,10 +325,7 @@ class TestFedavgMatchesDense:
         blob = csr_upload([("a", (3, 4), {1: 2.5, 5: 0.0}), ("b", (2, 5), {9: -1.0})])
         agg, rej = enclave_load([channels[0].encrypt_update(blob, 0, codec.FORMAT_CSR)],
                                 ctx, {0: 1})
-        view, (want, _fmt) = agg.records[0].update.params, codec.decode_params(blob, ctx.schema)
-        for a, b in zip(view.entries, want.entries):
-            assert a.weight.tobytes() == b.weight.tobytes()
-            assert a.bias.tobytes() == b.bias.tobytes()
+        assert same_params(agg.records[0].update.params, codec.decode_params(blob, ctx.schema)[0])
 
 
 class TestBudgetCountsNonzeroValues:
@@ -392,11 +365,13 @@ class TestBudgetCountsNonzeroValues:
 class TestTrustedBytes:
     CLIENTS = 25
     PER_UPLOAD = 4951 * (8 + 4) + 580 * 4     # see test_peak_matches_hand_count
+    PEAK = 5_143_492
 
-    def _cr87_round(self, scratch_limit, streamed=False):
-        """A lenet_masked_fanin-sized CSR round: 25 uploads of LeNet-5
-        projected to the CR~87 keep table; returns the context and the load,
-        made in one call or, streamed, in one call per upload."""
+    def _round(self, scratch_limit, streamed=False, dense=False):
+        """A lenet_masked_fanin-sized round: 25 uploads of LeNet-5, projected
+        to the CR~87 keep table in CSR or, dense, as a warm-up round sends
+        them; returns the context and the load, made in one call or,
+        streamed, in one call per upload."""
         from test_pruning import LENET_KEEP_CR87
         manager = secure.KeyManager(seed=0)
         rng = np.random.default_rng(0)
@@ -404,12 +379,14 @@ class TestTrustedBytes:
         cfg = pruning.SparsityConfig(keep=LENET_KEEP_CR87)
         model = nn.init_model(nn.lenet5(), 0)
         publish_model(model, ctx)
-        ctx.budgets = cfg.budgets(model)
+        ctx.budgets = None if dense else cfg.budgets(model)
         encs = []
         for cid in range(self.CLIENTS):
             channel = secure.attest_and_exchange(cid, manager, rng)
-            update = pruning.final_hard_prune(nn.init_model(nn.lenet5(), cid + 1), cfg)[0]
-            encs.append(channel.encrypt_update(codec.csr_encode(update), 0, codec.FORMAT_CSR))
+            update = nn.init_model(nn.lenet5(), cid + 1)
+            if not dense:
+                update = pruning.final_hard_prune(update, cfg)[0]
+            encs.append(encrypt({cid: channel}, cid, update, fmt="dense" if dense else "csr"))
         counts = {cid: 10 for cid in range(self.CLIENTS)}
         if not streamed:
             return ctx, enclave_load(encs, ctx, counts)
@@ -421,35 +398,52 @@ class TestTrustedBytes:
         return ctx, (AggregationInput(tuple(records)), rejections)
 
     def test_peak_matches_hand_count(self):
-        ctx, (agg, rej) = self._cr87_round(EnclaveContext.scratch_limit)
+        ctx, (agg, rej) = self._round(EnclaveContext.scratch_limit)
         assert not rej and len(agg.records) == self.CLIENTS
         # per upload: 250 + 1,500 + 2,201 + 1,000 = 4,951 stored values, each
         # an int64 flat index and an fp32 value, plus 20 + 50 + 500 + 10 fp32
-        # biases; then one fp64 accumulator of all 431,080 parameters
+        # biases; then what fedavg holds beside them: an fp64 accumulator of
+        # all 431,080 parameters, its fp64 block of 16,384 entries, and 1 KiB
+        # for each of the 4 layers and 16 KiB more for its Python objects
         per_upload = 4951 * (8 + 4) + 580 * 4
-        accumulator = 431_080 * 8
-        assert ctx.peak_bytes == self.CLIENTS * per_upload + accumulator == 4_991_940
+        fedavg_bytes = 431_080 * 8 + 16_384 * 8 + 1024 * (4 + 16)
+        assert ctx.peak_bytes == self.CLIENTS * per_upload + fedavg_bytes == self.PEAK
 
     def test_one_byte_less_rejects_the_last_upload(self):
-        ctx, (agg, rej) = self._cr87_round(4_991_939)
+        ctx, (agg, rej) = self._round(self.PEAK - 1)
         assert len(agg.records) == self.CLIENTS - 1
         assert [r.client_id for r in rej] == [self.CLIENTS - 1]
         assert "trusted buffer" in rej[0].reason
-        assert ctx.peak_bytes == 4_991_940 - (4951 * 12 + 580 * 4)
+        assert ctx.peak_bytes == self.PEAK - self.PER_UPLOAD
 
     def test_streamed_peak_matches_one_call(self):
-        ctx, (agg, rej) = self._cr87_round(EnclaveContext.scratch_limit, streamed=True)
+        ctx, (agg, rej) = self._round(EnclaveContext.scratch_limit, streamed=True)
         assert not rej and len(agg.records) == self.CLIENTS
         assert ctx.held_bytes == self.CLIENTS * self.PER_UPLOAD
-        assert ctx.peak_bytes == 4_991_940
+        assert ctx.peak_bytes == self.PEAK
 
     def test_streamed_one_byte_less_rejects_the_last_upload(self):
-        ctx, (agg, rej) = self._cr87_round(4_991_939, streamed=True)
+        ctx, (agg, rej) = self._round(self.PEAK - 1, streamed=True)
         assert [r.client_id for r in agg.records] == list(range(self.CLIENTS - 1))
         assert [r.client_id for r in rej] == [self.CLIENTS - 1]
         assert "trusted buffer" in rej[0].reason
         assert ctx.held_bytes == (self.CLIENTS - 1) * self.PER_UPLOAD
-        assert ctx.peak_bytes == 4_991_940 - self.PER_UPLOAD
+        assert ctx.peak_bytes == self.PEAK - self.PER_UPLOAD
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_fedavg_working_set_within_its_reserve(self, dense):
+        # tracemalloc counts all fedavg allocates: accumulator, block,
+        # temporaries and Python objects; the load reserved beside its
+        # records the larger of that and the last record's opening
+        ctx, (agg, rej) = self._round(EnclaveContext.scratch_limit, dense=dense)
+        assert not rej and len(agg.records) == self.CLIENTS
+        tracemalloc.start()
+        try:
+            fedavg(agg)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 431_080 * 8 < used <= ctx.peak_bytes - ctx.held_bytes
 
 
 class TestStreamedRound:
@@ -529,18 +523,7 @@ class TestEncryptedPathEquivalence:
                 for cid in range(8)]
         agg, rej = enclave_load(encs, ctx, counts)
         assert not rej
-        via_crypto = fedavg(agg)
-
         # plaintext shortcut: same fp32 wire encoding, no crypto
-        total = sum(counts.values())
-        expect = None
-        for cid in sorted(updates):
-            p, _ = codec.decode_params(codec.dense_encode(updates[cid]),
-                                       codec.schema(updates[cid]))
-            scaled = p.map(lambda lid, w, b: (w * (counts[cid] / total),
-                                              b * (counts[cid] / total)))
-            expect = scaled if expect is None else nn.ParameterSet(tuple(
-                nn.LayerParams(a.layer_id, a.weight + b_.weight, a.bias + b_.bias)
-                for a, b_ in zip(expect.entries, scaled.entries)))
-        for ea, eb in zip(via_crypto.entries, expect.entries):
-            assert np.array_equal(ea.weight, eb.weight)
+        assert same_params(fedavg(agg), ref_fedavg(
+            [(cid, codec.decode_params(codec.dense_encode(p), codec.schema(p))[0], counts[cid])
+             for cid, p in updates.items()]))

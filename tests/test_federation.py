@@ -18,6 +18,7 @@ from fedprune.federation import (PRUNING_PHASES, ExperimentAborted, ExperimentCo
                                  run_experiment, saving_percent,
                                  stage_keep_config)
 from fedprune.pruning import SparsityConfig
+from reference import ref_client_round
 
 
 def tiny_cfg(**kw):
@@ -267,78 +268,27 @@ class TestClientRound:
             0.09406825543359625, abs=1e-15)
 
 
-def reference_client_round(arch, global_params, x, y, cfg, plan, admm_state, mask, seed):
-    """client_round as a chain of whole-model steps, one new ParameterSet
-    per term: loss gradient, + ADMM penalty, mask, momentum, SGD step.  Z is
-    dense throughout, and the Z and U steps are the dense formulas."""
-    def add(a, b):
-        return a.map(lambda lid, w, bias: (w + b[lid].weight, bias + b[lid].bias))
-
-    def axpy(factor, v, g):
-        return v.map(lambda lid, w, bias: (factor * w + g[lid].weight,
-                                           factor * bias + g[lid].bias))
-
-    def penalty(params, z, u, rho):
-        def g(lid, w, b):
-            if lid in z:
-                return rho * (w - z[lid] + u[lid]), np.zeros_like(b)
-            return np.zeros_like(w), np.zeros_like(b)
-        return params.map(g)
-
-    def apply_mask(params, mask):
-        def f(lid, w, b):
-            if lid in mask.layers:
-                return np.where(mask.layers[lid], w, 0.0), b.copy()
-            return w.copy(), b.copy()
-        return params.map(f)
-
-    def sgd_step(params, grad, lr):
-        return params.map(lambda lid, w, b: (w - lr * grad[lid].weight,
-                                             b - lr * grad[lid].bias))
-
-    rng = np.random.default_rng(seed)
-    params, velocity = global_params, None
-    if plan.phase == "admm_prune":
-        budgets = plan.stage_cfg.budgets(params)
-        if admm_state is None:
-            z = {lid: pruning.euclidean_project(params[lid].weight, n)
-                 for lid, n in budgets.items()}
-            u, step = {lid: np.zeros_like(z[lid]) for lid in z}, 0
-        else:
-            z = {lid: kept.dense() for lid, kept in admm_state.z.items()}
-            u, step = admm_state.u, admm_state.step
-    if cfg.lr > 0:
-        for _ in range(cfg.local_epochs):
-            perm = rng.permutation(len(y))
-            for lo in range(0, len(y), cfg.batch_size):
-                ix = perm[lo:lo + cfg.batch_size]
-                grad = nn.backward(arch, params, nn.Batch(x[ix], y[ix]))
-                if plan.phase == "admm_prune":
-                    grad = add(grad, penalty(params, z, u, plan.stage_cfg.rho))
-                if mask is not None:
-                    grad = apply_mask(grad, mask)
-                velocity = grad if velocity is None else axpy(cfg.momentum, velocity, grad)
-                params = sgd_step(params, velocity, cfg.lr)
-    if plan.phase == "admm_prune":
-        z = {lid: pruning.euclidean_project(params[lid].weight + u[lid], budgets[lid])
-             for lid in z}
-        u = {lid: u[lid] + params[lid].weight - z[lid] for lid in z}
-        admm_state = pruning.ADMMState(
-            z={lid: pruning.KeptEntries.of(t) for lid, t in z.items()}, u=u, step=step + 1)
-    if plan.stage_cfg is not None:
-        params = pruning.final_hard_prune(params, plan.stage_cfg)[0]
-    return params, admm_state
-
-
 def param_bytes(params):
     return [(e.layer_id, e.weight.tobytes(), e.bias.tobytes()) for e in params.entries]
 
 
+def dense_zu(state):
+    """An ADMMState's Z and U as reference.py holds them: dicts of dense tensors."""
+    return state and ({lid: z.dense() for lid, z in state.z.items()}, state.u)
+
+
 def state_bytes(state):
-    if state is None:
-        return None
-    return (state.step, [(lid, state.z[lid].dense().tobytes(), state.u[lid].tobytes())
-                         for lid in sorted(state.z)])
+    """Z and U bytes by layer, Z dense, of an ADMMState or of reference.py's (Z, U)."""
+    zu = dense_zu(state) if isinstance(state, pruning.ADMMState) else state
+    return zu and [(lid, zu[0][lid].tobytes(), zu[1][lid].tobytes()) for lid in sorted(zu[0])]
+
+
+def reference_bytes(arch, g, x, y, cfg, plan, state, mask):
+    """(upload, Z and U) bytes of reference.py's client round, seed 5, on
+    client_round's inputs."""
+    upd, out = ref_client_round(arch, g, x, y, cfg, plan, 5, dense_zu(state),
+                                mask and mask.layers)
+    return param_bytes(upd), state_bytes(out)
 
 
 STEP_CASES = ["warmup", "admm_first", "admm_returning", "masked_prune", "finetune", "dense",
@@ -388,19 +338,18 @@ def step_case(case, momentum):
 
 
 def assert_step_matches_reference(case, momentum):
-    """client_round against reference_client_round on a (10, 8, 6, 3) MLP."""
+    """client_round against reference.py's client round on a (10, 8, 6, 3) MLP."""
     arch, ds, cfg, plan, g, state, mask = step_case(case, momentum)
     inputs = (param_bytes(g), state_bytes(state),
               mask and [m.tobytes() for m in mask.layers.values()])
 
     upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
                             mask, seed=5, buffers=client_buffers(g))
-    ref_upd, ref_out = reference_client_round(arch, g, ds.train_x, ds.train_y, cfg,
-                                              plan, state, mask, seed=5)
     assert upd.allfinite()
-    assert param_bytes(upd) == param_bytes(ref_upd)
-    assert state_bytes(out) == state_bytes(ref_out)
+    assert (param_bytes(upd), state_bytes(out)) == \
+        reference_bytes(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask)
     assert (out is None) == (plan.phase != "admm_prune")
+    assert out is None or out.step == (state.step if state else 0) + 1
     # nothing the caller passed in was written to, or is returned
     assert inputs == (param_bytes(g), state_bytes(state),
                       mask and [m.tobytes() for m in mask.layers.values()])
@@ -443,9 +392,8 @@ class TestLocalStep:
             u={lid: rng.normal(0, 0.01, g[lid].weight.shape) for lid in sparsity.keep})
         upd, out = client_round(arch, g, x, y, cfg, plan, state, None, seed=5,
                                 buffers=client_buffers(g))
-        ref_upd, ref_out = reference_client_round(arch, g, x, y, cfg, plan, state, None, seed=5)
-        assert param_bytes(upd) == param_bytes(ref_upd)
-        assert state_bytes(out) == state_bytes(ref_out)
+        assert (param_bytes(upd), state_bytes(out)) == \
+            reference_bytes(arch, g, x, y, cfg, plan, state, None)
 
     def test_lenet_finetune_at_the_real_block_size(self):
         # fc1's mask keeps 80,000 weights, so its support-only step runs
@@ -462,8 +410,7 @@ class TestLocalStep:
         plan = RoundPlan("masked_finetune", sparsity, False)
         upd, _ = client_round(arch, g, x, y, cfg, plan, None, mask, seed=5,
                               buffers=client_buffers(g))
-        ref_upd, _ = reference_client_round(arch, g, x, y, cfg, plan, None, mask, seed=5)
-        assert param_bytes(upd) == param_bytes(ref_upd)
+        assert param_bytes(upd) == reference_bytes(arch, g, x, y, cfg, plan, None, mask)[0]
 
     @pytest.mark.parametrize("phase", ["dense", "warmup"])
     def test_lenet_unconstrained_round(self, phase):
@@ -478,9 +425,8 @@ class TestLocalStep:
         plan = RoundPlan(phase, None, False)
         upd, out = client_round(arch, g, x, y, cfg, plan, None, None, seed=5,
                                 buffers=client_buffers(g))
-        ref_upd, _ = reference_client_round(arch, g, x, y, cfg, plan, None, None, seed=5)
         assert out is None
-        assert param_bytes(upd) == param_bytes(ref_upd)
+        assert param_bytes(upd) == reference_bytes(arch, g, x, y, cfg, plan, None, None)[0]
 
     def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
         # every public fedprune function wrapped, as perfbench's tracer
@@ -563,10 +509,8 @@ class TestLocalStep:
             scratch.fill(np.nan)
             upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
                                     mask, seed=5, buffers=buffers)
-            ref_upd, ref_out = reference_client_round(arch, g, ds.train_x, ds.train_y,
-                                                      cfg, plan, state, mask, seed=5)
-            assert param_bytes(upd) == param_bytes(ref_upd), case
-            assert state_bytes(out) == state_bytes(ref_out), case
+            assert (param_bytes(upd), state_bytes(out)) == \
+                reference_bytes(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask), case
 
     def test_dense_update_is_the_buffers(self):
         # no copy out: a dense round's update lives in the buffers until the

@@ -10,7 +10,7 @@ from fedprune.federation import RoundPlan, stage_keep_config
 from fedprune.pruning import (ADMMState, KeptEntries, SparsityConfig, admm_init,
                               admm_update, compression_rate, euclidean_project,
                               final_hard_prune)
-from reference import reference_project
+from reference import ref_admm_update, reference_project, same_bytes
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
 LENET_KEEP_CR10 = {"conv1": 0.8, "conv2": 0.4, "fc1": 30193 / 400000, "fc2": 0.5}
@@ -348,21 +348,6 @@ def assert_sparse_z_is_dense_arithmetic(w, zd, u):
         assert out.tobytes() == want.tobytes()
 
 
-def two_step_reference(params, state, cfg):
-    """The Z step, then the U step as a second pass over the new Z:
-    Z <- project(W + U); U <- U + W with Z's stored entries redone as
-    (U + W) - z; the counter advances."""
-    budgets = cfg.budgets(params)
-    z = {lid: KeptEntries.of(euclidean_project(params[lid].weight + state.u[lid],
-                                               budgets[lid]))
-         for lid in state.z}
-    u = {}
-    for lid, zl in z.items():
-        u[lid] = state.u[lid] + params[lid].weight
-        u[lid].reshape(-1)[zl.index] -= zl.value
-    return ADMMState(z=z, u=u, step=state.step + 1)
-
-
 def nan_with_payload(bits):
     return np.array(0x7FF8_0000_0000_0000 | bits, dtype=np.uint64).view(np.float64)
 
@@ -404,7 +389,7 @@ def admm_update_case(name):
     cfg = SparsityConfig(keep={"a": 0.05}, rho=1.0)
     loose = stage_keep_config(cfg, 0)
     w0 = two_layer_params(rng.normal(size=(20, 30)))
-    state = two_step_reference(w0, admm_init(w0, loose), loose)
+    state = admm_update(w0, admm_init(w0, loose), loose)
     assert state.z["a"].index.size > 4 * cfg.budgets(w0)["a"]
     return two_layer_params(rng.normal(size=(20, 30))), state, cfg
 
@@ -416,17 +401,12 @@ class TestAdmmUpdate:
     def test_bytes_of_the_two_step_reference(self, name):
         params, state, cfg = admm_update_case(name)
         before = {lid: u.tobytes() for lid, u in state.u.items()}
-        got, want = admm_update(params, state, cfg), two_step_reference(params, state, cfg)
-        assert got.step == want.step == state.step + 1
-        assert list(got.z) == list(want.z) == list(got.u) == list(state.z)
-        for lid, z in want.z.items():
-            assert got.z[lid].shape == z.shape
-            assert got.z[lid].index.tobytes() == z.index.tobytes()
-            assert got.z[lid].value.tobytes() == z.value.tobytes()
-            assert got.u[lid].tobytes() == want.u[lid].tobytes()
-            # and the dense formula (U + W) - Z, Z's +0.0 included
-            w = params[lid].weight
-            assert got.u[lid].tobytes() == (state.u[lid] + w - z.dense()).tobytes()
+        got, (z, u) = admm_update(params, state, cfg), ref_admm_update(params, state.u, cfg.keep)
+        assert got.step == state.step + 1
+        assert list(got.z) == list(got.u) == list(state.z)
+        for lid in state.z:
+            assert same_bytes(got.z[lid].dense(), z[lid])
+            assert same_bytes(got.u[lid], u[lid])
             assert state.u[lid].tobytes() == before[lid]
 
     def test_kept_negative_zero_is_stored(self):

@@ -10,7 +10,7 @@ from fedprune.config import load_config
 from fedprune.federation import (PHASE_ADMM, PHASE_FINETUNE, PHASE_WARMUP, ExperimentConfig,
                                  plan_round, run_experiment)
 from fedprune.pruning import SparsityConfig
-from reference import reference_run, same_bytes
+from reference import reference_run, same_params
 from test_pruning import LENET_KEEP_CR87
 
 DEMO_CFG = Path(__file__).resolve().parent.parent / "configs" / "demo_synthetic.cfg"
@@ -21,11 +21,7 @@ def assert_same_run(cfg):
     model, accuracies, final_accuracy = reference_run(cfg)
     assert [m.accuracy for m in res.metrics] == accuracies
     assert res.final_accuracy == final_accuracy
-    assert len(res.global_params.entries) == len(model.entries)
-    for got, want in zip(res.global_params.entries, model.entries):
-        assert got.layer_id == want.layer_id
-        assert same_bytes(got.weight, want.weight), got.layer_id
-        assert same_bytes(got.bias, want.bias), got.layer_id
+    assert same_params(res.global_params, model)
 
 
 @pytest.mark.parametrize("mode", ["admm", "masked", "dense"])
