@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fedprune import nn
 from fedprune.federation import ExperimentConfig, client_buffers, client_round
+
+# A property test that sets no example count of its own (the drawn configs of
+# test_run_reference.py) runs as many as the profile asks: 30 by default, and
+# 300 under `pytest --hypothesis-profile sweep`.
+settings.register_profile("tier1", max_examples=30)
+settings.register_profile("sweep", max_examples=300)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

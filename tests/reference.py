@@ -2,15 +2,24 @@
 
 - ``ref_backward`` and ``ref_evaluate``: channels-first im2col passes with
   argmax pooling, on the calling thread alone;
-- ``reference_project``: the argsort projection;
+- ``reference_project``: the argsort projection, and ``brute_force_project``,
+  the exhaustive search it is checked against;
 - ``ref_client_round``: one client's local round, its ADMM update and its
   pruned upload, one new dense tensor per term;
 - ``ref_admm_update``: the dense Z step, then the U step;
 - ``ref_fedavg``: dense fp64 FedAvg in client-id order;
-- ``reference_run``: a whole federated run built from the three above.
+- ``reference_run``: a whole federated run built from the three above, with
+  chosen uploads left out of their round's FedAvg, and ``ref_wire``, the
+  fp32 cast at the wire;
+- ``ref_frame``, ``ref_encode`` and ``ref_seal``: the wire formats, written
+  field by field from the layouts in the codec and secure docstrings.
 """
 
+import itertools
+import struct
+
 import numpy as np
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from fedprune import federation, nn
 
@@ -148,12 +157,32 @@ def reference_project(t, n_keep):
     return out.reshape(t.shape)
 
 
+def brute_force_project(t, n_keep):
+    """Exhaustive oracle: best cardinality-n_keep support by L2 distance,
+    ties resolved toward lexicographically smallest index set."""
+    flat = t.reshape(-1)
+    best = None
+    for support in itertools.combinations(range(flat.size), n_keep):
+        cand = np.zeros_like(flat)
+        cand[list(support)] = flat[list(support)]
+        d = float(np.sum((cand - flat) ** 2))
+        if best is None or d < best[0] - 1e-15 or \
+                (abs(d - best[0]) <= 1e-15 and support < best[1]):
+            best = (d, support, cand)
+    return best[2].reshape(t.shape)
+
+
 # -- reference: one client's round, the ADMM update, FedAvg, a whole run -----
 
+def ref_budget(size, keep):
+    """A layer's non-zero budget: keep * size, rounded, at least 1 and at
+    most the size."""
+    return min(size, max(1, int(round(keep * size))))
+
+
 def _project(w, keep):
-    """reference_project to a layer's budget: keep * size, rounded, at least
-    1 and at most the size."""
-    return reference_project(w, min(w.size, max(1, int(round(keep * w.size)))))
+    """reference_project to the layer's budget."""
+    return reference_project(w, ref_budget(w.size, keep))
 
 
 def _prune(params, sparsity):
@@ -161,7 +190,7 @@ def _prune(params, sparsity):
         _project(w, sparsity.keep[lid]) if lid in sparsity.keep else w, b))
 
 
-def _wire(params):
+def ref_wire(params):
     """params as a broadcast or an upload carries them: cast to fp32 and back."""
     return params.map(lambda lid, w, b: (w.astype(np.float32).astype(np.float64),
                                          b.astype(np.float32).astype(np.float64)))
@@ -235,33 +264,45 @@ def ref_fedavg(uploads):
     return model
 
 
-def reference_run(cfg):
+def ref_seeds(cfg):
+    """The partition, init, sample and crypto seeds a run draws from cfg.seed."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(4)]
+
+
+def ref_cohorts(cfg):
+    """Each round's sampled client ids, in the order they are drawn."""
+    rng = np.random.default_rng(ref_seeds(cfg)[2])
+    return [list(map(int, rng.choice(cfg.num_clients, cfg.clients_per_round, replace=False)))
+            for _ in range(cfg.total_rounds())]
+
+
+def reference_run(cfg, left_out=()):
     """(final model, per-round accuracies, final accuracy) of
     federation.run_experiment(cfg), computed without crypto, codec or
     sparse storage: ref_client_round of each sampled client, a cast to fp32
-    at every broadcast and upload, and ref_fedavg of the uploads."""
+    at every broadcast and upload, and ref_fedavg of the uploads.  The
+    upload of each (round, client) in left_out is trained but not averaged,
+    as if the enclave had rejected it."""
     dataset, arch = cfg.load_dataset(), cfg.build_arch()
-    s_partition, s_init, s_sample, _ = (int(s.generate_state(1)[0])
-                                        for s in np.random.SeedSequence(cfg.seed).spawn(4))
+    s_partition, s_init, _, _ = ref_seeds(cfg)
     if cfg.partition == "iid":
         part = federation.partition_iid(len(dataset.train_y), cfg.num_clients, s_partition)
     else:
         part = federation.partition_noniid(dataset.train_y, cfg.num_clients, s_partition)
     eval_x, eval_y = dataset.test_x[:cfg.eval_examples], dataset.test_y[:cfg.eval_examples]
-    sample_rng = np.random.default_rng(s_sample)
     model, mask, admm, accs = nn.init_model(arch, s_init), None, {}, []
-    for rnd in range(cfg.total_rounds()):
+    for rnd, cohort in enumerate(ref_cohorts(cfg)):
         plan = federation.plan_round(cfg, rnd)
-        received, uploads = _wire(model), []
-        for cid in map(int, sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
-                                              replace=False)):
+        received, uploads = ref_wire(model), []
+        for cid in cohort:
             upload, zu = ref_client_round(arch, received, dataset.train_x[part[cid]],
                                           dataset.train_y[part[cid]], cfg, plan,
                                           federation._client_seed(cfg.seed, rnd, cid),
                                           admm.get(cid), mask)
             if zu is not None:
                 admm[cid] = zu
-            uploads.append((cid, _wire(upload), len(part[cid])))
+            if (rnd, cid) not in left_out:
+                uploads.append((cid, ref_wire(upload), len(part[cid])))
         model = ref_fedavg(uploads)
         if plan.finalize_after:
             model = _prune(model, cfg.sparsity)
@@ -271,3 +312,53 @@ def reference_run(cfg):
     if cfg.mode == "masked" and cfg.sparsity is not None and cfg.pruning_rounds > 0:
         model = _prune(model, cfg.sparsity)
     return model, accs, ref_evaluate(arch, model, eval_x, eval_y, cfg.eval_batch_size)
+
+
+# -- reference: the wire formats ----------------------------------------------
+
+def _le(values, dtype):
+    return np.asarray(values, dtype=dtype).reshape(-1).tobytes()
+
+
+def ref_frame(fmt, layers):
+    """A codec blob in format "dense" or "csr" of layers, each (id, dims,
+    body, bias), where a dense body is the values and a CSR body is (rows,
+    cols, row_ptr, col_idx, values), with nnz = len(col_idx).  Nothing is
+    checked, so it also writes the frames a decoder must refuse."""
+    out = [b"ESMB", struct.pack("<BBH", 1, ["dense", "csr"].index(fmt), len(layers))]
+    for lid, dims, body, bias in layers:
+        name = lid.encode()
+        out.append(struct.pack(f"<B{len(name)}sB{len(dims)}I", len(name), name, len(dims), *dims))
+        if fmt == "csr":
+            rows, cols, row_ptr, col_idx, body = body
+            out += [struct.pack("<III", rows, cols, len(col_idx)),
+                    _le(row_ptr, "<u4"), _le(col_idx, "<u4")]
+        out += [_le(body, "<f4"), struct.pack("<I", np.size(bias)), _le(bias, "<f4")]
+    return b"".join(out)
+
+
+def ref_encode(params, fmt):
+    """The blob of params in format "dense" or "csr".  Every weight and bias
+    is cast to fp32, and a scalar weight has dims (1,).  A CSR weight is
+    viewed as a (first dim) x (the rest) matrix; its non-zeros are those of
+    the fp32 values, stored row by row in column order."""
+    layers = []
+    for e in params.entries:
+        w = e.weight.astype(np.float32)
+        body = w
+        if fmt == "csr":
+            m = w.reshape((w.shape or (1,))[0], -1)
+            rows, cols = np.nonzero(m)
+            body = (*m.shape, np.concatenate([[0], np.cumsum(np.count_nonzero(m, axis=1))]),
+                    cols, m[rows, cols])
+        layers.append((e.layer_id, w.shape or (1,), body, e.bias.astype(np.float32)))
+    return ref_frame(fmt, layers)
+
+
+def ref_seal(key, client_id, rnd, fmt, blob, nonce=None):
+    """The sealed record of blob: the header, then AES-256-GCM of blob under
+    key with the header as associated data.  The nonce is the client id, the
+    round and four zero bytes unless given."""
+    nonce = struct.pack("<II4x", client_id, rnd) if nonce is None else nonce
+    header = struct.pack("<4sBIIB12sQ", b"ESMF", 1, client_id, rnd, fmt, nonce, len(blob) + 16)
+    return header + AESGCM(key).encrypt(nonce, blob, header)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fedprune import codec, nn
 from fedprune.codec import (CodecError, csr_encode, decode_params, dense_encode,
                             encoded_size)
+from reference import ref_encode, ref_frame, ref_wire
+from test_pruning import EDGE_VALUES
 
 
 def params_of(*arrays, ids=None):
@@ -15,11 +17,6 @@ def params_of(*arrays, ids=None):
     return nn.ParameterSet(tuple(
         nn.LayerParams(lid, np.asarray(a, dtype=float), np.zeros(2))
         for lid, a in zip(ids, arrays)))
-
-
-def f32(params):
-    return params.map(lambda lid, w, b: (w.astype(np.float32).astype(np.float64),
-                                         b.astype(np.float32).astype(np.float64)))
 
 
 def roundtrip(encode, p):
@@ -35,36 +32,20 @@ def assert_equal_params(a, b):
         assert np.array_equal(ea.bias, eb.bias)
 
 
-# layer table of the hand-made blobs below
-W_2X8 = (("w", (2, 8), (1,)),)
+W_2X8 = (("w", (2, 8), (1,)),)     # layer table of the frames of w_frame
 
 
-def csr_blob(rows, cols, row_ptr, col_idx, dims=None):
-    """Hand-made one-layer CSR blob: layer "w" of shape dims (default
-    (rows, cols)) viewed as rows x cols, every stored value 1.0, one zero bias."""
-    return b"".join([
-        codec.MAGIC, struct.pack("<BBH", codec.VERSION, codec.FORMAT_CSR, 1),
-        struct.pack("<B1sB2I", 1, b"w", 2, *(dims or (rows, cols))),
-        struct.pack("<III", rows, cols, len(col_idx)),
-        np.asarray(row_ptr, dtype="<u4").tobytes(),
-        np.asarray(col_idx, dtype="<u4").tobytes(),
-        np.ones(len(col_idx), dtype="<f4").tobytes(),
-        struct.pack("<I", 1), np.zeros(1, dtype="<f4").tobytes()])
+def w_frame(rows, cols, row_ptr, col_idx, dims=None):
+    """One CSR layer "w" of dims (default (rows, cols)) viewed as rows x
+    cols, every stored value 1.0, and one zero bias."""
+    return ref_frame("csr", [("w", dims or (rows, cols),
+                              (rows, cols, row_ptr, col_idx, np.ones(len(col_idx))), [0.0])])
 
 
 class TestCsr:
     def test_definition_example(self):
-        blob = csr_encode(params_of([[0.0, 5.0], [7.0, 0.0]]))
-        # skip global header (8B) + id header (1+2+1+2*4 = 12B)
-        body = blob[20:]
-        rows, cols, nnz = struct.unpack("<III", body[:12])
-        assert (rows, cols, nnz) == (2, 2, 2)
-        row_ptr = np.frombuffer(body[12:24], dtype="<u4")
-        col_idx = np.frombuffer(body[24:32], dtype="<u4")
-        values = np.frombuffer(body[32:40], dtype="<f4")
-        assert list(row_ptr) == [0, 1, 2]
-        assert list(col_idx) == [1, 0]
-        assert list(values) == [5.0, 7.0]
+        assert csr_encode(params_of([[0.0, 5.0], [7.0, 0.0]])) == ref_frame("csr", [
+            ("l0", (2, 2), (2, 2, [0, 1, 2], [1, 0], [5.0, 7.0]), [0.0, 0.0])])
 
     def test_all_zero_layer(self):
         p = params_of(np.zeros((3, 4)))
@@ -77,14 +58,14 @@ class TestCsr:
         rng = np.random.default_rng(0)
         m = rng.normal(size=(100, 100)) * (rng.random((100, 100)) < 0.1)
         p = params_of(m)
-        assert_equal_params(roundtrip(csr_encode, p)[0], f32(p))
+        assert_equal_params(roundtrip(csr_encode, p)[0], ref_wire(p))
 
     def test_rank4_and_rank1_tensors(self):
         rng = np.random.default_rng(1)
         w4 = rng.normal(size=(6, 2, 3, 3)) * (rng.random((6, 2, 3, 3)) < 0.3)
         w1 = rng.normal(size=7)
         p = params_of(w4, w1)
-        assert_equal_params(roundtrip(csr_encode, p)[0], f32(p))
+        assert_equal_params(roundtrip(csr_encode, p)[0], ref_wire(p))
         assert len(csr_encode(p)) == encoded_size(p, "csr")
 
     def test_malformed_row_ptr_rejected(self):
@@ -114,11 +95,11 @@ class TestCsr:
             "col_out_of_range", "col_repeated", "col_descending"])
     def test_malformed_csr_rejected(self, row_ptr, col_idx):
         with pytest.raises(CodecError):
-            decode_params(csr_blob(2, 8, row_ptr, col_idx), W_2X8)
+            decode_params(w_frame(2, 8, row_ptr, col_idx), W_2X8)
 
     def test_column_resets_at_row_boundary(self):
         # row 0 ends at column 5, row 1 starts again at column 0
-        w = decode_params(csr_blob(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)[0]["w"].weight
+        w = decode_params(w_frame(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)[0]["w"].weight
         expect = np.zeros((2, 8))
         expect[0, 2] = expect[0, 5] = expect[1, 0] = 1.0
         assert np.array_equal(w, expect)
@@ -151,21 +132,21 @@ class TestPublishedLayers:
 
     def test_matrix_view_differing_from_dims_rejected(self):
         # dims (2, 8) as published, but the CSR body claims a 4 x 4 matrix
-        blob = csr_blob(4, 4, [0, 1, 1, 1, 1], [0], dims=(2, 8))
+        blob = w_frame(4, 4, [0, 1, 1, 1, 1], [0], dims=(2, 8))
         with pytest.raises(CodecError, match="published"):
             decode_params(blob, W_2X8)
 
     @pytest.mark.parametrize("rows, cols", [(1, 2**32 - 1), (2**32 - 1, 1)])
     def test_oversized_header_rejected_before_allocating(self, rows, cols):
         # a 2**32-1 element layer would be a 32 GiB float64 allocation
-        blob = csr_blob(rows, cols, [0, 0], [])
+        blob = w_frame(rows, cols, [0, 0], [])
         with pytest.raises(CodecError, match="published"):
             decode_params(blob, W_2X8)
 
 
 class TestDecodeLayers:
     def test_csr_layer_kept_as_the_wire_sent_it(self):
-        (layer,), fmt = codec.decode_layers(csr_blob(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)
+        (layer,), fmt = codec.decode_layers(w_frame(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)
         assert fmt == "csr" and (layer.layer_id, layer.shape) == ("w", (2, 8))
         assert layer.flat.tolist() == [2, 5, 8]
         assert layer.values.dtype == layer.bias.dtype == np.float32
@@ -183,7 +164,7 @@ class TestDense:
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(3)
         p = params_of(rng.normal(size=(4, 5)), rng.normal(size=(2, 3, 3, 3)))
-        assert_equal_params(roundtrip(dense_encode, p)[0], f32(p))
+        assert_equal_params(roundtrip(dense_encode, p)[0], ref_wire(p))
 
     def test_size_formula(self):
         p = params_of(np.ones((10, 20)))
@@ -199,26 +180,6 @@ class TestDense:
         assert 4 * 431080 <= size <= 4 * 431080 + 200   # payload + headers
         assert size == len(dense_encode(p))
 
-
-
-def rowwise_csr_body(w):
-    """codec._csr_body as it was before the one-scan encode: a 2-D mask,
-    row sums for row_ptr, a 2-D nonzero and a fancy gather.  The bit-exact
-    oracle of that rewrite."""
-    m = w.astype("<f4").reshape(codec._matrix_view(w.shape))
-    rows, cols = m.shape
-    mask = m != 0
-    row_ptr = np.zeros(rows + 1, dtype="<u4")
-    np.cumsum(mask.sum(axis=1), out=row_ptr[1:])
-    r_idx, c_idx = np.nonzero(mask)
-    return [struct.pack("<III", rows, cols, len(c_idx)), row_ptr.tobytes(),
-            c_idx.astype("<u4").tobytes(), m[r_idx, c_idx].astype("<f4").tobytes()]
-
-
-# +-0.0, NaN, +-inf, and magnitudes that are zero in fp32 (1e-46) or an
-# fp32 subnormal (1e-40)
-EDGE_VALUES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"),
-               1e-46, -1e-46, 1e-40)
 
 
 @st.composite
@@ -245,8 +206,8 @@ class TestOneScanCsr:
     @given(st.lists(edge_weights(), min_size=1, max_size=3))
     def test_bit_identical_to_rowwise_encode(self, weights):
         p = params_of(*weights)
-        want = codec._encode(p, codec.FORMAT_CSR, rowwise_csr_body)
-        assert csr_encode(p) == want
+        assert csr_encode(p) == ref_encode(p, "csr")
+        assert dense_encode(p) == ref_encode(p, "dense")
 
     def test_lenet_fc1_with_empty_rows(self):
         rng = np.random.default_rng(2)
@@ -254,7 +215,7 @@ class TestOneScanCsr:
         w[100:300] = 0.0
         w.reshape(-1)[rng.integers(0, w.size, 40)] = np.array(EDGE_VALUES * 5)
         p = params_of(w, np.zeros((20, 1, 5, 5)))
-        assert csr_encode(p) == codec._encode(p, codec.FORMAT_CSR, rowwise_csr_body)
+        assert csr_encode(p) == ref_encode(p, "csr")
 
 
 class TestSizes:
@@ -297,7 +258,7 @@ class TestSizes:
             assert len(encode(p)) == encoded_size(p, fmt)
             decoded, decoded_fmt = roundtrip(encode, p)
             assert decoded_fmt == fmt
-            assert_equal_params(decoded, f32(p))
+            assert_equal_params(decoded, ref_wire(p))
 
     def test_cross_format_agreement(self):
         rng = np.random.default_rng(9)

@@ -1,15 +1,14 @@
-import struct
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from fedprune import codec, nn, pruning, secure
 from fedprune.enclave import (AggregationInput, EnclaveContext, PlaintextUpdate,
                               TrustBoundaryError, enclave_load, fedavg,
                               publish_model)
-from reference import ref_fedavg, same_params
+from reference import ref_fedavg, ref_frame, ref_seal, ref_wire, same_params
 
 
 def make_params(values, ids=("a",)):
@@ -33,20 +32,10 @@ def encrypt(channels, cid, params, rnd=0, fmt="csr"):
     return channels[cid].encrypt_update(codec.dense_encode(params), rnd, codec.FORMAT_DENSE)
 
 
-def csr_upload(layers, bias=(0.0,)):
-    """Hand-made CSR blob of 2-D layers, each (id, (rows, cols), {flat index:
-    value}), every given value stored as it is, explicit zeros included."""
-    parts = [codec.MAGIC, struct.pack("<BBH", codec.VERSION, codec.FORMAT_CSR, len(layers))]
-    for lid, (rows, cols), stored in layers:
-        flat = sorted(stored)
-        row_ptr = np.searchsorted(np.asarray(flat, dtype=int) // cols, np.arange(rows + 1))
-        parts += [struct.pack(f"<B{len(lid)}sB2I", len(lid), lid.encode(), 2, rows, cols),
-                  struct.pack("<III", rows, cols, len(flat)),
-                  np.asarray(row_ptr, dtype="<u4").tobytes(),
-                  np.asarray([i % cols for i in flat], dtype="<u4").tobytes(),
-                  np.asarray([stored[i] for i in flat], dtype="<f4").tobytes(),
-                  struct.pack("<I", len(bias)), np.asarray(bias, dtype="<f4").tobytes()]
-    return b"".join(parts)
+def tampered(enc):
+    """enc with the first ciphertext byte inverted."""
+    ct = enc.ciphertext
+    return dataclasses.replace(enc, ciphertext=bytes([ct[0] ^ 0xFF]) + ct[1:])
 
 
 class TestContainment:
@@ -73,12 +62,7 @@ class TestEnclaveLoad:
         encs = []
         for cid in range(10):
             enc = encrypt(channels, cid, make_params([[1.0, 2.0]]), rnd=0)
-            if cid == 4:
-                raw = bytearray(enc.ciphertext)
-                raw[0] ^= 0xFF
-                enc = secure.EncryptedUpdate(enc.client_id, enc.round,
-                                             enc.payload_format, enc.nonce, bytes(raw))
-            encs.append(enc)
+            encs.append(tampered(enc) if cid == 4 else enc)
         agg, rej = enclave_load(encs, ctx, {cid: 10 for cid in range(10)})
         assert len(agg.records) == 9
         assert len(rej) == 1 and rej[0].client_id == 4
@@ -148,17 +132,6 @@ class TestEnclaveLoad:
              for cid in (0, 3, 5)]))
 
 
-def seal_by_hand(channel, blob, rnd, nonce=None):
-    """A CSR record sealed with the client's key outside its ClientChannel,
-    which refuses a second seal in a round or an earlier round; the nonce
-    defaults to the one the channel would use."""
-    cid, fmt = channel.client_id, codec.FORMAT_CSR
-    nonce = secure.NONCE.pack(cid, rnd) if nonce is None else nonce
-    unsealed = secure.EncryptedUpdate(cid, rnd, fmt, nonce, bytes(len(blob) + secure.TAG_SIZE))
-    return secure.EncryptedUpdate(cid, rnd, fmt, nonce,
-                                  AESGCM(channel.sk).encrypt(nonce, blob, unsealed.header()))
-
-
 class TestOneUploadPerClientPerRound:
     """Each upload is named by (client, round): the enclave loads one per
     client, sealed for the round it published, and the honest uploads of
@@ -166,18 +139,23 @@ class TestOneUploadPerClientPerRound:
 
     ONES, ZEROS = make_params([[1.0, 1.0, 1.0]]), make_params([[0.0, 0.0, 0.0]])
 
+    def _sealed_outside_channel(self, channel, rnd, nonce=None):
+        # ONES as CSR under the client's key: its channel seals once a round
+        return secure.EncryptedUpdate.from_bytes(ref_seal(
+            channel.sk, channel.client_id, rnd, codec.FORMAT_CSR, codec.csr_encode(self.ONES),
+            nonce))
+
     def _assert_average_alone(self, agg, ctx, honest):
         # honest: client id -> (params, example count)
         assert sorted(r.client_id for r in agg.records) == sorted(honest)
         assert same_params(fedavg(agg), ref_fedavg(
-            [(cid, codec.decode_params(codec.csr_encode(p), ctx.schema)[0], n)
-             for cid, (p, n) in honest.items()]))
+            [(cid, ref_wire(p), n) for cid, (p, n) in honest.items()]))
 
     def test_double_vote_drops_only_the_second_upload(self, setup):
         manager, channels, ctx = setup
         publish_model(self.ZEROS, ctx)
         encs = [encrypt(channels, 0, self.ONES),
-                seal_by_hand(channels[0], codec.csr_encode(self.ONES), 0),
+                self._sealed_outside_channel(channels[0], 0),
                 encrypt(channels, 1, self.ZEROS)]
         agg, rej = enclave_load(encs, ctx, {0: 10, 1: 10})
         assert [(r.client_id, r.reason) for r in rej] == [(0, "replayed record from client 0")]
@@ -189,7 +167,7 @@ class TestOneUploadPerClientPerRound:
         # moves the replay mark, so the client's honest upload still loads
         manager, channels, ctx = setup
         publish_model(self.ZEROS, ctx)
-        agg, rej = enclave_load([seal_by_hand(channels[0], codec.csr_encode(self.ONES), 7),
+        agg, rej = enclave_load([self._sealed_outside_channel(channels[0], 7),
                                  encrypt(channels, 1, self.ZEROS)], ctx, {0: 3, 1: 5})
         assert [(r.client_id, r.reason) for r in rej] == [(0, "sealed for round 7, not 0")]
         self._assert_average_alone(agg, ctx, {1: (self.ZEROS, 5)})
@@ -209,8 +187,8 @@ class TestOneUploadPerClientPerRound:
         # the tag verifies under client 0's key; the nonce names another record
         manager, channels, ctx = setup
         publish_model(self.ZEROS, ctx)
-        forged = seal_by_hand(channels[0], codec.csr_encode(self.ONES), 0,
-                              secure.NONCE.pack(nonce_client, nonce_round))
+        forged = self._sealed_outside_channel(channels[0], 0,
+                                              secure.NONCE.pack(nonce_client, nonce_round))
         agg, rej = enclave_load([forged, encrypt(channels, 1, self.ONES)], ctx, {0: 2, 1: 7})
         assert [(r.client_id, r.reason) for r in rej] == [
             (0, "nonce differs from the header's client and round")]
@@ -278,20 +256,24 @@ class TestFedavgMatchesDense:
 
     def _hand_made(self):
         v = [float(x) for x in self.V]
+
+        def csr(a, b, bias):
+            # layers a (3 x 4) and b (2 x 5) as (row_ptr, col_idx, values), one bias
+            return ref_frame("csr", [("a", (3, 4), (3, 4, *a), bias),
+                                     ("b", (2, 5), (2, 5, *b), bias)])
         return {
             # client id: (example count, blob)
-            4: (3, csr_upload([("a", (3, 4), {0: -0.0, 5: 0.0, 7: v[0], 11: v[1]}),
-                               ("b", (2, 5), {1: v[2], 9: -0.0})], bias=(v[3], -0.0))),
+            4: (3, csr(([0, 1, 3, 4], [0, 1, 3, 3], [-0.0, 0.0, v[0], v[1]]),
+                       ([0, 1, 2], [1, 4], [v[2], -0.0]), [v[3], -0.0])),
             1: (7, codec.dense_encode(make_params(
                 [np.array([[v[4], -0.0, 0.0, v[5]], [v[0], v[1], -0.0, v[2]],
                            [0.0, v[3], v[4], -0.0]]),
                  np.array([[-0.0, v[5], 0.0, v[0], v[1]], [v[2], v[3], -0.0, v[4], 0.0]])],
                 ids=("a", "b")).map(lambda lid, w, b: (w, np.array([v[1], -0.0]))))),
-            9: (11, csr_upload([("a", (3, 4), {2: v[5], 5: v[4], 6: -0.0}),
-                                ("b", (2, 5), {})], bias=(-0.0, v[2]))),
-            2: (8, csr_upload([("a", (3, 4), {5: -v[4], 11: -v[1]}),
-                               ("b", (2, 5), {0: v[3], 1: -v[2], 4: 0.0, 8: v[5]})],
-                              bias=(0.0, 0.0))),
+            9: (11, csr(([0, 1, 3, 3], [2, 1, 2], [v[5], v[4], -0.0]),
+                        ([0, 0, 0], [], []), [-0.0, v[2]])),
+            2: (8, csr(([0, 0, 1, 2], [1, 3], [-v[4], -v[1]]),
+                       ([0, 3, 4], [0, 1, 4, 3], [v[3], -v[2], 0.0, v[5]]), [0.0, 0.0])),
         }
 
     @pytest.mark.parametrize("clients", [(4, 1, 9, 2), (4, 9, 2), (9, 2), (1,), (2,)])
@@ -322,7 +304,8 @@ class TestFedavgMatchesDense:
         manager, channels, ctx = setup
         publish_model(make_params([np.zeros((3, 4)), np.zeros((2, 5))],
                                   ids=("a", "b")), ctx)
-        blob = csr_upload([("a", (3, 4), {1: 2.5, 5: 0.0}), ("b", (2, 5), {9: -1.0})])
+        blob = ref_frame("csr", [("a", (3, 4), (3, 4, [0, 1, 2, 2], [1, 1], [2.5, 0.0]), [0.0]),
+                                 ("b", (2, 5), (2, 5, [0, 0, 1], [4], [-1.0]), [0.0])])
         agg, rej = enclave_load([channels[0].encrypt_update(blob, 0, codec.FORMAT_CSR)],
                                 ctx, {0: 1})
         assert same_params(agg.records[0].update.params, codec.decode_params(blob, ctx.schema)[0])
@@ -334,12 +317,13 @@ class TestBudgetCountsNonzeroValues:
         manager, channels, ctx = setup
         publish_model(make_params([np.zeros((2, 4))]), ctx)
         ctx.budgets = {"a": 2}
-        uploads = {0: {1: 1.0, 4: 0.0, 6: -2.0},     # explicit 0.0: 2 non-zeros
-                   1: {1: 1.0, 4: -0.0, 6: -2.0},    # explicit -0.0: 2 non-zeros
-                   2: {1: 1.0, 6: -2.0},              # exactly at the budget
-                   3: {1: 1.0, 4: 3.0, 6: -2.0}}      # one over
-        encs = [channels[cid].encrypt_update(csr_upload([("a", (2, 4), stored)]), 0,
-                                             codec.FORMAT_CSR)
+        # (row_ptr, col_idx, values) of each upload's 2 x 4 layer a
+        uploads = {0: ([0, 1, 3], [1, 0, 2], [1.0, 0.0, -2.0]),    # explicit 0.0: 2 non-zeros
+                   1: ([0, 1, 3], [1, 0, 2], [1.0, -0.0, -2.0]),   # explicit -0.0: 2 non-zeros
+                   2: ([0, 1, 2], [1, 2], [1.0, -2.0]),             # exactly at the budget
+                   3: ([0, 1, 3], [1, 0, 2], [1.0, 3.0, -2.0])}     # one over
+        encs = [channels[cid].encrypt_update(
+            ref_frame("csr", [("a", (2, 4), (2, 4, *stored), [0.0])]), 0, codec.FORMAT_CSR)
                 for cid, stored in uploads.items()]
         agg, rej = enclave_load(encs, ctx, {cid: 1 for cid in uploads})
         assert [r.client_id for r in agg.records] == [0, 1, 2]
@@ -458,12 +442,8 @@ class TestStreamedRound:
         records, rejections, held = [], [], []
         for cid in range(5):
             enc = encrypt(channels, cid, make_params([[1.0, 2.0]]))
-            if cid == 2:
-                raw = bytearray(enc.ciphertext)
-                raw[0] ^= 0xFF
-                enc = secure.EncryptedUpdate(enc.client_id, enc.round,
-                                             enc.payload_format, enc.nonce, bytes(raw))
-            agg, rej = enclave_load([enc], ctx, {cid: 10 for cid in range(5)})
+            agg, rej = enclave_load([tampered(enc) if cid == 2 else enc], ctx,
+                                    {cid: 10 for cid in range(5)})
             records += agg.records
             rejections += rej
             held.append(ctx.held_bytes)
@@ -525,5 +505,4 @@ class TestEncryptedPathEquivalence:
         assert not rej
         # plaintext shortcut: same fp32 wire encoding, no crypto
         assert same_params(fedavg(agg), ref_fedavg(
-            [(cid, codec.decode_params(codec.dense_encode(p), codec.schema(p))[0], counts[cid])
-             for cid, p in updates.items()]))
+            [(cid, ref_wire(p), counts[cid]) for cid, p in updates.items()]))

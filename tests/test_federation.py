@@ -18,7 +18,7 @@ from fedprune.federation import (PRUNING_PHASES, ExperimentAborted, ExperimentCo
                                  run_experiment, saving_percent,
                                  stage_keep_config)
 from fedprune.pruning import SparsityConfig
-from reference import ref_client_round
+from reference import ref_client_round, ref_seeds, ref_wire, same_params
 
 
 def tiny_cfg(**kw):
@@ -617,27 +617,15 @@ class TestRunExperiment:
         assert [m.bytes_up for m in res.metrics] == [1656] * 4
 
     def test_single_client_equals_centralized(self):
-        # FedAvg over one client is that client's update (at fp32 wire precision)
-        from fedprune import codec
-        from fedprune.federation import _client_seed
+        # FedAvg over one client is that client's update (at fp32 wire
+        # precision); the client holds every example
         cfg = tiny_cfg(num_clients=1, clients_per_round=1, warmup_rounds=1,
                        pruning_rounds=0, mode="dense", sparsity=None)
-        res = run_experiment(cfg)
-
-        ds = cfg.load_dataset()
-        arch = cfg.build_arch()
-        ss = np.random.SeedSequence(cfg.seed)
-        s_partition, s_init, _, _ = (int(s.generate_state(1)[0]) for s in ss.spawn(4))
-        part = partition_iid(len(ds.train_y), 1, s_partition)
-        g0 = nn.init_model(arch, s_init)
-        g0, _ = codec.decode_params(codec.dense_encode(g0), codec.schema(g0))  # fp32
-        ix = part[0]
-        upd, _ = client_round(arch, g0, ds.train_x[ix], ds.train_y[ix], cfg,
-                              RoundPlan("warmup", None, False), None, None,
-                              _client_seed(cfg.seed, 0, 0), client_buffers(g0))
-        upd, _ = codec.decode_params(codec.dense_encode(upd), codec.schema(upd))  # fp32
-        for a, b in zip(res.global_params.entries, upd.entries):
-            assert np.array_equal(a.weight, b.weight)
+        ds, arch = cfg.load_dataset(), cfg.build_arch()
+        upload, _ = ref_client_round(
+            arch, ref_wire(nn.init_model(arch, ref_seeds(cfg)[1])), ds.train_x, ds.train_y, cfg,
+            plan_round(cfg, 0), federation._client_seed(cfg.seed, 0, 0))
+        assert same_params(run_experiment(cfg).global_params, ref_wire(upload))
 
     def test_admm_run_end_state(self):
         cfg = tiny_cfg(warmup_rounds=1, pruning_rounds=5, local_epochs=2)

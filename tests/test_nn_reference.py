@@ -20,9 +20,7 @@ import pytest
 from fedprune import federation, nn
 from fedprune.pruning import SparsityConfig, euclidean_project
 from reference import ref_backward, ref_evaluate, ref_logits, same_bytes
-
-# Keep table of configs/mnist_iid_cr87.cfg (CR~87).
-CR87_KEEP = {"conv1": 0.5, "conv2": 0.06, "fc1": 0.0055025, "fc2": 0.2}
+from test_pruning import LENET_KEEP_CR87
 
 
 # -- models and data ---------------------------------------------------------
@@ -35,7 +33,7 @@ def stride2_stack():
 
 def cr87(params):
     return params.map(lambda lid, w, b: (
-        euclidean_project(w, int(round(CR87_KEEP[lid] * w.size))), b))
+        euclidean_project(w, int(round(LENET_KEEP_CR87[lid] * w.size))), b))
 
 
 MODELS = {

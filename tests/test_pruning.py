@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,26 +8,11 @@ from fedprune.federation import RoundPlan, stage_keep_config
 from fedprune.pruning import (ADMMState, KeptEntries, SparsityConfig, admm_init,
                               admm_update, compression_rate, euclidean_project,
                               final_hard_prune)
-from reference import ref_admm_update, reference_project, same_bytes
+from reference import brute_force_project, ref_admm_update, reference_project, same_bytes
 
 # canonical per-layer keep tables for the 431,080-parameter LeNet variant
 LENET_KEEP_CR10 = {"conv1": 0.8, "conv2": 0.4, "fc1": 30193 / 400000, "fc2": 0.5}
 LENET_KEEP_CR87 = {"conv1": 0.5, "conv2": 0.06, "fc1": 2201 / 400000, "fc2": 0.2}
-
-
-def brute_force_project(t, n_keep):
-    """Exhaustive oracle: best cardinality-n_keep support by L2 distance,
-    ties resolved toward lexicographically smallest index set."""
-    flat = t.reshape(-1)
-    best = None
-    for support in itertools.combinations(range(flat.size), n_keep):
-        cand = np.zeros_like(flat)
-        cand[list(support)] = flat[list(support)]
-        d = float(np.sum((cand - flat) ** 2))
-        if best is None or d < best[0] - 1e-15 or \
-                (abs(d - best[0]) <= 1e-15 and support < best[1]):
-            best = (d, support, cand)
-    return best[2].reshape(t.shape)
 
 
 class TestEuclideanProject:
@@ -150,26 +133,6 @@ class TestProjectionOracle:
                 assert_matches_reference(t, n_keep)
 
 
-def where_project(t, n_keep):
-    """euclidean_project as it was before its output became a scatter at
-    the kept indices: the same threshold selection, then one branchy
-    np.where over the whole tensor.  The bit-exact oracle of that rewrite."""
-    if not 0 <= n_keep <= t.size:
-        raise ValueError(f"n_keep={n_keep} out of range for size {t.size}")
-    if n_keep == t.size:
-        return t.copy()
-    if n_keep == 0:
-        return np.zeros_like(t)
-    flat = t.reshape(-1)
-    mag = np.abs(flat)
-    mag[np.isnan(mag)] = -1.0
-    threshold = np.partition(mag, t.size - n_keep)[t.size - n_keep]
-    keep = mag > threshold
-    ties = np.flatnonzero(mag == threshold)
-    keep[ties[:n_keep - np.count_nonzero(keep)]] = True
-    return np.where(keep, flat, 0).reshape(t.shape)
-
-
 # +-0.0, NaN, +-inf, and magnitudes that are zero in fp32 (1e-46) or an
 # fp32 subnormal (1e-40)
 EDGE_VALUES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"),
@@ -202,11 +165,8 @@ def edge_tensors(draw):
 class TestScatterProjection:
     @settings(max_examples=400, deadline=None)
     @given(edge_tensors())
-    def test_bit_identical_to_where_form(self, case):
-        t, n_keep = case
-        got, want = euclidean_project(t, n_keep), where_project(t, n_keep)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes(), (t, n_keep)
+    def test_bit_identical_to_argsort(self, case):
+        assert_matches_reference(*case)
 
     def test_ties_at_the_threshold_lenet_fc1(self):
         # fc1-sized, rounded so the 27% budget ends inside a run of ties
@@ -214,8 +174,7 @@ class TestScatterProjection:
         t = np.round(rng.normal(scale=0.05, size=(800, 500)), 2)
         t.reshape(-1)[rng.integers(0, t.size, 40)] = np.array(EDGE_VALUES * 5)
         for n_keep in (108_000, 2_201, 1):
-            got, want = euclidean_project(t, n_keep), where_project(t, n_keep)
-            assert got.tobytes() == want.tobytes()
+            assert_matches_reference(t, n_keep)
 
 
 def two_layer_params(w1, w2=None):
