@@ -171,7 +171,8 @@ class RoundMetrics:
     the broadcast is always dense, so bytes_down is also its own dense
     equivalent.  attestation_s is the handshakes of the clients sampled for
     the first time this round; total_s is the round's wall time plus the
-    modeled transmission_s."""
+    modeled transmission_s.  rejections holds a (client id, reason) pair per
+    upload the enclave refused this round, in arrival order."""
 
     round_index: int
     phase: str
@@ -190,6 +191,7 @@ class RoundMetrics:
     aggregation_s: float
     eval_s: float
     total_s: float
+    rejections: tuple[tuple[int, str], ...] = ()
 
     TIME_FIELDS = ("attestation_s", "provisioning_s", "transmission_s",
                    "ecall_s", "ocall_s", "local_training_s", "aggregation_s",
@@ -261,12 +263,13 @@ def client_buffers(model: nn.ParameterSet) -> tuple:
     """client_round's working set for models shaped like model: the trained
     weights and biases, their flat velocities in gradient order, the step's
     block scratch and a dict of flat per-layer Z buffers, which client_round
-    fills in a layer's first ADMM round.  Allocated once per run and reused
-    by every client_round, so no large buffer is freed and faulted in again."""
+    fills in a layer's first ADMM round, all of model's dtype.  Allocated
+    once per run and reused by every client_round, so no large buffer is
+    freed and faulted in again."""
     work = model.map(lambda lid, w, b: (np.empty_like(w), np.empty_like(b)))
     flat = [a.reshape(-1) for e in work.entries for a in (e.weight, e.bias)]
     return (work, [np.empty_like(a) for a in flat],
-            np.empty(min(_BLOCK, max(a.size for a in flat))), {})
+            np.empty(min(_BLOCK, max(a.size for a in flat)), flat[0].dtype), {})
 
 
 def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
@@ -298,6 +301,11 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     buffers' own arrays, valid until the next client_round call with the
     same buffers; encode it before then.
 
+    Everything runs in the buffers' dtype, which run_experiment takes from
+    the broadcast, float32: nn computes in the dtype of the weights it is
+    given, a first ADMM round's Z and U take the received model's, and lr,
+    momentum and rho are cast to it, so no float64 scalar promotes a step.
+
     admm_prune rounds end with one pruning.admm_update of the trained
     weights: Z <- project(W + U), then U <- U + W - Z.  Every sparse upload,
     that is every round with a plan.stage_cfg, is projected to that config's
@@ -311,6 +319,7 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     rng = np.random.default_rng(seed)
     n = len(y)
     params, velocities, scratch, z_buffers = buffers
+    lr, momentum = scratch.dtype.type(cfg.lr), scratch.dtype.type(cfg.momentum)
     penalized: dict[str, np.ndarray] = {}    # constrained layer -> flat dense Z
     rho = None
     if plan.phase == PHASE_ADMM:
@@ -318,7 +327,7 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
             raise ValueError("an admm_prune round takes no mask")
         if admm_state is None:
             admm_state = pruning.admm_init(global_params, plan.stage_cfg)
-        rho = plan.stage_cfg.rho
+        rho = scratch.dtype.type(plan.stage_cfg.rho)
         for lid, z in admm_state.z.items():    # dense allocates on a layer's first use
             penalized[lid] = z_buffers[lid] = z.dense(out=z_buffers.get(lid)).reshape(-1)
     masked = mask.layers if mask is not None else {}
@@ -341,7 +350,7 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     def step(lid: str, dw: np.ndarray, db: np.ndarray) -> None:
         # on nn's helper thread, one layer at a time, once backward is done with lid
         for (w, on, *slot), g in zip(slots[lid], (dw.reshape(-1), db)):
-            _step(slot, g if on is None else g[on], first, rho, cfg, scratch)
+            _step(slot, g if on is None else g[on], first, rho, momentum, lr, scratch)
             if on is not None:
                 w[on] = slot[0]
 
@@ -360,8 +369,8 @@ def client_round(arch: nn.ModelArch, global_params: nn.ParameterSet,
     return params, admm_state
 
 
-def _step(slot, g: np.ndarray, first: bool, rho: float | None,
-          cfg: ExperimentConfig, scratch: np.ndarray) -> None:
+def _step(slot, g: np.ndarray, first: bool, rho: np.floating | None,
+          momentum: np.floating, lr: np.floating, scratch: np.ndarray) -> None:
     """One minibatch's update of one tensor, block by block, in the per-entry
     order of the dense expressions: g + rho*((W - Z) + U), (momentum*v) + g,
     W - lr*v."""
@@ -380,9 +389,9 @@ def _step(slot, g: np.ndarray, first: bool, rho: float | None,
         else:
             acc = gb
         if not first:
-            np.multiply(vb, cfg.momentum, out=vb)
+            np.multiply(vb, momentum, out=vb)
             np.add(vb, acc, out=vb)
-        np.multiply(vb, cfg.lr, out=s)
+        np.multiply(vb, lr, out=s)
         np.subtract(wb, s, out=wb)
 
 
@@ -441,6 +450,9 @@ def run_experiment(cfg: ExperimentConfig,
     evaluated; the round's RoundMetrics records its byte traffic and where
     its wall time went.  A client attests the enclave and agrees its key in
     the first round that samples it, so a client never sampled holds no key.
+    Clients train on the broadcast's fp32 values, in fp32, and each
+    evaluation runs on the model as published, its fp32 cast; the enclave
+    averages and keeps the global model in fp64.
     Fixed seeds give identical metrics apart from wall-clock timing fields.
     An unrecoverable error raises ExperimentAborted carrying the rounds
     completed so far.
@@ -461,6 +473,18 @@ def _span(times: dict[str, float], time_field: str):
         yield
     finally:
         times[time_field] += time.perf_counter() - t0
+
+
+def _received(layers: tuple[codec.WireLayer, ...]) -> nn.ParameterSet:
+    """A dense broadcast's layers as its clients train on them: the fp32
+    values the wire carried, viewed in place."""
+    return nn.ParameterSet(tuple(nn.LayerParams(x.layer_id, x.values.reshape(x.shape), x.bias)
+                                 for x in layers))
+
+
+def _fp32(params: nn.ParameterSet) -> nn.ParameterSet:
+    """params as publish_model sends them: every tensor cast to fp32."""
+    return params.map(lambda lid, w, b: (w.astype(np.float32), b.astype(np.float32)))
 
 
 def _run_rounds(cfg: ExperimentConfig, dataset, progress,
@@ -490,7 +514,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
 
     global_params = nn.init_model(arch, s_init)
     schema = codec.schema(global_params)
-    buffers = client_buffers(global_params)     # every client trains in these
+    buffers = None      # every client trains in these, made at the first broadcast
     mask: pruning.PruneMask | None = None   # set by the hard prune before fine-tune rounds
     admm_states: dict[int, pruning.ADMMState] = {}
 
@@ -503,7 +527,8 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         with _span(times, "ocall_s"):
             blob_down = enclave.publish_model(global_params, ctx)
         with _span(times, "local_training_s"):   # every client decodes the same blob
-            received = codec.decode_params(blob_down, schema)[0]
+            received = _received(codec.decode_layers(blob_down, schema)[0])
+            buffers = buffers or client_buffers(received)
         selected = np.sort(sample_rng.choice(cfg.num_clients, cfg.clients_per_round,
                                              replace=False))
 
@@ -555,7 +580,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         keep = (pruning.overall_keep_fraction(global_params, plan.stage_cfg)
                 if plan.stage_cfg is not None else 1.0)
         with _span(times, "eval_s"):
-            acc = nn.evaluate(arch, global_params, eval_x, eval_y, cfg.eval_batch_size)
+            acc = nn.evaluate(arch, _fp32(global_params), eval_x, eval_y, cfg.eval_batch_size)
         rm = RoundMetrics(
             round_index=rnd, phase=plan.phase, accuracy=acc, keep_fraction=keep,
             bytes_up=bytes_up, bytes_down=cfg.clients_per_round * len(blob_down),
@@ -563,7 +588,8 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
                 len(blob_down) + secure.HEADER.size + secure.TAG_SIZE),
             trusted_peak_bytes=ctx.peak_bytes,
             # wall time plus the modeled link time, which no clock measures
-            total_s=time.perf_counter() - round_t0 + times["transmission_s"], **times)
+            total_s=time.perf_counter() - round_t0 + times["transmission_s"],
+            rejections=tuple((rej.client_id, rej.reason) for rej in rejections), **times)
         metrics.append(rm)
         if progress:
             progress(rm)
@@ -574,7 +600,7 @@ def _run_rounds(cfg: ExperimentConfig, dataset, progress,
         if cfg.mode == "masked" and cfg.sparsity is not None and cfg.pruning_rounds > 0:
             # baseline updates are masked per client; report the hard-pruned model
             final_params, mask = pruning.final_hard_prune(global_params, cfg.sparsity)
-        final_acc = nn.evaluate(arch, final_params, eval_x, eval_y, cfg.eval_batch_size)
+        final_acc = nn.evaluate(arch, _fp32(final_params), eval_x, eval_y, cfg.eval_batch_size)
     try:
         cr = pruning.compression_rate(final_params)
     except ValueError:

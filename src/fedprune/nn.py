@@ -1,8 +1,11 @@
 """From-scratch differentiable models (MLP and LeNet-style convnets).
 
-Everything runs in float64 numpy on the CPU. The API is purely functional:
-parameter sets go in, new parameter sets / gradients come out, and nothing
-the caller passes is mutated, so any number of threads may call it at once.
+Everything runs in numpy on the CPU, in the dtype of the parameters a call
+is given (``_start``): the inputs are cast to it and every array a pass
+allocates has it, so float32 parameters give a float32 pass and float64 ones
+a float64 pass.  The API is purely functional: parameter sets go in, new
+parameter sets / gradients come out, and nothing the caller passes is
+mutated, so any number of threads may call it at once.
 
 Each process has one helper thread, started on first use, that shares the
 work of a single call.  Every pass runs the layers up to the Flatten
@@ -20,8 +23,9 @@ and not on others, so the stack splits only where ``_blocks_keep_bytes``,
 run once per shape, finds the same bytes for each conv GEMM of the pass on
 seeded random operands of its exact shapes, weight layout and row offsets,
 both whole and in the planned blocks; otherwise the stack runs whole on the
-caller.  A pass too large to check (``_CHECK_BYTES``) runs whole in
-``backward`` and in unchecked tiles outside it.  Everything else the helper
+caller.  A pass too large to check whole (``_CHECK_BYTES``) runs whole in
+``backward``; outside it, its tiles are checked against one GEMM over the
+leading ``_CHECK_TILES`` of them.  Everything else the helper
 runs is the BLAS call or numpy operation a one-thread pass would make, on
 the same operands, writing into arrays the caller allocated, and the caller
 waits for it before returning, so logits and gradients are the same bytes.
@@ -259,12 +263,19 @@ def init_model(arch: ModelArch, seed: int) -> ParameterSet:
 _TILE = 10
 
 # Bytes of the conv/pool arrays of a pass over all of its examples at once,
-# above which no split is checked: the check builds about that much, and so
-# does the untiled pass an evaluation falls back on.  Above it, ``backward``
-# runs the conv/pool layers on the calling thread alone and ``_logits`` runs
-# its tiles unchecked.  LeNet-5 takes 0.52 MB per example, so an evaluation
-# of 300 examples is above it.
+# above which no split is checked whole: the check builds about that much,
+# and so does the untiled pass an evaluation falls back on.  Above it,
+# ``backward`` runs the conv/pool layers on the calling thread alone and
+# ``_logits`` checks only its first ``_CHECK_TILES`` tiles.  LeNet-5 takes
+# 0.52 MB per example at fp64 and 0.26 MB at fp32, so an evaluation of 300
+# examples is above it.
 _CHECK_BYTES = 64 << 20
+
+# Leading tiles whose split stands in for a pass too large to check whole.  A
+# kernel whose row split changes a conv GEMM's bytes changes them from the
+# first tile on: LeNet-5's conv2 at fp32 under OpenBLAS's Haswell kernel
+# differs on every tile of 10, against one GEMM over 20 examples or 300.
+_CHECK_TILES = 4
 
 # (pid, executor) of this process's helper thread.  A child forked after the
 # helper started inherits the tuple but not the thread, so the pid check
@@ -297,7 +308,8 @@ def _offload(on_helper: bool, fn, *args, **kwargs) -> Callable[[], object]:
 
 def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):
     """Pair every layer with its parameters (None for the others), checking
-    their shapes, and view the inputs channels-last."""
+    their shapes, and view the inputs channels-last, cast to the pass's
+    dtype: the first weight's, or float64 for integer weights."""
     entries = iter(params.entries)
     bound = []
     for layer in arch.layers:
@@ -310,7 +322,8 @@ def _start(arch: ModelArch, params: ParameterSet, inputs: np.ndarray):
                 raise ShapeError(f"params for '{layer.name}' have (weight, bias) "
                                  f"shapes {got}, arch wants {want}")
         bound.append((layer, e))
-    x = np.asarray(inputs, dtype=np.float64)
+    dtype = np.result_type(params.entries[0].weight, np.float32) if params.entries else np.float64
+    x = np.asarray(inputs, dtype=dtype)
     if x.shape[1:] != tuple(arch.input_shape):
         raise ShapeError(f"inputs have per-example shape {x.shape[1:]}, "
                          f"arch wants {tuple(arch.input_shape)}")
@@ -330,7 +343,7 @@ def _im2col_index(h: int, w: int, c: int, k: int, stride: int):
 
 def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, ho: int, wo: int):
     b, h, w, c = x_shape
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dcols.dtype)
     dcols = dcols.reshape(b, ho, wo, c, k, k)
     for i in range(k):
         for j in range(k):
@@ -352,7 +365,7 @@ def _maxpool(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray
 def _maxpool_backward(dout: np.ndarray, x: np.ndarray, m: np.ndarray, k: int):
     """Route each window's gradient to the element argmax would pick: the
     first equal to the max, or the first NaN."""
-    dx = np.empty(x.shape)
+    dx = np.empty(x.shape, x.dtype)
     rest = np.ones(m.shape, dtype=bool)                     # windows not yet routed
     has_nan = bool(np.isnan(m).any())
     for n in range(k * k):
@@ -371,18 +384,19 @@ def _maxpool_backward(dout: np.ndarray, x: np.ndarray, m: np.ndarray, k: int):
 
 
 @functools.lru_cache(maxsize=64)
-def _stack_layout(layers: tuple, shape: tuple):
+def _stack_layout(layers: tuple, shape: tuple, dtype: np.dtype):
     """Per layer of a conv/pool stack, the per-example (shape, dtype) of each
     array its pass writes: a conv's im2col matrix and output, a ReLU's mask
-    and output, a pool's output, all channels-last.  Also the flattened
-    feature count.  ``shape`` is the channels-first input shape."""
+    and output, a pool's output, all channels-last and, but for the masks,
+    of the pass's ``dtype``.  Also the flattened feature count.  ``shape`` is
+    the channels-first input shape."""
     layout = []
     for layer in layers:
         c = shape[0]
         shape = _infer_shape(layer, shape)
-        out = ((shape[1], shape[2], shape[0]), np.float64)
+        out = ((shape[1], shape[2], shape[0]), dtype)
         if isinstance(layer, Conv2d):
-            layout.append((((shape[1] * shape[2], c * layer.kernel ** 2), np.float64), out))
+            layout.append((((shape[1] * shape[2], c * layer.kernel ** 2), dtype), out))
         elif isinstance(layer, ReLU):
             layout.append(((out[0], np.bool_), out))
         else:
@@ -391,17 +405,17 @@ def _stack_layout(layers: tuple, shape: tuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _blocks_keep_bytes(gemms: tuple, bounds: tuple, in_place: bool) -> bool:
+def _blocks_keep_bytes(gemms: tuple, bounds: tuple, in_place: bool, dtype: np.dtype) -> bool:
     """Whether every conv GEMM, given as (rows per example, C*k*k, out_ch,
     strides of wmat), gives the same bytes on the example blocks between
-    ``bounds`` as on all of them at once, on seeded random operands.  With
-    ``in_place`` a block reads and writes its rows of the whole arrays, as in
-    ``backward``'s caches; without, it runs on a copy at offset 0, as a tile
-    does in its buffers."""
+    ``bounds`` as on all of them at once, on seeded random operands of the
+    pass's ``dtype``.  With ``in_place`` a block reads and writes its rows of
+    the whole arrays, as in ``backward``'s caches; without, it runs on a copy
+    at offset 0, as a tile does in its buffers."""
     rng = np.random.default_rng(0)
     for rows, k, n_out, strides in gemms:
-        a = rng.standard_normal((bounds[-1] * rows, k))
-        w = rng.standard_normal((n_out, k)).T
+        a = rng.standard_normal((bounds[-1] * rows, k), dtype)
+        w = rng.standard_normal((n_out, k), dtype).T
         if w.strides != strides:
             w = np.ascontiguousarray(w)
             if w.strides != strides:
@@ -491,7 +505,7 @@ def _conv_stack(bound, x: np.ndarray, caches: list | None):
     stack = [(layer, e, None if e is None else e.weight.reshape(layer.out_ch, -1).T)
              for layer, e in bound[:cut]]
     layout, features = _stack_layout(tuple(layer for layer, _ in bound[:cut]),
-                                     (x.shape[3], x.shape[1], x.shape[2]))
+                                     (x.shape[3], x.shape[1], x.shape[2]), x.dtype)
     n = len(x)
     bounds = (0, n // 2, n) if caches is not None else (*range(0, n, _TILE), n)
     mid = bounds[(len(bounds) - 1) // 2]
@@ -499,9 +513,10 @@ def _conv_stack(bound, x: np.ndarray, caches: list | None):
                   for (layer, _, wmat), spec in zip(stack, layout) if wmat is not None)
     nbytes = n * sum(int(np.prod(s)) * np.dtype(d).itemsize for spec in layout for s, d in spec)
     if nbytes <= _CHECK_BYTES:
-        split = mid > 0 and _blocks_keep_bytes(gemms, bounds, caches is not None)
+        split = mid > 0 and _blocks_keep_bytes(gemms, bounds, caches is not None, x.dtype)
     else:
-        split = mid > 0 and caches is None
+        split = mid > 0 and caches is None and _blocks_keep_bytes(
+            gemms, bounds[:_CHECK_TILES + 1], False, x.dtype)
     spans = [(0, mid), (mid, n)] if split else [(0, n)]
     tile = _TILE if split and caches is None else max(n, 1)
 
@@ -510,7 +525,7 @@ def _conv_stack(bound, x: np.ndarray, caches: list | None):
     else:
         full, = _buffer_sets(layout, [n], keep=True)
         sets = [[tuple(a[s:e] for a in outs) for outs in full] for s, e in spans]
-    flat = np.empty((n, features))
+    flat = np.empty((n, features), x.dtype)
     runs = [functools.partial(_stack_part, stack, x[s:e], arrays, flat[s:e], tile)
             for (s, e), arrays in zip(spans, sets)]
     _wait_all([runs[1], _offload(True, runs[0])] if split else runs)
@@ -601,7 +616,7 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch,
         for n in range(len(bound) - 1, first - 1, -1):
             (layer, e), cache = bound[n], caches[n]
             if isinstance(layer, Dense):
-                dw = np.empty(e.weight.shape)
+                dw = np.empty(e.weight.shape, x.dtype)
                 waits.append(_offload(n > first, np.matmul, cache.T, dout, out=dw))
                 grads[e.layer_id] = (dw, dout.sum(axis=0))
                 if n > first:
@@ -610,7 +625,7 @@ def backward(arch: ModelArch, params: ParameterSet, batch: Batch,
             elif isinstance(layer, Conv2d):
                 x_shape, cols, ho, wo = cache
                 dmat = dout.reshape(-1, layer.out_ch)
-                dwt = np.empty((cols.shape[1], layer.out_ch))          # (C*k*k, out_ch)
+                dwt = np.empty((cols.shape[1], layer.out_ch), x.dtype)   # (C*k*k, out_ch)
                 waits.append(_offload(n > first, np.matmul, cols.T, dmat, out=dwt))
                 # At one example the channels-first gradient reshaped to a
                 # column-major (H*W, C) view; keep its order of summation.

@@ -13,7 +13,7 @@ _TIMING_COLUMNS = (*RoundMetrics.TIME_FIELDS, "total_s")
 CSV_COLUMNS = (
     "round", "phase", "accuracy", "keep_fraction",
     "bytes_up", "bytes_down", "dense_bytes_up", "dense_bytes_down",
-    "trusted_peak_bytes", *_TIMING_COLUMNS,
+    "trusted_peak_bytes", "rejected", *_TIMING_COLUMNS,
 )
 
 
@@ -34,7 +34,7 @@ def write_report(result: ExperimentResult, out_dir: str | Path,
             "keep_fraction": f"{m.keep_fraction:.6f}",
             "bytes_up": m.bytes_up, "bytes_down": m.bytes_down,
             "dense_bytes_up": m.dense_bytes_up, "dense_bytes_down": m.bytes_down,
-            "trusted_peak_bytes": m.trusted_peak_bytes,
+            "trusted_peak_bytes": m.trusted_peak_bytes, "rejected": len(m.rejections),
             **{c: f"{getattr(m, c):.6f}" for c in _TIMING_COLUMNS},
         } for m in result.metrics)
 

@@ -1,7 +1,8 @@
 """Textbook implementations that tests compare fedprune with, byte for byte.
 
 - ``ref_backward`` and ``ref_evaluate``: channels-first im2col passes with
-  argmax pooling, on the calling thread alone;
+  argmax pooling, on the calling thread alone, in the dtype of the
+  parameters they are given;
 - ``reference_project``: the argsort projection, and ``brute_force_project``,
   the exhaustive search it is checked against;
 - ``ref_client_round``: one client's local round, its ADMM update and its
@@ -9,10 +10,12 @@
 - ``ref_admm_update``: the dense Z step, then the U step;
 - ``ref_fedavg``: dense fp64 FedAvg in client-id order;
 - ``reference_run``: a whole federated run built from the three above, with
-  chosen uploads left out of their round's FedAvg, and ``ref_wire``, the
-  fp32 cast at the wire;
-- ``ref_frame``, ``ref_encode`` and ``ref_seal``: the wire formats, written
-  field by field from the layouts in the codec and secure docstrings.
+  chosen uploads left out of their round's FedAvg; ``ref_cast``, which
+  casts to fp32 as the wire does, and ``ref_wire``, that cast widened back
+  to fp64;
+- ``ref_frame``, ``ref_encode``, ``ref_decode`` and ``ref_seal``: the wire
+  formats, written field by field from the layouts in the codec and secure
+  docstrings.
 """
 
 import itertools
@@ -50,7 +53,7 @@ def ref_im2col(x, k, stride):
 
 def ref_col2im(dcols, x_shape, k, stride, ho, wo):
     b, c, h, w = x_shape
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dcols.dtype)
     dcols = dcols.reshape(b, ho, wo, c, k, k)
     for i in range(k):
         for j in range(k):
@@ -93,8 +96,13 @@ def ref_forward(arch, params, x):
     return x, caches
 
 
+def ref_dtype(params):
+    """The dtype a pass on params computes in: that of its weights."""
+    return params.entries[0].weight.dtype
+
+
 def ref_backward(arch, params, batch):
-    x = np.asarray(batch.inputs, dtype=np.float64)
+    x = np.asarray(batch.inputs, dtype=ref_dtype(params))
     logits, caches = ref_forward(arch, params, x)
     b = len(batch.labels)
     dout = nn._softmax(logits)
@@ -120,7 +128,7 @@ def ref_backward(arch, params, batch):
         elif kind == "pool":
             _, x_shape, idx, k = cache
             bb, c, ho, wo = idx.shape
-            dxr = np.zeros((bb, c, ho, wo, k * k))
+            dxr = np.zeros((bb, c, ho, wo, k * k), dout.dtype)
             np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
             dout = dxr.reshape(bb, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5) \
                       .reshape(x_shape)
@@ -130,7 +138,7 @@ def ref_backward(arch, params, batch):
 
 
 def ref_logits(arch, params, inputs):
-    return ref_forward(arch, params, np.asarray(inputs, dtype=np.float64))[0]
+    return ref_forward(arch, params, np.asarray(inputs, dtype=ref_dtype(params)))[0]
 
 
 def ref_evaluate(arch, params, inputs, labels, batch_size):
@@ -190,10 +198,16 @@ def _prune(params, sparsity):
         _project(w, sparsity.keep[lid]) if lid in sparsity.keep else w, b))
 
 
+def ref_cast(params, dtype):
+    """params with every tensor cast to dtype; at fp32, as a broadcast or an
+    upload carries them."""
+    return params.map(lambda lid, w, b: (w.astype(dtype), b.astype(dtype)))
+
+
 def ref_wire(params):
-    """params as a broadcast or an upload carries them: cast to fp32 and back."""
-    return params.map(lambda lid, w, b: (w.astype(np.float32).astype(np.float64),
-                                         b.astype(np.float32).astype(np.float64)))
+    """params cast to fp32 at the wire and widened back to fp64, as the
+    enclave and codec.decode_params widen them."""
+    return ref_cast(ref_cast(params, np.float32), np.float64)
 
 
 def _combine(a, b, fn):
@@ -255,12 +269,14 @@ def ref_client_round(arch, received, x, y, cfg, plan, seed, zu=None, mask=None):
 
 def ref_fedavg(uploads):
     """FedAvg of (client id, params, example count) triples: from fp64
-    zeros, each client's (count / total) * params added in client-id order."""
+    zeros, each client's (count / total) * params, widened to fp64 first,
+    added in client-id order."""
     uploads = sorted(uploads, key=lambda r: r[0])
     total = float(sum(n for _cid, _p, n in uploads))
-    model = uploads[0][1].map(lambda lid, w, b: (np.zeros_like(w), np.zeros_like(b)))
+    model = uploads[0][1].map(lambda lid, w, b: (np.zeros(w.shape), np.zeros(b.shape)))
     for _cid, params, n in uploads:
-        model = _combine(model, params, lambda acc, up: acc + (n / total) * up)
+        model = _combine(model, params,
+                         lambda acc, up: acc + (n / total) * up.astype(np.float64))
     return model
 
 
@@ -279,10 +295,12 @@ def ref_cohorts(cfg):
 def reference_run(cfg, left_out=()):
     """(final model, per-round accuracies, final accuracy) of
     federation.run_experiment(cfg), computed without crypto, codec or
-    sparse storage: ref_client_round of each sampled client, a cast to fp32
-    at every broadcast and upload, and ref_fedavg of the uploads.  The
-    upload of each (round, client) in left_out is trained but not averaged,
-    as if the enclave had rejected it."""
+    sparse storage: the fp64 global model is cast to fp32 at every
+    broadcast, each sampled client runs ref_client_round on that fp32 model
+    (so it trains, steps and keeps its Z and U in fp32), ref_fedavg averages
+    the fp32 uploads, and every evaluation runs on the fp32 cast of the
+    model.  The upload of each (round, client) in left_out is trained but
+    not averaged, as if the enclave had rejected it."""
     dataset, arch = cfg.load_dataset(), cfg.build_arch()
     s_partition, s_init, _, _ = ref_seeds(cfg)
     if cfg.partition == "iid":
@@ -291,9 +309,13 @@ def reference_run(cfg, left_out=()):
         part = federation.partition_noniid(dataset.train_y, cfg.num_clients, s_partition)
     eval_x, eval_y = dataset.test_x[:cfg.eval_examples], dataset.test_y[:cfg.eval_examples]
     model, mask, admm, accs = nn.init_model(arch, s_init), None, {}, []
+
+    def accuracy(model):
+        return ref_evaluate(arch, ref_cast(model, np.float32), eval_x, eval_y,
+                            cfg.eval_batch_size)
     for rnd, cohort in enumerate(ref_cohorts(cfg)):
         plan = federation.plan_round(cfg, rnd)
-        received, uploads = ref_wire(model), []
+        received, uploads = ref_cast(model, np.float32), []
         for cid in cohort:
             upload, zu = ref_client_round(arch, received, dataset.train_x[part[cid]],
                                           dataset.train_y[part[cid]], cfg, plan,
@@ -302,16 +324,16 @@ def reference_run(cfg, left_out=()):
             if zu is not None:
                 admm[cid] = zu
             if (rnd, cid) not in left_out:
-                uploads.append((cid, ref_wire(upload), len(part[cid])))
+                uploads.append((cid, ref_cast(upload, np.float32), len(part[cid])))
         model = ref_fedavg(uploads)
         if plan.finalize_after:
             model = _prune(model, cfg.sparsity)
             mask = {lid: model[lid].weight != 0.0 for lid in cfg.sparsity.keep}
             admm.clear()
-        accs.append(ref_evaluate(arch, model, eval_x, eval_y, cfg.eval_batch_size))
+        accs.append(accuracy(model))
     if cfg.mode == "masked" and cfg.sparsity is not None and cfg.pruning_rounds > 0:
         model = _prune(model, cfg.sparsity)
-    return model, accs, ref_evaluate(arch, model, eval_x, eval_y, cfg.eval_batch_size)
+    return model, accs, accuracy(model)
 
 
 # -- reference: the wire formats ----------------------------------------------
@@ -335,6 +357,42 @@ def ref_frame(fmt, layers):
                     _le(row_ptr, "<u4"), _le(col_idx, "<u4")]
         out += [_le(body, "<f4"), struct.pack("<I", np.size(bias)), _le(bias, "<f4")]
     return b"".join(out)
+
+
+def ref_decode(blob):
+    """The params a codec blob carries, fp32 as on the wire, read field by
+    field: the magic, version, format and layer count, then per layer its
+    id, dims and body, dense values or a CSR matrix view (rows, cols, nnz,
+    row_ptr, col_idx, values) of the weight, and its bias."""
+    at = 0
+
+    def take(fmt):
+        nonlocal at
+        out = struct.unpack_from(fmt, blob, at)
+        at += struct.calcsize(fmt)
+        return out
+
+    magic, version, fmt, n_layers = take("<4sBBH")
+    assert (magic, version, fmt) in ((b"ESMB", 1, 0), (b"ESMB", 1, 1))
+    layers = []
+    for _ in range(n_layers):
+        name = take(f"<{take('<B')[0]}s")[0].decode()
+        ndim, = take("<B")
+        dims = take(f"<{ndim}I")
+        if fmt == 0:
+            w = np.array(take(f"<{int(np.prod(dims))}f"), np.float32)
+        else:
+            rows, cols, nnz = take("<III")
+            row_ptr, col_idx, values = take(f"<{rows + 1}I"), take(f"<{nnz}I"), take(f"<{nnz}f")
+            w = np.zeros((rows, cols), np.float32)
+            for r in range(rows):
+                for i in range(row_ptr[r], row_ptr[r + 1]):
+                    w[r, col_idx[i]] = values[i]
+        bias_len, = take("<I")
+        layers.append(nn.LayerParams(name, w.reshape(dims),
+                                     np.array(take(f"<{bias_len}f"), np.float32)))
+    assert at == len(blob)
+    return nn.ParameterSet(tuple(layers))
 
 
 def ref_encode(params, fmt):

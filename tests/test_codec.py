@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedprune import codec, nn
 from fedprune.codec import (CodecError, csr_encode, decode_params, dense_encode,
                             encoded_size)
-from reference import ref_encode, ref_frame, ref_wire
+from reference import ref_decode, ref_encode, ref_cast, ref_frame, ref_wire, same_params
 from test_pruning import EDGE_VALUES
 
 
@@ -208,6 +208,17 @@ class TestOneScanCsr:
         p = params_of(*weights)
         assert csr_encode(p) == ref_encode(p, "csr")
         assert dense_encode(p) == ref_encode(p, "dense")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(edge_weights(), min_size=1, max_size=3))
+    def test_textbook_decode_inverts_encode(self, weights):
+        # the tests' own decoder, which the enclave tests build their
+        # expected FedAvg from, reads back the fp32 cast of what was encoded;
+        # CSR stores no zero, so its -0.0 weights come back +0.0
+        p = params_of(*weights)
+        assert same_params(ref_decode(dense_encode(p)), ref_cast(p, np.float32))
+        assert same_params(ref_decode(csr_encode(p)), ref_cast(p, np.float32).map(
+            lambda lid, w, b: (np.where(w == 0.0, np.float32(0.0), w), b)))
 
     def test_lenet_fc1_with_empty_rows(self):
         rng = np.random.default_rng(2)

@@ -8,7 +8,7 @@ from fedprune import codec, nn, pruning, secure
 from fedprune.enclave import (AggregationInput, EnclaveContext, PlaintextUpdate,
                               TrustBoundaryError, enclave_load, fedavg,
                               publish_model)
-from reference import ref_fedavg, ref_frame, ref_seal, ref_wire, same_params
+from reference import ref_decode, ref_fedavg, ref_frame, ref_seal, ref_wire, same_params
 
 
 def make_params(values, ids=("a",)):
@@ -128,8 +128,7 @@ class TestEnclaveLoad:
             (4, "header format unknown (7) differs from the payload's csr")]
         assert [r.client_id for r in agg.records] == [0, 3, 5]
         assert same_params(fedavg(agg), ref_fedavg(
-            [(cid, codec.decode_params(blobs[cid], ctx.schema)[0], counts[cid])
-             for cid in (0, 3, 5)]))
+            [(cid, ref_decode(blobs[cid]), counts[cid]) for cid in (0, 3, 5)]))
 
 
 class TestOneUploadPerClientPerRound:
@@ -290,8 +289,7 @@ class TestFedavgMatchesDense:
         assert not rej and len(agg.records) == len(uploads)
         # byte for byte, which tells -0.0 from +0.0
         assert same_params(fedavg(agg), ref_fedavg(
-            [(cid, codec.decode_params(blob, ctx.schema)[0], n)
-             for cid, (n, blob) in uploads.items()]))
+            [(cid, ref_decode(blob), n) for cid, (n, blob) in uploads.items()]))
 
     def test_values_catch_an_fp32_multiply(self):
         for n in (3, 7, 8, 11):

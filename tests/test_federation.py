@@ -3,6 +3,7 @@ import struct
 import threading
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from fedprune.federation import (PRUNING_PHASES, ExperimentAborted, ExperimentCo
                                  run_experiment, saving_percent,
                                  stage_keep_config)
 from fedprune.pruning import SparsityConfig
-from reference import ref_client_round, ref_seeds, ref_wire, same_params
+from reference import ref_cast, ref_client_round, ref_seeds, ref_wire, same_params
 
 
 def tiny_cfg(**kw):
@@ -295,9 +296,9 @@ STEP_CASES = ["warmup", "admm_first", "admm_returning", "masked_prune", "finetun
               "finetune_off_mask_weights"]
 
 
-def step_case(case, momentum):
+def step_case(case, momentum, dtype=np.float64):
     """(arch, dataset, cfg, plan, global model, ADMM state, mask) of one
-    STEP_CASES round on a (10, 8, 6, 3) MLP."""
+    STEP_CASES round on a (10, 8, 6, 3) MLP, the model and state in dtype."""
     # fc3 is unconstrained; two epochs carry the momentum buffer over.
     # rho and lr are large enough that a penalty summed in another order
     # changes the update's last bits.
@@ -306,7 +307,7 @@ def step_case(case, momentum):
     sparsity = SparsityConfig(keep={"fc1": 0.25, "fc2": 0.5}, rho=1.0)
     cfg = tiny_cfg(arch_params={"dims": (10, 8, 6, 3)}, sparsity=sparsity,
                    local_epochs=2, lr=0.05, momentum=momentum)
-    g = nn.init_model(arch, 0)
+    g = ref_cast(nn.init_model(arch, 0), dtype)
     state = mask = None
     if case == "warmup":
         plan = RoundPlan("warmup", None, False)
@@ -330,16 +331,17 @@ def step_case(case, momentum):
             budgets = plan.stage_cfg.budgets(g)
             state = pruning.ADMMState(
                 z={lid: pruning.KeptEntries.of(pruning.euclidean_project(
-                    rng.normal(0, 0.3, g[lid].weight.shape), n))
+                    rng.normal(0, 0.3, g[lid].weight.shape).astype(dtype), n))
                    for lid, n in budgets.items()},
-                u={lid: rng.normal(0, 0.1, g[lid].weight.shape) for lid in budgets},
+                u={lid: rng.normal(0, 0.1, g[lid].weight.shape).astype(dtype)
+                   for lid in budgets},
                 step=3)
     return arch, ds, cfg, plan, g, state, mask
 
 
-def assert_step_matches_reference(case, momentum):
+def assert_step_matches_reference(case, momentum, dtype):
     """client_round against reference.py's client round on a (10, 8, 6, 3) MLP."""
-    arch, ds, cfg, plan, g, state, mask = step_case(case, momentum)
+    arch, ds, cfg, plan, g, state, mask = step_case(case, momentum, dtype)
     inputs = (param_bytes(g), state_bytes(state),
               mask and [m.tobytes() for m in mask.layers.values()])
 
@@ -357,14 +359,23 @@ def assert_step_matches_reference(case, momentum):
                    for a, b in ((e.weight, f.weight), (e.bias, f.bias)))
 
 
-class TestLocalStep:
-    """client_round's step against the chain of whole-model steps it fused,
-    and its arithmetic against hand-computed values."""
+def lenet_step_inputs(seed, dtype):
+    """A LeNet-5 model in dtype and 15 random examples."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
+    return rng, x, y, ref_cast(nn.init_model(nn.lenet5(), 0), dtype)
+
+
+class LocalStepBytes:
+    """client_round against reference.py's client round byte for byte, with
+    the model, ADMM state and so every buffer in ``dtype``."""
+
+    dtype = np.float64
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("case", STEP_CASES)
     def test_bit_identical_to_reference_chain(self, case, momentum):
-        assert_step_matches_reference(case, momentum)
+        assert_step_matches_reference(case, momentum, self.dtype)
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("case", STEP_CASES)
@@ -372,7 +383,7 @@ class TestLocalStep:
         # blocks of 7 entries: every tensor but fc3's bias spans several
         # blocks and ends in a ragged one, and Z's entries fall in most blocks
         monkeypatch.setattr(federation, "_BLOCK", 7)
-        assert_step_matches_reference(case, momentum)
+        assert_step_matches_reference(case, momentum, self.dtype)
 
     def test_lenet_fc1_at_the_real_block_size(self):
         # fc1's 400,000 weights are 12 full blocks and a ragged 13th
@@ -381,15 +392,14 @@ class TestLocalStep:
         sparsity = SparsityConfig(keep={"conv2": 0.06, "fc1": 0.0055}, rho=1.0)
         cfg = tiny_cfg(arch="lenet5", arch_params={}, sparsity=sparsity,
                        local_epochs=1, batch_size=5, lr=0.05, momentum=0.9)
-        rng = np.random.default_rng(3)
-        x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
-        g = nn.init_model(arch, 0)
+        rng, x, y, g = lenet_step_inputs(3, self.dtype)
         plan = RoundPlan("admm_prune", stage_keep_config(sparsity, 0), False)
         state = pruning.ADMMState(
             z={lid: pruning.KeptEntries.of(pruning.euclidean_project(
-                rng.normal(0, 0.05, g[lid].weight.shape), n))
+                rng.normal(0, 0.05, g[lid].weight.shape).astype(self.dtype), n))
                for lid, n in plan.stage_cfg.budgets(g).items()},
-            u={lid: rng.normal(0, 0.01, g[lid].weight.shape) for lid in sparsity.keep})
+            u={lid: rng.normal(0, 0.01, g[lid].weight.shape).astype(self.dtype)
+               for lid in sparsity.keep})
         upd, out = client_round(arch, g, x, y, cfg, plan, state, None, seed=5,
                                 buffers=client_buffers(g))
         assert (param_bytes(upd), state_bytes(out)) == \
@@ -403,9 +413,8 @@ class TestLocalStep:
         sparsity = SparsityConfig(keep={"conv2": 0.06, "fc1": 0.2})
         cfg = tiny_cfg(arch="lenet5", arch_params={}, sparsity=sparsity,
                        local_epochs=1, batch_size=5, lr=0.05, momentum=0.9)
-        rng = np.random.default_rng(3)
-        x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
-        g, mask = pruning.final_hard_prune(nn.init_model(arch, 0), sparsity)
+        _, x, y, g = lenet_step_inputs(3, self.dtype)
+        g, mask = pruning.final_hard_prune(g, sparsity)
         assert np.count_nonzero(mask.layers["fc1"]) == 80_000
         plan = RoundPlan("masked_finetune", sparsity, False)
         upd, _ = client_round(arch, g, x, y, cfg, plan, None, mask, seed=5,
@@ -419,14 +428,91 @@ class TestLocalStep:
         arch = nn.lenet5()
         cfg = tiny_cfg(arch="lenet5", arch_params={}, local_epochs=2, batch_size=5,
                        lr=0.05, momentum=0.9)
-        rng = np.random.default_rng(4)
-        x, y = rng.normal(size=(15, 1, 28, 28)), rng.integers(0, 10, 15)
-        g = nn.init_model(arch, 0)
+        _, x, y, g = lenet_step_inputs(4, self.dtype)
         plan = RoundPlan(phase, None, False)
         upd, out = client_round(arch, g, x, y, cfg, plan, None, None, seed=5,
                                 buffers=client_buffers(g))
         assert out is None
         assert param_bytes(upd) == reference_bytes(arch, g, x, y, cfg, plan, None, None)[0]
+
+    @pytest.mark.parametrize("case", ["dense", "admm_returning", "finetune"])
+    def test_reused_buffers(self, case):
+        # client B on the buffers that client A trained in last gives the
+        # bytes B gets on fresh buffers, whatever kind of round A's was
+        arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9, self.dtype)
+        fresh = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask,
+                             seed=5, buffers=client_buffers(g))
+        want = (param_bytes(fresh[0]), state_bytes(fresh[1]))
+        for other in STEP_CASES:
+            _, _, _, plan_a, g_a, state_a, mask_a = step_case(other, 0.5, self.dtype)
+            buffers = client_buffers(g)
+            client_round(arch, g_a, ds.train_x[:30], ds.train_y[:30], cfg, plan_a,
+                         state_a, mask_a, seed=9, buffers=buffers)
+            upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
+                                    mask, seed=5, buffers=buffers)
+            assert (param_bytes(upd), state_bytes(out)) == want, other
+
+    def test_buffers_poisoned_with_nan(self):
+        # every entry the round reads is one it wrote first
+        for case in STEP_CASES:
+            arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9, self.dtype)
+            buffers = client_buffers(g)
+            work, velocities, scratch, z_buffers = buffers
+            z_buffers.update((lid, np.empty(g[lid].weight.size, self.dtype))
+                             for lid in cfg.sparsity.keep)
+            for a in ([t for e in work.entries for t in (e.weight, e.bias)] + velocities
+                      + list(z_buffers.values())):
+                a.fill(np.nan)
+            scratch.fill(np.nan)
+            upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
+                                    mask, seed=5, buffers=buffers)
+            assert (param_bytes(upd), state_bytes(out)) == \
+                reference_bytes(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask), case
+
+
+class TestLocalStepFp32(LocalStepBytes):
+    """The byte cases at fp32, the precision run_experiment's clients train
+    in, and the dtype of everything a round leaves behind."""
+
+    dtype = np.float32
+
+    def test_everything_stays_fp32(self):
+        # a float64 scalar beside fp32 operands computes at fp64 (NEP 50),
+        # and a float64 array written into a buffer would cast silently;
+        # every array a round leaves is fp32
+        for case in STEP_CASES:
+            arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9, np.float32)
+            buffers = client_buffers(g)
+            upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
+                                    mask, seed=5, buffers=buffers)
+            work, velocities, scratch, z_buffers = buffers
+            arrays = [t for p in (work, upd) for e in p.entries for t in (e.weight, e.bias)]
+            arrays += [*velocities, scratch, *z_buffers.values()]
+            if out is not None:
+                arrays += [z.value for z in out.z.values()] + list(out.u.values())
+                assert z_buffers.keys() == out.z.keys() == out.u.keys(), case
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}, case
+
+    @pytest.mark.parametrize("case", STEP_CASES)
+    def test_float64_scalars_do_not_promote_the_step(self, case):
+        # lr, momentum and rho given as numpy float64 scalars step the fp32
+        # buffers as the same Python floats do
+        arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9, np.float32)
+        want = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask,
+                            seed=5, buffers=client_buffers(g))
+        strong = replace(cfg, lr=np.float64(cfg.lr), momentum=np.float64(cfg.momentum))
+        if plan.stage_cfg is not None:
+            plan = replace(plan, stage_cfg=replace(plan.stage_cfg,
+                                                   rho=np.float64(plan.stage_cfg.rho)))
+        got = client_round(arch, g, ds.train_x, ds.train_y, strong, plan, state, mask,
+                           seed=5, buffers=client_buffers(g))
+        assert (param_bytes(got[0]), state_bytes(got[1])) == \
+            (param_bytes(want[0]), state_bytes(want[1]))
+
+
+class TestLocalStep(LocalStepBytes):
+    """client_round's step against the chain of whole-model steps it fused,
+    and its arithmetic against hand-computed values."""
 
     def test_public_calls_stay_on_the_calling_thread(self, monkeypatch):
         # every public fedprune function wrapped, as perfbench's tracer
@@ -470,23 +556,6 @@ class TestLocalStep:
             assert sum(name == "fedprune.nn.backward" for name, _ in calls) == 3
         assert state.step == 2
 
-    @pytest.mark.parametrize("case", ["dense", "admm_returning", "finetune"])
-    def test_reused_buffers(self, case):
-        # client B on the buffers that client A trained in last gives the
-        # bytes B gets on fresh buffers, whatever kind of round A's was
-        arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9)
-        fresh = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask,
-                             seed=5, buffers=client_buffers(g))
-        want = (param_bytes(fresh[0]), state_bytes(fresh[1]))
-        for other in STEP_CASES:
-            _, _, _, plan_a, g_a, state_a, mask_a = step_case(other, 0.5)
-            buffers = client_buffers(g)
-            client_round(arch, g_a, ds.train_x[:30], ds.train_y[:30], cfg, plan_a,
-                         state_a, mask_a, seed=9, buffers=buffers)
-            upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
-                                    mask, seed=5, buffers=buffers)
-            assert (param_bytes(upd), state_bytes(out)) == want, other
-
     @pytest.mark.parametrize("case", ["admm_first", "admm_returning"])
     def test_admm_round_under_a_mask_rejected(self, case):
         # plan_round sets the shared mask only after the last ADMM round
@@ -495,22 +564,6 @@ class TestLocalStep:
         with pytest.raises(ValueError, match="admm_prune round takes no mask"):
             client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask,
                          seed=5, buffers=client_buffers(g))
-
-    def test_buffers_poisoned_with_nan(self):
-        # every entry the round reads is one it wrote first
-        for case in STEP_CASES:
-            arch, ds, cfg, plan, g, state, mask = step_case(case, 0.9)
-            buffers = client_buffers(g)
-            work, velocities, scratch, z_buffers = buffers
-            z_buffers.update((lid, np.empty(g[lid].weight.size)) for lid in cfg.sparsity.keep)
-            for a in ([t for e in work.entries for t in (e.weight, e.bias)] + velocities
-                      + list(z_buffers.values())):
-                a.fill(np.nan)
-            scratch.fill(np.nan)
-            upd, out = client_round(arch, g, ds.train_x, ds.train_y, cfg, plan, state,
-                                    mask, seed=5, buffers=buffers)
-            assert (param_bytes(upd), state_bytes(out)) == \
-                reference_bytes(arch, g, ds.train_x, ds.train_y, cfg, plan, state, mask), case
 
     def test_dense_update_is_the_buffers(self):
         # no copy out: a dense round's update lives in the buffers until the
@@ -617,14 +670,14 @@ class TestRunExperiment:
         assert [m.bytes_up for m in res.metrics] == [1656] * 4
 
     def test_single_client_equals_centralized(self):
-        # FedAvg over one client is that client's update (at fp32 wire
-        # precision); the client holds every example
+        # FedAvg over one client is that client's update, trained in fp32
+        # from the fp32 broadcast; the client holds every example
         cfg = tiny_cfg(num_clients=1, clients_per_round=1, warmup_rounds=1,
                        pruning_rounds=0, mode="dense", sparsity=None)
         ds, arch = cfg.load_dataset(), cfg.build_arch()
-        upload, _ = ref_client_round(
-            arch, ref_wire(nn.init_model(arch, ref_seeds(cfg)[1])), ds.train_x, ds.train_y, cfg,
-            plan_round(cfg, 0), federation._client_seed(cfg.seed, 0, 0))
+        received = ref_cast(nn.init_model(arch, ref_seeds(cfg)[1]), np.float32)
+        upload, _ = ref_client_round(arch, received, ds.train_x, ds.train_y, cfg,
+                                     plan_round(cfg, 0), federation._client_seed(cfg.seed, 0, 0))
         assert same_params(run_experiment(cfg).global_params, ref_wire(upload))
 
     def test_admm_run_end_state(self):

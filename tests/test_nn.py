@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedprune import nn
-from fedprune.datasets import synthetic_blobs
+from fedprune.datasets import synthetic_blobs, synthetic_images
 
 
 def finite_diff_grad(arch, params, batch, h=1e-5):
@@ -193,6 +193,29 @@ class TestBackward:
         g = nn.backward(arch, params, nn.Batch(x, np.array([0, 2])))
         gw = g.entries[0].weight
         assert np.allclose(gw, gw[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lenet5_fp32_gradients_bound_by_fp64(self, seed):
+        # the same fp32-representable weights and images, one pass at each
+        # precision: every tensor's fp32 gradient is within 1e-5 of the fp64
+        # one, relative, in L2 norm and in its largest entry error against
+        # its largest entry.  Observed at most 1.1e-6 (conv1's bias) and
+        # about 3e-7 elsewhere: fp32's rounding unit is 6e-8, and sums of up
+        # to 800 products grow that by about sqrt(800).  A lost term, a
+        # wrong pool route or a half-precision step is off by 1e-3 or more.
+        arch = nn.lenet5()
+        p32 = nn.init_model(arch, seed).map(
+            lambda lid, w, b: (w.astype(np.float32), b.astype(np.float32)))
+        p64 = p32.map(lambda lid, w, b: (w.astype(np.float64), b.astype(np.float64)))
+        ds = synthetic_images(num_train=10, num_test=1, channels=1, side=28, seed=seed)
+        batch = nn.Batch(ds.train_x.astype(np.float32), ds.train_y)
+        g32, g64 = nn.backward(arch, p32, batch), nn.backward(arch, p64, batch)
+        for e32, e64 in zip(g32.entries, g64.entries):
+            for t32, t64 in ((e32.weight, e64.weight), (e32.bias, e64.bias)):
+                assert t32.dtype == np.float32 and t64.dtype == np.float64
+                err = t32 - t64
+                assert np.linalg.norm(err) <= 1e-5 * np.linalg.norm(t64), e32.layer_id
+                assert np.abs(err).max() <= 1e-5 * np.abs(t64).max(), e32.layer_id
 
     def test_final_bias_grad_is_mean_residual(self, rng):
         arch = nn.mlp((5, 4, 3))

@@ -5,7 +5,9 @@ for byte.
 Both paths run on the same host's BLAS, so the comparison does not depend on
 the CPU.  Inputs are sparse and binary so that many pooling windows tie.
 The reference runs on the calling thread alone, so the same comparison pins
-the work ``nn`` hands to its helper thread.
+the work ``nn`` hands to its helper thread.  Both compute in the dtype of
+the parameters they are given, so the byte cases run at float64 and again
+at float32 (the ``Fp32`` classes), the precision clients train in.
 """
 
 import multiprocessing
@@ -19,7 +21,7 @@ import pytest
 
 from fedprune import federation, nn
 from fedprune.pruning import SparsityConfig, euclidean_project
-from reference import ref_backward, ref_evaluate, ref_logits, same_bytes
+from reference import ref_backward, ref_budget, ref_cast, ref_evaluate, ref_logits, same_bytes
 from test_pruning import LENET_KEEP_CR87
 
 
@@ -33,7 +35,7 @@ def stride2_stack():
 
 def cr87(params):
     return params.map(lambda lid, w, b: (
-        euclidean_project(w, int(round(LENET_KEEP_CR87[lid] * w.size))), b))
+        euclidean_project(w, ref_budget(w.size, LENET_KEEP_CR87[lid])), b))
 
 
 MODELS = {
@@ -55,6 +57,8 @@ def tied_inputs(arch, n, seed):
 # -- tests -------------------------------------------------------------------
 
 class TestGradientBytes:
+    dtype = np.float64          # of the parameters, and so of every pass
+
     @pytest.mark.parametrize("biased", [False, True])
     @pytest.mark.parametrize("batch_size", [1, 2, 3, 7, 10, 11])
     @pytest.mark.parametrize("model", sorted(MODELS))
@@ -65,17 +69,20 @@ class TestGradientBytes:
         if biased:    # zero biases give exact-zero conv outputs on zero patches
             rng = np.random.default_rng(5)
             params = params.map(lambda lid, w, b: (w, rng.normal(scale=0.1, size=b.shape)))
+        params = ref_cast(params, self.dtype)
         x, y = tied_inputs(arch, batch_size, seed=batch_size)
         got = nn.backward(arch, params, nn.Batch(x, y))
         for e, (gw, gb) in zip(got.entries, ref_backward(arch, params, nn.Batch(x, y))):
+            assert e.weight.dtype == self.dtype, e.layer_id
             assert same_bytes(e.weight, gw), e.layer_id
             assert same_bytes(e.bias, gb), e.layer_id
 
     def test_forward_loss_logits_match_reference(self):
         arch = nn.lenet5()
-        params = nn.init_model(arch, seed=4)
+        params = ref_cast(nn.init_model(arch, seed=4), self.dtype)
         x, y = tied_inputs(arch, 10, seed=0)
         _, logits = nn.forward_loss(arch, params, nn.Batch(x, y))
+        assert logits.dtype == self.dtype
         assert same_bytes(logits, ref_logits(arch, params, x))
 
     @pytest.mark.parametrize("where", ["input", "conv1 weight"])
@@ -84,7 +91,7 @@ class TestGradientBytes:
         # pool that routed only to an element equal to the max would give that
         # channel a zero gradient instead of a NaN one.
         arch = stride2_stack()
-        params = nn.init_model(arch, seed=4)
+        params = ref_cast(nn.init_model(arch, seed=4), self.dtype)
         x, y = tied_inputs(arch, 3, seed=1)
         if where == "input":
             x[1, 0, 5, 6] = np.nan
@@ -101,20 +108,28 @@ class TestGradientBytes:
                    np.array([[2.0, 5.0], [5.0, 3.0]]),        # tie at the max
                    np.array([[0.0, np.nan], [7.0, 1.0]]),     # NaN after a finite value
                    np.array([[np.nan, 4.0], [np.nan, 9.0]])]  # two NaNs
-        x = np.concatenate(windows, axis=1)[None, :, :, None]  # (1, 2, 8, 1), side by side
+        # (1, 2, 8, 1), side by side
+        x = np.concatenate(windows, axis=1)[None, :, :, None].astype(self.dtype)
         m = nn._maxpool(x, 2)
-        dx = nn._maxpool_backward(np.ones(m.shape), x, m, 2)[0, :, :, 0]
+        dx = nn._maxpool_backward(np.ones(m.shape, self.dtype), x, m, 2)[0, :, :, 0]
+        assert dx.dtype == self.dtype
         for n, win in enumerate(windows):
             want = np.zeros(4)
             want[np.argmax(win)] = 1.0
             assert np.array_equal(dx[:, 2 * n:2 * n + 2].ravel(), want), n
 
 
+class TestGradientBytesFp32(TestGradientBytes):
+    dtype = np.float32
+
+
 class TestInferenceBytes:
+    dtype = np.float64          # of the parameters, and so of every pass
+
     def test_lenet5_logits_at_eval_batch_512(self):
         # 300 examples in one 512 chunk: 30 conv tiles of 10
         arch = nn.lenet5()
-        params = nn.init_model(arch, seed=4)
+        params = ref_cast(nn.init_model(arch, seed=4), self.dtype)
         x, y = tied_inputs(arch, 300, seed=0)
         assert same_bytes(nn._logits(arch, params, x), ref_logits(arch, params, x))
         assert nn.evaluate(arch, params, x, y, 512) == ref_evaluate(arch, params, x, y, 512)
@@ -130,7 +145,7 @@ class TestInferenceBytes:
     ])
     def test_chunking_edge_cases(self, n, batch_size):
         arch = nn.lenet5()
-        params = cr87(nn.init_model(arch, seed=2))
+        params = ref_cast(cr87(nn.init_model(arch, seed=2)), self.dtype)
         x, y = tied_inputs(arch, n, seed=n)
         for i in range(0, n, batch_size):
             chunk = x[i:i + batch_size]
@@ -145,7 +160,7 @@ class TestInferenceBytes:
         # bytes on some BLAS kernels, and small_convnet's conv1 split on others
         make, prune = MODELS[model]
         arch = make()
-        params = prune(nn.init_model(arch, seed=2))
+        params = ref_cast(prune(nn.init_model(arch, seed=2)), self.dtype)
         x, y = tied_inputs(arch, n, seed=n)
         assert same_bytes(nn._logits(arch, params, x), ref_logits(arch, params, x))
         assert nn.evaluate(arch, params, x, y, 512) == ref_evaluate(arch, params, x, y, 512)
@@ -154,11 +169,15 @@ class TestInferenceBytes:
     def test_all_zero_input_ties_everywhere(self, model):
         make, _ = MODELS[model]
         arch = make()
-        params = nn.init_model(arch, seed=4)
+        params = ref_cast(nn.init_model(arch, seed=4), self.dtype)
         x = np.zeros((40, *arch.input_shape))
         y = np.arange(40) % arch.num_classes
         assert same_bytes(nn._logits(arch, params, x), ref_logits(arch, params, x))
         assert nn.evaluate(arch, params, x, y, 16) == ref_evaluate(arch, params, x, y, 16)
+
+
+class TestInferenceBytesFp32(TestInferenceBytes):
+    dtype = np.float32
 
 
 # -- the helper thread ---------------------------------------------------------
@@ -400,6 +419,31 @@ class TestConvStackSplit:
         # the fake does change the bytes of a split that is not checked
         monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: True)
         assert not same_grads(nn.backward(arch, params, batch), want)
+
+    def test_eval_too_large_to_check_checks_its_leading_tiles(self, monkeypatch, fresh_check):
+        # a fake BLAS that flips the last bit of every 10-example conv2 GEMM
+        # (64 rows an example), as OpenBLAS's Haswell kernel changes conv2's
+        # fp32 tiles: the check of the leading tiles refuses the split, and
+        # the 300 examples run whole, as the reference does
+        arch = nn.lenet5()
+        params = ref_cast(nn.init_model(arch, seed=4), np.float32)
+        x, _ = tied_inputs(arch, 300, seed=0)
+        want = ref_logits(arch, params, x)
+        matmul = np.matmul
+
+        def flipping(a, b, *args, **kwargs):
+            out = matmul(a, b, *args, **kwargs)
+            if a.shape[0] == 10 * 64:
+                out.view(np.uint32)[...] ^= 1
+            return out
+        monkeypatch.setattr(np, "matmul", flipping)
+        asked = []
+        monkeypatch.setattr(nn, "_blocks_keep_bytes",
+                            lambda *key: asked.append(key) or fresh_check(*key))
+        calls = record_parts(monkeypatch)
+        assert same_bytes(nn._logits(arch, params, x), want)
+        assert [key[1:] for key in asked] == [((0, 10, 20, 30, 40), False, np.float32)]
+        assert calls == [(threading.get_ident(), 300)]
 
 
 # -- the per-layer hook of backward --------------------------------------------

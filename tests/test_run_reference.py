@@ -3,12 +3,14 @@ textbook run: the final model's bytes, every round's accuracy and the final
 accuracy must be equal, for the shipped demo config, a LeNet-5 run, configs
 drawn at random, and a run whose faulty uploads the enclave must reject."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedprune import codec, enclave, nn, secure
+from fedprune import codec, enclave, nn, report, secure
 from fedprune.config import load_config
 from fedprune.federation import (PHASE_ADMM, PHASE_FINETUNE, PHASE_WARMUP, ExperimentAborted,
                                  ExperimentConfig, plan_round, run_experiment)
@@ -173,7 +175,7 @@ def arrivals(fault, cfg, rnd, cid, honest, earlier, key, blob, fmt, schema):
 def run_with_faults(monkeypatch, cfg, schedule):
     """run_experiment(cfg) with each scheduled fault injected as its upload
     reaches the enclave: the result (partial if the run aborted), and per
-    upload (round, client, fault or None, the rejections wanted, those got)."""
+    upload (round, client, fault or None, the rejections wanted)."""
     real_seal, real_load = secure.ClientChannel.encrypt_update, enclave.enclave_load
     sealed, loads = {}, []      # (round, client) -> (raw record, key, blob, format byte)
 
@@ -189,12 +191,10 @@ def run_with_faults(monkeypatch, cfg, schedule):
                       default=None)
         arrived = arrivals(fault, cfg, rnd, cid, honest, earlier, *sealed_as, ctx.schema) \
             if fault else [(honest, None)]
-        agg, rej = real_load([secure.EncryptedUpdate.from_bytes(raw) for raw, _ in arrived],
-                             ctx, counts)
         loads.append((rnd, cid, fault, [(UNKNOWN if fault == "unknown" else cid, why)
-                                        for _, why in arrived if why],
-                      [(r.client_id, r.reason) for r in rej]))
-        return agg, rej
+                                        for _, why in arrived if why]))
+        return real_load([secure.EncryptedUpdate.from_bytes(raw) for raw, _ in arrived],
+                         ctx, counts)
 
     monkeypatch.setattr(secure.ClientChannel, "encrypt_update", seal)
     monkeypatch.setattr(enclave, "enclave_load", load)
@@ -204,13 +204,20 @@ def run_with_faults(monkeypatch, cfg, schedule):
         return exc.partial, loads
 
 
-def test_faults_cost_only_the_faulty_uploads(monkeypatch):
+def test_faults_cost_only_the_faulty_uploads(monkeypatch, tmp_path):
     schedule = fault_schedule(FAULT_CFG)
     res, loads = run_with_faults(monkeypatch, FAULT_CFG, schedule)
-    # exactly the faulty records are rejected, each for its own reason; a
-    # failure lists each fault that got through or was rejected otherwise
-    assert [(fault, rnd, want, got) for rnd, _, fault, want, got in loads if want != got] == []
-    assert {(rnd, cid): fault for rnd, cid, fault, _, _ in loads if fault} == schedule
     assert len(res.metrics) == FAULT_CFG.total_rounds()
+    # exactly the faulty records are rejected, each for its own reason, as
+    # each round's metrics report them; a failure lists each round's faults
+    # with the rejections wanted and those reported
+    wanted = [[why for r, _, _, want in loads if r == rnd for why in want]
+              for rnd in range(len(res.metrics))]
+    assert [([fault for r, _, fault, _ in loads if r == m.round_index and fault],
+             want, list(m.rejections))
+            for m, want in zip(res.metrics, wanted) if list(m.rejections) != want] == []
+    assert {(rnd, cid): fault for rnd, cid, fault, _ in loads if fault} == schedule
+    with open(report.write_report(res, tmp_path)["rounds"]) as f:
+        assert [int(row["rejected"]) for row in csv.DictReader(f)] == list(map(len, wanted))
     assert_same_run(FAULT_CFG, res, left_out={
         key for key, fault in schedule.items() if fault not in ("duplicate", "replay")})
