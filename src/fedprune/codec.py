@@ -12,13 +12,15 @@ Wire layout (all integers little-endian, floats IEEE-754 binary32):
 
 Weights of rank != 2 are viewed as (first-dim x rest) matrices for CSR.
 Biases and row pointers are always stored dense.  Values cross the wire in
-fp32; in-memory math stays fp64.
+fp32, the precision clients train in; the enclave widens them to fp64 to
+average them into its fp64 global model.
 
 Decoding checks the blob against the published layer table (``schema``):
 layer count, ids, dims, the CSR matrix view and bias lengths must match it
 before any array is read, so no allocation is ever sized from the wire.
 ``decode_layers``, the one reader, keeps each layer as the wire carried it
-(``WireLayer``), as the enclave holds it; ``decode_params`` widens to fp64.
+(``WireLayer``), as the enclave holds it; ``WireLayer.dense`` widens one to
+fp64.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class CodecError(ValueError):
 
 def schema(params: ParameterSet) -> tuple:
     """(layer id, weight shape, bias shape) per layer: the published-model
-    table that decode_params checks a blob against."""
+    table that decode_layers checks a blob against."""
     return tuple((e.layer_id, e.weight.shape, e.bias.shape) for e in params.entries)
 
 
@@ -164,12 +166,6 @@ def decode_layers(blob: bytes, expect: tuple) -> tuple[tuple[WireLayer, ...], st
     if r.off != len(blob):
         raise CodecError(f"{len(blob) - r.off} trailing bytes")
     return tuple(layers), FORMAT_NAMES[fmt]
-
-
-def decode_params(blob: bytes, expect: tuple) -> tuple[ParameterSet, str]:
-    """decode_layers widened to fp64 tensors; returns (params, format_name)."""
-    layers, fmt = decode_layers(blob, expect)
-    return ParameterSet(tuple(map(WireLayer.dense, layers))), fmt
 
 
 def _csr_flat(lid, rows, cols, row_ptr, col_idx, values) -> np.ndarray:

@@ -8,31 +8,34 @@ parameter sets / gradients come out, and nothing the caller passes is
 mutated, so any number of threads may call it at once.
 
 Each process has one helper thread, started on first use, that shares the
-work of a single call.  Every pass runs the layers up to the Flatten
-(the conv/pool stack) on two parts of its examples, the first part on the
-helper and the rest on the caller (``_conv_stack``).  In ``backward`` both
-parts write straight into the full-batch arrays that the backward half
-reads; outside it (``_logits``, ``forward_loss``) each part runs tiles of
-``_TILE`` examples through one buffer set.  In ``backward`` the helper also
-runs the weight-gradient GEMM of every parameterized layer above the first
-while the calling thread computes that layer's input gradient, and then the
-caller's per-layer ``then`` hook.
+work of a single call.  The layers up to the Flatten (the conv/pool stack)
+run on blocks of examples, and the blocks are part of what a pass computes:
+each conv GEMM gives the bytes of its blocks, not of one GEMM over the
+batch.  A training pass (``backward``) runs the stack on the two halves of
+its batch of n, examples ``[0, n // 2)`` and ``[n // 2, n)``, writing
+straight into the full-batch arrays that the backward half reads.  Every
+other pass (``_logits``, ``forward_loss``) runs it on tiles of ``_TILE`` = 10
+examples, the last one possibly short, each part's tiles through one
+buffer set.  The first half, or the first half of the tiles, runs on the
+helper and the rest on the caller (``_conv_stack``); a pass whose first
+half is empty (a batch of one, or at most one tile) runs on the caller
+alone.  In ``backward`` the helper also runs the weight-gradient GEMM of
+every parameterized layer above the first while the calling thread computes
+that layer's input gradient, and then the caller's per-layer ``then`` hook.
 
-Splitting a conv GEMM's rows by example keeps its bytes on some BLAS kernels
-and not on others, so the stack splits only where ``_blocks_keep_bytes``,
-run once per shape, finds the same bytes for each conv GEMM of the pass on
-seeded random operands of its exact shapes, weight layout and row offsets,
-both whole and in the planned blocks; otherwise the stack runs whole on the
-caller.  A pass too large to check whole (``_CHECK_BYTES``) runs whole in
-``backward``; outside it, its tiles are checked against one GEMM over the
-leading ``_CHECK_TILES`` of them.  Everything else the helper
+A GEMM's bytes depend on the shape and values of its block, not on where
+the block sits in memory: so it was for every conv block of the tested
+models, at fp32 and fp64, under OpenBLAS's default, Haswell and Sandybridge
+kernels.  So a block gives the same bytes whether it reads and writes rows
+of the full-batch arrays or a tile's buffers.  Everything else the helper
 runs is the BLAS call or numpy operation a one-thread pass would make, on
 the same operands, writing into arrays the caller allocated, and the caller
-waits for it before returning, so logits and gradients are the same bytes.
-Only private helpers and numpy run there, plus the caller's ``then`` hook,
-and fedprune's one hook (``federation.client_round``'s step) calls numpy
-only.  So no public fedprune function starts on the helper, and a tracer
-that wraps the public names sees every call on the calling thread.
+waits for it before returning, so logits and gradients are the same bytes
+on either thread.  Only private helpers and numpy run there, plus the
+caller's ``then`` hook, and fedprune's one hook (``federation.client_round``'s
+step) calls numpy only.  So no public fedprune function starts on the
+helper, and a tracer that wraps the public names sees every call on the
+calling thread.
 
 Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
 ``(out_ch, in_ch, k, k)``.  Inside the passes, activations are channels-last,
@@ -40,9 +43,10 @@ Inputs and conv weights are channels-first, ``(B, C, H, W)`` and
 next activation without a transpose, max pooling takes the max of the k*k
 strided views, and ``Flatten`` puts features back in (c, h, w) order.
 ``backward`` computes no gradient for the first parameterized layer's input,
-which nothing uses.  The dense layers run on the whole batch or chunk.
-Every GEMM sees the operands of the channels-first formulation, so logits
-and gradients are the same bytes.
+which nothing uses.  The dense layers, and every GEMM of the backward half,
+run on the whole batch or chunk.  Every GEMM sees the operands of the
+channels-first formulation on the same blocks, so logits and gradients are
+the same bytes.
 """
 
 from __future__ import annotations
@@ -253,29 +257,13 @@ def init_model(arch: ModelArch, seed: int) -> ParameterSet:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-# Examples per conv/pool tile outside ``backward``.  It bounds the im2col
-# matrices: LeNet-5's conv2 needs 2.5 MB for 10 examples, 77 MB for 300.
-# Splitting a dense GEMM's rows changes the last bit, so dense layers run on
-# the whole chunk; whether a conv GEMM's row split keeps its bytes depends on
-# the BLAS kernel, so ``_blocks_keep_bytes`` checks it.  On 300 LeNet-5
+# Examples per conv GEMM block outside ``backward``: part of what such a pass
+# computes.  It bounds the im2col matrices: LeNet-5's conv2 needs 2.5 MB for
+# 10 examples at fp64, 77 MB for 300.  Splitting a dense GEMM's rows changes
+# the last bit, so dense layers run on the whole chunk.  On 300 LeNet-5
 # examples (one BLAS thread, 2-core host) tiles of 10 took 61/78 ms
 # min/median against 70/86 ms for tiles of 32.
 _TILE = 10
-
-# Bytes of the conv/pool arrays of a pass over all of its examples at once,
-# above which no split is checked whole: the check builds about that much,
-# and so does the untiled pass an evaluation falls back on.  Above it,
-# ``backward`` runs the conv/pool layers on the calling thread alone and
-# ``_logits`` checks only its first ``_CHECK_TILES`` tiles.  LeNet-5 takes
-# 0.52 MB per example at fp64 and 0.26 MB at fp32, so an evaluation of 300
-# examples is above it.
-_CHECK_BYTES = 64 << 20
-
-# Leading tiles whose split stands in for a pass too large to check whole.  A
-# kernel whose row split changes a conv GEMM's bytes changes them from the
-# first tile on: LeNet-5's conv2 at fp32 under OpenBLAS's Haswell kernel
-# differs on every tile of 10, against one GEMM over 20 examples or 300.
-_CHECK_TILES = 4
 
 # (pid, executor) of this process's helper thread.  A child forked after the
 # helper started inherits the tuple but not the thread, so the pid check
@@ -404,35 +392,6 @@ def _stack_layout(layers: tuple, shape: tuple, dtype: np.dtype):
     return tuple(layout), int(np.prod(shape))
 
 
-@functools.lru_cache(maxsize=64)
-def _blocks_keep_bytes(gemms: tuple, bounds: tuple, in_place: bool, dtype: np.dtype) -> bool:
-    """Whether every conv GEMM, given as (rows per example, C*k*k, out_ch,
-    strides of wmat), gives the same bytes on the example blocks between
-    ``bounds`` as on all of them at once, on seeded random operands of the
-    pass's ``dtype``.  With ``in_place`` a block reads and writes its rows of
-    the whole arrays, as in ``backward``'s caches; without, it runs on a copy
-    at offset 0, as a tile does in its buffers."""
-    rng = np.random.default_rng(0)
-    for rows, k, n_out, strides in gemms:
-        a = rng.standard_normal((bounds[-1] * rows, k), dtype)
-        w = rng.standard_normal((n_out, k), dtype).T
-        if w.strides != strides:
-            w = np.ascontiguousarray(w)
-            if w.strides != strides:
-                return False
-        whole = np.matmul(a, w)
-        part = np.empty_like(whole)
-        for s, e in zip(bounds, bounds[1:]):
-            r = slice(s * rows, e * rows)
-            if in_place:
-                np.matmul(a[r], w, out=part[r])
-            else:
-                part[r] = np.matmul(a[r].copy(), w)
-        if part.tobytes() != whole.tobytes():
-            return False
-    return True
-
-
 def _buffer_sets(layout, counts: list, keep: bool) -> list:
     """One set of the arrays of a ``_stack_layout`` per example count in
     ``counts``, all carved from one allocation.  As separate arrays, LeNet-5's
@@ -494,13 +453,13 @@ def _conv_stack(bound, x: np.ndarray, caches: list | None):
     """Run the layers up to the Flatten on x: (B, H, W, C); return the
     flattened features and the number of layers run.
 
-    With ``caches`` (``backward``), the layers write full-batch arrays, which
-    are appended to caches as ``backward`` reads them; without, the examples
-    run in tiles of ``_TILE`` through one buffer set per part.  The first
-    part of the examples (half of them, or half of the tiles) runs on the
-    helper thread and the rest on the caller, where ``_blocks_keep_bytes``
-    finds that the conv GEMMs give the bytes of one whole-batch GEMM on
-    those blocks; otherwise all of x runs as one block on the caller."""
+    The blocks are those the module docstring states.  With ``caches``
+    (``backward``), the stack runs on the two halves of the batch, each one
+    block, writing full-batch arrays, which are appended to caches as
+    ``backward`` reads them; without, it runs on tiles of ``_TILE`` examples
+    through one buffer set per part.  The first part (the first half, or the
+    first half of the tiles) runs on the helper thread and the rest on the
+    caller; an empty first part leaves all of x to the caller."""
     cut = next(n for n, (layer, _) in enumerate(bound) if isinstance(layer, Flatten))
     stack = [(layer, e, None if e is None else e.weight.reshape(layer.out_ch, -1).T)
              for layer, e in bound[:cut]]
@@ -509,16 +468,8 @@ def _conv_stack(bound, x: np.ndarray, caches: list | None):
     n = len(x)
     bounds = (0, n // 2, n) if caches is not None else (*range(0, n, _TILE), n)
     mid = bounds[(len(bounds) - 1) // 2]
-    gemms = tuple((*spec[0][0], layer.out_ch, wmat.strides)
-                  for (layer, _, wmat), spec in zip(stack, layout) if wmat is not None)
-    nbytes = n * sum(int(np.prod(s)) * np.dtype(d).itemsize for spec in layout for s, d in spec)
-    if nbytes <= _CHECK_BYTES:
-        split = mid > 0 and _blocks_keep_bytes(gemms, bounds, caches is not None, x.dtype)
-    else:
-        split = mid > 0 and caches is None and _blocks_keep_bytes(
-            gemms, bounds[:_CHECK_TILES + 1], False, x.dtype)
-    spans = [(0, mid), (mid, n)] if split else [(0, n)]
-    tile = _TILE if split and caches is None else max(n, 1)
+    spans = [(0, mid), (mid, n)] if mid > 0 else [(0, n)]
+    tile = _TILE if caches is None else n
 
     if caches is None:
         sets = _buffer_sets(layout, [min(tile, e - s) for s, e in spans], keep=False)
@@ -528,7 +479,7 @@ def _conv_stack(bound, x: np.ndarray, caches: list | None):
     flat = np.empty((n, features), x.dtype)
     runs = [functools.partial(_stack_part, stack, x[s:e], arrays, flat[s:e], tile)
             for (s, e), arrays in zip(spans, sets)]
-    _wait_all([runs[1], _offload(True, runs[0])] if split else runs)
+    _wait_all([runs[1], _offload(True, runs[0])] if mid > 0 else runs)
 
     if caches is not None:
         h = x

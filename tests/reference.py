@@ -2,7 +2,9 @@
 
 - ``ref_backward`` and ``ref_evaluate``: channels-first im2col passes with
   argmax pooling, on the calling thread alone, in the dtype of the
-  parameters they are given;
+  parameters they are given, each conv GEMM on the example blocks that
+  nn's docstring makes part of a pass (``ref_blocks``): the two halves of
+  a training batch, tiles of 10 examples otherwise;
 - ``reference_project``: the argsort projection, and ``brute_force_project``,
   the exhaustive search it is checked against;
 - ``ref_client_round``: one client's local round, its ADMM update and its
@@ -62,8 +64,18 @@ def ref_col2im(dcols, x_shape, k, stride, ho, wo):
     return dx
 
 
-def ref_forward(arch, params, x):
+def ref_blocks(n, training):
+    """The example blocks each conv GEMM of a pass runs on, as bounds: the
+    two halves of a training pass's batch, and tiles of 10 examples, the
+    last one possibly short, in every other pass."""
+    return (0, n // 2, n) if training else (*range(0, n, 10), n)
+
+
+def ref_forward(arch, params, x, training=False):
+    """Logits and backward's caches of x; each conv GEMM runs on the example
+    blocks of ref_blocks, every other GEMM on the whole batch."""
     caches = []
+    bounds = ref_blocks(len(x), training)
     pidx = 0
     pl = params.entries
     for layer in arch.layers:
@@ -75,7 +87,9 @@ def ref_forward(arch, params, x):
             e = pl[pidx]; pidx += 1
             cols, ho, wo = ref_im2col(x, layer.kernel, layer.stride)
             wmat = e.weight.reshape(layer.out_ch, -1).T
-            out = cols @ wmat + e.bias
+            rows = ho * wo
+            out = np.concatenate([cols[lo * rows:hi * rows] @ wmat
+                                  for lo, hi in zip(bounds, bounds[1:])]) + e.bias
             caches.append(("conv", x.shape, cols, e, layer, ho, wo))
             x = out.reshape(x.shape[0], ho, wo, layer.out_ch).transpose(0, 3, 1, 2)
         elif isinstance(layer, nn.ReLU):
@@ -103,7 +117,7 @@ def ref_dtype(params):
 
 def ref_backward(arch, params, batch):
     x = np.asarray(batch.inputs, dtype=ref_dtype(params))
-    logits, caches = ref_forward(arch, params, x)
+    logits, caches = ref_forward(arch, params, x, training=True)
     b = len(batch.labels)
     dout = nn._softmax(logits)
     dout[np.arange(b), batch.labels] -= 1.0
@@ -206,7 +220,7 @@ def ref_cast(params, dtype):
 
 def ref_wire(params):
     """params cast to fp32 at the wire and widened back to fp64, as the
-    enclave and codec.decode_params widen them."""
+    enclave widens them."""
     return ref_cast(ref_cast(params, np.float32), np.float64)
 
 

@@ -138,10 +138,11 @@ def test_criterion_04_csr_roundtrip_and_size():
         p = nn.ParameterSet((nn.LayerParams(
             "layer", w, rng.normal(size=shape[0]).astype(np.float32).astype(float)),))
         blob = codec.csr_encode(p)
-        back, fmt = codec.decode_params(blob, codec.schema(p))
+        (layer,), fmt = codec.decode_layers(blob, codec.schema(p))
+        back = layer.dense()
         assert fmt == "csr"
-        assert np.array_equal(back["layer"].weight, p["layer"].weight)
-        assert np.array_equal(back["layer"].bias, p["layer"].bias)
+        assert np.array_equal(back.weight, p["layer"].weight)
+        assert np.array_equal(back.bias, p["layer"].bias)
 
         rows = shape[0]                               # matrix view is (d0, -1)
         nnz = int(np.count_nonzero(w))

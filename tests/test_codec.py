@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedprune import codec, nn
-from fedprune.codec import (CodecError, csr_encode, decode_params, dense_encode,
-                            encoded_size)
+from fedprune.codec import CodecError, csr_encode, decode_layers, dense_encode, encoded_size
 from reference import ref_decode, ref_encode, ref_cast, ref_frame, ref_wire, same_params
 from test_pruning import EDGE_VALUES
 
@@ -20,8 +19,10 @@ def params_of(*arrays, ids=None):
 
 
 def roundtrip(encode, p):
-    """Decode encode(p) against p's own layer table; returns (params, format)."""
-    return decode_params(encode(p), codec.schema(p))
+    """Decode encode(p) against p's own layer table; returns (params widened
+    to fp64, format)."""
+    layers, fmt = decode_layers(encode(p), codec.schema(p))
+    return nn.ParameterSet(tuple(layer.dense() for layer in layers)), fmt
 
 
 def assert_equal_params(a, b):
@@ -75,14 +76,14 @@ class TestCsr:
         # bump row_ptr[1] above row_ptr[2]
         struct.pack_into("<I", blob, 20 + 12 + 4, 9)
         with pytest.raises(CodecError):
-            decode_params(bytes(blob), codec.schema(p))
+            decode_layers(bytes(blob), codec.schema(p))
 
     def test_col_idx_out_of_range_rejected(self):
         p = params_of([[0.0, 5.0], [7.0, 0.0]])
         blob = bytearray(csr_encode(p))
         struct.pack_into("<I", blob, 20 + 12 + 12, 5)   # first col_idx -> 5 >= cols
         with pytest.raises(CodecError):
-            decode_params(bytes(blob), codec.schema(p))
+            decode_layers(bytes(blob), codec.schema(p))
 
     @pytest.mark.parametrize("row_ptr, col_idx", [
         ([1, 1, 2], [0, 1]),        # row_ptr[0] != 0
@@ -95,11 +96,12 @@ class TestCsr:
             "col_out_of_range", "col_repeated", "col_descending"])
     def test_malformed_csr_rejected(self, row_ptr, col_idx):
         with pytest.raises(CodecError):
-            decode_params(w_frame(2, 8, row_ptr, col_idx), W_2X8)
+            decode_layers(w_frame(2, 8, row_ptr, col_idx), W_2X8)
 
     def test_column_resets_at_row_boundary(self):
         # row 0 ends at column 5, row 1 starts again at column 0
-        w = decode_params(w_frame(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)[0]["w"].weight
+        (layer,), _ = decode_layers(w_frame(2, 8, [0, 2, 3], [2, 5, 0]), W_2X8)
+        w = layer.dense().weight
         expect = np.zeros((2, 8))
         expect[0, 2] = expect[0, 5] = expect[1, 0] = 1.0
         assert np.array_equal(w, expect)
@@ -108,11 +110,11 @@ class TestCsr:
         p = params_of([[1.0]])
         blob, expect = csr_encode(p), codec.schema(p)
         with pytest.raises(CodecError):
-            decode_params(b"XXXX" + blob[4:], expect)
+            decode_layers(b"XXXX" + blob[4:], expect)
         with pytest.raises(CodecError):
-            decode_params(blob[:-2], expect)
+            decode_layers(blob[:-2], expect)
         with pytest.raises(CodecError):
-            decode_params(blob + b"\x00", expect)
+            decode_layers(blob + b"\x00", expect)
 
 
 class TestPublishedLayers:
@@ -128,20 +130,20 @@ class TestPublishedLayers:
     def test_layers_differing_from_published_rejected(self, encode, expect):
         blob = encode(params_of(np.ones((2, 3))))
         with pytest.raises(CodecError, match="published"):
-            decode_params(blob, expect)
+            decode_layers(blob, expect)
 
     def test_matrix_view_differing_from_dims_rejected(self):
         # dims (2, 8) as published, but the CSR body claims a 4 x 4 matrix
         blob = w_frame(4, 4, [0, 1, 1, 1, 1], [0], dims=(2, 8))
         with pytest.raises(CodecError, match="published"):
-            decode_params(blob, W_2X8)
+            decode_layers(blob, W_2X8)
 
     @pytest.mark.parametrize("rows, cols", [(1, 2**32 - 1), (2**32 - 1, 1)])
     def test_oversized_header_rejected_before_allocating(self, rows, cols):
         # a 2**32-1 element layer would be a 32 GiB float64 allocation
         blob = w_frame(rows, cols, [0, 0], [])
         with pytest.raises(CodecError, match="published"):
-            decode_params(blob, W_2X8)
+            decode_layers(blob, W_2X8)
 
 
 class TestDecodeLayers:

@@ -19,7 +19,7 @@ from fedprune.federation import (PRUNING_PHASES, ExperimentAborted, ExperimentCo
                                  run_experiment, saving_percent,
                                  stage_keep_config)
 from fedprune.pruning import SparsityConfig
-from reference import ref_cast, ref_client_round, ref_seeds, ref_wire, same_params
+from reference import ref_cast, ref_client_round, ref_decode, ref_seeds, ref_wire, same_params
 
 
 def tiny_cfg(**kw):
@@ -953,9 +953,8 @@ def run_with_one_bad_payload(monkeypatch, replace, **overrides):
 
 def run_with_one_bad_upload(monkeypatch, corrupt):
     """As run_with_one_bad_payload; the victim uploads corrupt(its update)."""
-    expect = codec.schema(nn.init_model(load_config(DEMO_CFG).build_arch(), 0))
     return run_with_one_bad_payload(monkeypatch, lambda blob: codec.dense_encode(
-        corrupt(codec.decode_params(blob, expect)[0])))
+        corrupt(ref_decode(blob))))
 
 
 class TestBadUploadCostsOnlyItself:
@@ -996,12 +995,9 @@ class TestBadUploadCostsOnlyItself:
     def test_nonzeros_above_budget_rejected(self, monkeypatch):
         # ADMM, round 1 is ramp stage 0: the victim seals a finite CSR blob
         # in which every weight is non-zero
-        expect = codec.schema(nn.init_model(load_config(DEMO_CFG).build_arch(), 0))
-
         def densified(blob):
-            params, fmt = codec.decode_params(blob, expect)
-            assert fmt == "csr"
-            return codec.csr_encode(params.map(
+            assert blob[5] == codec.FORMAT_CSR
+            return codec.csr_encode(ref_decode(blob).map(
                 lambda lid, w, b: (np.where(w == 0.0, 1e-3, w), b.copy())))
 
         res, victim, rejections = run_with_one_bad_payload(

@@ -3,9 +3,12 @@ passes of reference.py (a copy of the kernels they replaced), compared byte
 for byte.
 
 Both paths run on the same host's BLAS, so the comparison does not depend on
-the CPU.  Inputs are sparse and binary so that many pooling windows tie.
-The reference runs on the calling thread alone, so the same comparison pins
-the work ``nn`` hands to its helper thread.  Both compute in the dtype of
+the CPU.  Both run each conv GEMM on the example blocks that ``nn``'s
+docstring makes part of a pass, halves in training and tiles of 10
+otherwise, and the reference writes those blocks itself, so a change of
+blocking fails here on any kernel.  Inputs are sparse and binary so that
+many pooling windows tie.  The reference runs on the calling thread alone,
+so the same comparison pins the work ``nn`` hands to its helper thread.  Both compute in the dtype of
 the parameters they are given, so the byte cases run at float64 and again
 at float32 (the ``Fp32`` classes), the precision clients train in.
 """
@@ -15,6 +18,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,15 +319,6 @@ class TestHelperThread:
 
 # -- the conv/pool stack split across the helper ------------------------------
 
-@pytest.fixture
-def fresh_check():
-    """An empty cache of the split check before and after the test."""
-    check = nn._blocks_keep_bytes
-    check.cache_clear()
-    yield check
-    check.cache_clear()
-
-
 def record_parts(monkeypatch, before=None):
     """Record (thread ident, examples) of every ``_stack_part`` call, after
     calling before(thread ident) when given."""
@@ -344,26 +339,15 @@ class TestConvStackSplit:
     def test_first_part_on_the_helper(self, monkeypatch, batch_size, parts):
         arch, params, batch = lenet_case(batch_size, seed=7)
         helper = nn._offload(True, threading.get_ident)()
-        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: True)
         calls = record_parts(monkeypatch)
         nn.backward(arch, params, batch)
         assert sorted(calls) == sorted([(helper, parts[0]), (threading.get_ident(), parts[1])])
 
     def test_batch_of_one_runs_unsplit_on_the_caller(self, monkeypatch):
         arch, params, batch = lenet_case(1, seed=7)
-        asked = []
-        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: asked.append(key) or True)
         calls = record_parts(monkeypatch)
         got = nn.backward(arch, params, batch)
-        assert calls == [(threading.get_ident(), 1)] and asked == []
-        assert same_grads(got, ref_backward(arch, params, batch))
-
-    def test_refused_split_runs_whole_on_the_caller(self, monkeypatch):
-        arch, params, batch = lenet_case(10, seed=7)
-        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: False)
-        calls = record_parts(monkeypatch)
-        got = nn.backward(arch, params, batch)
-        assert calls == [(threading.get_ident(), 10)]
+        assert calls == [(threading.get_ident(), 1)]
         assert same_grads(got, ref_backward(arch, params, batch))
 
     @pytest.mark.parametrize("fail", [False, True])
@@ -376,7 +360,6 @@ class TestConvStackSplit:
                 time.sleep(0.05)
             elif fail:
                 raise ZeroDivisionError("the caller's part fails")
-        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: True)
         calls = record_parts(monkeypatch, before)
         if fail:
             with pytest.raises(ZeroDivisionError):
@@ -386,64 +369,20 @@ class TestConvStackSplit:
         assert calls[-1] == (helper, 5)         # the helper's part finished last
         assert len(calls) == (1 if fail else 2)
 
-    def test_check_runs_once_per_shape(self, fresh_check):
-        for batch_size in (10, 10, 7, 10, 7):
-            arch, params, batch = lenet_case(batch_size, seed=batch_size)
-            assert same_grads(nn.backward(arch, params, batch), ref_backward(arch, params, batch))
-        assert fresh_check.cache_info().misses == 2
-        for _ in range(2):
-            assert same_bytes(nn._logits(arch, params, batch.inputs[:4].repeat(5, axis=0)),
-                              ref_logits(arch, params, batch.inputs[:4].repeat(5, axis=0)))
-        assert fresh_check.cache_info().misses == 3
-
-    def test_check_refuses_a_split_that_changes_bytes(self, monkeypatch, fresh_check):
-        # a fake BLAS that flips the last bit of the second row block of an
-        # 11-example split (examples 5 to 10) of every LeNet-5 conv GEMM
-        arch, params, batch = lenet_case(11, seed=9)
-        want = ref_backward(arch, params, batch)
-        late_rows = {6 * 24 * 24, 6 * 8 * 8}
-        matmul = np.matmul
-
-        def flipping(a, b, *args, **kwargs):
-            out = matmul(a, b, *args, **kwargs)
-            if a.shape[0] in late_rows:
-                out.view(np.uint64)[...] ^= 1
-            return out
-        monkeypatch.setattr(np, "matmul", flipping)
-        answers = []
-        monkeypatch.setattr(nn, "_blocks_keep_bytes",
-                            lambda *key: answers.append(fresh_check(*key)) or answers[-1])
-        calls = record_parts(monkeypatch)
-        assert same_grads(nn.backward(arch, params, batch), want)
-        assert answers == [False] and calls == [(threading.get_ident(), 11)]
-        # the fake does change the bytes of a split that is not checked
-        monkeypatch.setattr(nn, "_blocks_keep_bytes", lambda *key: True)
-        assert not same_grads(nn.backward(arch, params, batch), want)
-
-    def test_eval_too_large_to_check_checks_its_leading_tiles(self, monkeypatch, fresh_check):
-        # a fake BLAS that flips the last bit of every 10-example conv2 GEMM
-        # (64 rows an example), as OpenBLAS's Haswell kernel changes conv2's
-        # fp32 tiles: the check of the leading tiles refuses the split, and
-        # the 300 examples run whole, as the reference does
+    def test_eval_runs_in_tiles_on_every_kernel(self):
+        # 300 LeNet-5 examples at fp32 take about 78 MB of conv/pool arrays
+        # at once, and tiles of 10 through one buffer set per part about 6 MB
         arch = nn.lenet5()
         params = ref_cast(nn.init_model(arch, seed=4), np.float32)
-        x, _ = tied_inputs(arch, 300, seed=0)
-        want = ref_logits(arch, params, x)
-        matmul = np.matmul
-
-        def flipping(a, b, *args, **kwargs):
-            out = matmul(a, b, *args, **kwargs)
-            if a.shape[0] == 10 * 64:
-                out.view(np.uint32)[...] ^= 1
-            return out
-        monkeypatch.setattr(np, "matmul", flipping)
-        asked = []
-        monkeypatch.setattr(nn, "_blocks_keep_bytes",
-                            lambda *key: asked.append(key) or fresh_check(*key))
-        calls = record_parts(monkeypatch)
-        assert same_bytes(nn._logits(arch, params, x), want)
-        assert [key[1:] for key in asked] == [((0, 10, 20, 30, 40), False, np.float32)]
-        assert calls == [(threading.get_ident(), 300)]
+        x, y = tied_inputs(arch, 300, seed=0)
+        nn.evaluate(arch, params, x, y, 512)        # the helper and the caches are up
+        tracemalloc.start()
+        try:
+            nn.evaluate(arch, params, x, y, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"{peak / 2**20:.1f} MB"
 
 
 # -- the per-layer hook of backward --------------------------------------------

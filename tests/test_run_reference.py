@@ -15,7 +15,7 @@ from fedprune.config import load_config
 from fedprune.federation import (PHASE_ADMM, PHASE_FINETUNE, PHASE_WARMUP, ExperimentAborted,
                                  ExperimentConfig, plan_round, run_experiment)
 from fedprune.pruning import SparsityConfig
-from reference import (ref_budget, ref_cohorts, ref_encode, ref_frame, ref_seal,
+from reference import (ref_budget, ref_cohorts, ref_decode, ref_encode, ref_frame, ref_seal,
                        reference_run, same_params)
 from test_federation import DEMO_CFG, tiny_cfg
 from test_pruning import LENET_KEEP_CR87
@@ -137,7 +137,7 @@ def arrivals(fault, cfg, rnd, cid, honest, earlier, key, blob, fmt, schema):
     enclave in place of client cid's upload honest of round rnd, which sealed
     blob in format byte fmt under key; earlier is its last (round, record)."""
     name, other, (lid, shape, _) = codec.FORMAT_NAMES[fmt], codec.FORMAT_NAMES[1 - fmt], schema[0]
-    params, size = codec.decode_params(blob, schema)[0], int(np.prod(shape))
+    params, size = ref_decode(blob), int(np.prod(shape))
     published = f"layer {lid}: id or dims differ from the published {shape}"
 
     def seal(payload, c=cid, r=rnd, f=fmt, nonce=None):
